@@ -11,8 +11,9 @@
 #   4. hygiene             no build artifacts tracked by git
 #   5. build               cargo build --release (whole workspace)
 #   6. tests               cargo test -q (tier-1 suite + all members)
-#   7. bench gate          plugvolt-cli bench --smoke vs committed BENCH.json
-#   8. attribution smoke   plugvolt-cli bench --attr --smoke + Chrome trace
+#   7. perfbench self-test cargo test on perfbench/ (the registered
+#                          benchmark's rebuilt entry points == library)
+#   8. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
 #   9. soak gate           plugvolt-cli soak --smoke + corpus replay
 #  10. trace replay gate   committed MSR transcript replayed through the
 #                          HAL replay backend (tape-clean + oracles +
@@ -80,19 +81,21 @@ cargo build --release -p plugvolt-hal
 step "cargo test -q"
 cargo test -q --workspace
 
-step "plugvolt-cli bench --smoke"
-# Smoke-size perf harness run: validates the pinned BENCH.json schema
-# and fails if any before/after speedup decayed to less than half the
-# ratio the committed report records (speedups are host-normalized, so
-# the comparison is meaningful on any machine).
-./target/release/plugvolt-cli bench --smoke --baseline BENCH.json
+step "perfbench self-tests"
+# perfbench/ is the registered absolute-time benchmark (BENCHMARK.json)
+# and a separate cargo workspace, so the workspace test stage never
+# builds it. Its self-tests rebuild each measured entry point from the
+# public API and assert it equals the library, so an API change that
+# would break the benchmark fails here. Timing regressions are gated
+# by BENCHMARK.json's bounds, not by this stage.
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
-step "plugvolt-cli bench --attr --smoke"
+step "plugvolt-cli bench --smoke"
 # Span-tracer attribution pass over a coarse characterize-grid run:
-# prints the per-subsystem hot-path table (the DESIGN.md §5d evidence)
+# prints the per-subsystem hot-path table (the DESIGN.md §5e evidence)
 # and exports the Chrome trace-event JSON, which the workflow uploads
 # as an artifact so any CI run's hot paths can be opened in Perfetto.
-./target/release/plugvolt-cli bench --attr --smoke \
+./target/release/plugvolt-cli bench --smoke \
     --trace-out target/bench-smoke.trace.json
 
 step "plugvolt-cli soak --smoke"

@@ -557,7 +557,7 @@ impl Rule for HotPathTranscendentals {
             id: "hot-path-transcendentals",
             severity: Severity::Error,
             summary: "powf/exp/ln calls banned in code reachable from the \
-                      characterize*/run_cells/run_batch*/run_imul*/poll*/queue entry \
+                      characterize*/run_cells/run_batch*/run_imul*/poll* entry \
                       points (call-graph reachability); precompute via the slack table",
         }
     }

@@ -775,18 +775,14 @@ impl WorkspaceRule for MsrDirectAccess {
 /// The per-file half scans `run_batch*`/`run_imul*`/`poll*` bodies; this
 /// half walks the call graph: any transcendental (`.powf`/`.exp`/`.ln`)
 /// in sim-crate code *reachable* from the characterization entry points
-/// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, `poll*`,
-/// and the event-queue API `schedule_at`/`pop_due`/`peek_time`) is a
-/// hot-path cost, even when it hides two calls down. Traversal stops at
+/// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, `poll*`)
+/// is a hot-path cost, even when it hides two calls down. Traversal stops at
 /// `crates/cpu/src/slack.rs` — the sanctioned table-build module pays
 /// the analytic cost once per process.
 pub struct HotPathReachability;
 
 /// Name prefixes that seed the hot-entry set.
 const ENTRY_PREFIXES: [&str; 5] = ["characterize", "run_cells", "run_batch", "run_imul", "poll"];
-
-/// Exact entry names: the event-queue API.
-const ENTRY_EXACT: [&str; 3] = ["schedule_at", "pop_due", "peek_time"];
 
 /// The sanctioned analytic site; reachable, but not expanded through.
 const BOUNDARY_PATH: &str = "crates/cpu/src/slack.rs";
@@ -810,11 +806,7 @@ impl WorkspaceRule for HotPathReachability {
             .index
             .fns
             .iter()
-            .filter(|s| {
-                !s.in_test_code
-                    && (ENTRY_PREFIXES.iter().any(|p| s.name.starts_with(p))
-                        || ENTRY_EXACT.contains(&s.name.as_str()))
-            })
+            .filter(|s| !s.in_test_code && ENTRY_PREFIXES.iter().any(|p| s.name.starts_with(p)))
             .map(|s| s.id)
             .collect();
         let boundaries: BTreeSet<FnId> = ws

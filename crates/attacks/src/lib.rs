@@ -61,7 +61,9 @@ pub mod prelude {
     pub use crate::minefield::{
         instrumentation_factor, sign_with_deflection, DeflectedSign, MinefieldConfig,
     };
-    pub use crate::plundervolt::{run_aes_attack, run_rsa_attack, PlundervoltConfig};
+    pub use crate::plundervolt::{
+        run_aes_attack, run_rsa_attack, PlundervoltConfig, MAX_CRASHES_PER_OFFSET,
+    };
     pub use crate::schedule::{
         AttackFamily, CampaignSchedule, PlaneSel, ScheduleAction, ScheduleEvent, VictimClass,
     };

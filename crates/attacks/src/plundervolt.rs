@@ -23,6 +23,13 @@ use plugvolt_des::time::SimDuration;
 use plugvolt_kernel::machine::{Machine, MachineError};
 use serde::{Deserialize, Serialize};
 
+/// Consecutive crashes at one offset after which a campaign ends its
+/// descent. A crash resets the package and the attacker retries the
+/// same offset; below the crash threshold every retry crashes again,
+/// and deeper offsets only crash harder, so without a bound the retry
+/// loop never ends.
+pub const MAX_CRASHES_PER_OFFSET: u32 = 3;
+
 /// Campaign parameters (defaults mirror the published attack loops).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlundervoltConfig {
@@ -79,6 +86,7 @@ pub fn run_rsa_attack(
     machine.advance(SimDuration::from_millis(1));
 
     let mut offset = cfg.start_offset_mv;
+    let mut crashes_here = 0;
     'sweep: while offset >= cfg.floor_offset_mv {
         report.attempts += 1;
         adv.undervolt_and_wait(machine, offset)?;
@@ -101,12 +109,17 @@ pub fn run_rsa_attack(
                 }
                 Err(e) if is_crash(&e) => {
                     adv.recover_from_crash(machine, cfg.target_freq, &mut report)?;
+                    crashes_here += 1;
+                    if crashes_here == MAX_CRASHES_PER_OFFSET {
+                        break 'sweep;
+                    }
                     continue 'sweep; // retry the same offset post-reset
                 }
                 Err(e) => return Err(e),
             }
         }
         offset -= cfg.step_mv;
+        crashes_here = 0;
     }
     adv.restore(machine)?;
     report.wall = adv.elapsed(machine);
@@ -168,6 +181,7 @@ pub fn run_aes_attack(
     machine.advance(SimDuration::from_millis(1));
 
     let mut offset = cfg.start_offset_mv;
+    let mut crashes_here = 0;
     'sweep: while offset >= cfg.floor_offset_mv {
         report.attempts += 1;
         adv.undervolt_and_wait(machine, offset)?;
@@ -197,12 +211,17 @@ pub fn run_aes_attack(
                 }
                 Err(e) if is_crash(&e) => {
                     adv.recover_from_crash(machine, cfg.target_freq, &mut report)?;
+                    crashes_here += 1;
+                    if crashes_here == MAX_CRASHES_PER_OFFSET {
+                        break 'sweep;
+                    }
                     continue 'sweep;
                 }
                 Err(e) => return Err(e),
             }
         }
         offset -= cfg.step_mv;
+        crashes_here = 0;
     }
     adv.restore(machine)?;
     report.wall = adv.elapsed(machine);

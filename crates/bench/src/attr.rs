@@ -1,13 +1,13 @@
-//! The hot-path attribution run behind `plugvolt-cli bench --attr`.
+//! The hot-path attribution run behind `plugvolt-cli bench`.
 //!
 //! DESIGN.md §5d argues the characterization sweep is *DVFS-machinery
 //! bound*: the simulated time goes into offset writes, VR settling and
 //! MSR bookkeeping rather than the faulted-execution windows the sweep
-//! nominally exists to measure (the slack-table speedup in `BENCH.json`
-//! only moved the needle 1.7x because the machinery, not the slack
-//! math, dominates). This module turns that argument into a measured
-//! table: it re-runs the characterize-grid workload with the span
-//! tracer enabled and prints per-subsystem attribution — deterministic
+//! nominally exists to measure (the slack tables make the slack math
+//! cheap, but the machinery, not the slack math, dominates). This
+//! module turns that argument into a measured table: it re-runs the
+//! characterize-grid workload with the span tracer enabled and prints
+//! per-subsystem attribution — deterministic
 //! sim-clock totals next to the (non-golden) host-clock channel — plus
 //! a registry footer tying the spans back to the hot counters
 //! (slack-table hits vs analytic fallbacks, MSR retirement counts).

@@ -9,8 +9,7 @@
 //! plugvolt-cli attack       --model comet-lake [--map map.json --deploy polling|microcode|hardware|ocm-disable]
 //! plugvolt-cli energy       --model comet-lake --map map.json
 //! plugvolt-cli telemetry    --profile profile.json [--vcd out.vcd]
-//! plugvolt-cli bench        [--smoke] [--out BENCH.json] [--baseline BENCH.json]
-//! plugvolt-cli bench        --attr [--smoke] [--model M]
+//! plugvolt-cli bench        [--smoke] [--model M]
 //!                           [--trace-out trace.json] [--flame-out stacks.txt]
 //! plugvolt-cli soak         [--smoke] [--seed N] [--campaigns N] [--workers N]
 //!                           [--model M] [--corpus DIR] [--out report.json]
@@ -20,11 +19,11 @@
 //! plugvolt-cli soak         --backend host [--reads N] [--period-us N]
 //! ```
 //!
-//! `bench --attr` replaces the perf harness with a traced
-//! characterize-grid pass: a per-subsystem hot-path attribution table
-//! (the DESIGN.md §5d evidence), an optional Chrome trace-event JSON
-//! export (`--trace-out`, loadable in Perfetto or `chrome://tracing`)
-//! and an optional collapsed-stack flamegraph (`--flame-out`).
+//! `bench` runs one traced characterize-grid pass: a per-subsystem
+//! hot-path attribution table (the DESIGN.md §5e evidence), an optional
+//! Chrome trace-event JSON export (`--trace-out`, loadable in Perfetto
+//! or `chrome://tracing`) and an optional collapsed-stack flamegraph
+//! (`--flame-out`).
 //! `soak --stream` writes one pinned-schema JSONL telemetry frame per
 //! campaign (registry counter deltas plus span aggregates; the stream
 //! clock is the campaign index, one campaign per simulated
@@ -69,8 +68,8 @@ use std::fmt;
 use std::io::Write as _;
 use std::process::ExitCode;
 
-/// Typed errors for the newer CLI flags (`--attr`, `--trace-out`,
-/// `--flame-out`, `--stream`) — structured variants instead of ad-hoc
+/// Typed errors for the newer CLI flags (`--trace-out`, `--flame-out`,
+/// `--stream`, `--backend`) — structured variants instead of ad-hoc
 /// `format!` strings, so callers and tests can match on the failure.
 #[derive(Debug)]
 enum CliError {
@@ -259,67 +258,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             println!("{}", serde_json::to_string_pretty(&rows)?);
             Ok(())
         }
-        "bench" => {
-            let smoke = flag("--smoke");
-            if flag("--attr") {
-                return attr_command(&args, smoke);
-            }
-            for f in ["--trace-out", "--flame-out"] {
-                if args.iter().any(|a| a == f) {
-                    return Err(CliError::RequiresFlag {
-                        flag: f,
-                        requires: "--attr",
-                    }
-                    .into());
-                }
-            }
-            let out = opt("--out");
-            eprintln!(
-                "running the deterministic perf harness ({} workloads)…",
-                if smoke { "smoke" } else { "full" }
-            );
-            let report = plugvolt_bench::perf::run(smoke);
-            report
-                .validate()
-                .map_err(|e| format!("bench report failed its own schema: {e}"))?;
-            let json = report.to_json();
-            match &out {
-                Some(path) => {
-                    std::fs::write(path, &json)?;
-                    eprintln!("report written to {path}");
-                }
-                None => print!("{json}"),
-            }
-            for b in &report.benches {
-                match b.speedup {
-                    Some(s) => eprintln!(
-                        "  {:<22} {:>12} ns vs {:>12} ns analytic ({s:.2}x)",
-                        b.name,
-                        b.measured_ns,
-                        b.baseline_ns.unwrap_or(0)
-                    ),
-                    None => eprintln!(
-                        "  {:<22} {:>12} ns for {} ops",
-                        b.name, b.measured_ns, b.work_units
-                    ),
-                }
-            }
-            if let Some(path) = opt("--baseline") {
-                let baseline: plugvolt_bench::perf::BenchReport =
-                    serde_json::from_str(&std::fs::read_to_string(&path)?)?;
-                baseline
-                    .validate()
-                    .map_err(|e| format!("baseline {path} failed schema validation: {e}"))?;
-                let regressions = report.regressions_against(&baseline);
-                if !regressions.is_empty() {
-                    return Err(
-                        format!("perf regression vs {path}: {}", regressions.join("; ")).into(),
-                    );
-                }
-                eprintln!("no >2x speedup regression vs {path}");
-            }
-            Ok(())
-        }
+        "bench" => attr_command(&args, flag("--smoke")),
         "soak" => {
             match value_of(&args, "--backend")?.as_deref() {
                 None | Some("sim") => {}
@@ -499,15 +438,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                  \x20 attack       --model M [--map map.json --deploy polling|microcode|hardware|ocm-disable]\n\
                  \x20 energy       --model M --map map.json\n\
                  \x20 telemetry    --profile profile.json [--vcd out.vcd]\n\
-                 \x20 bench        [--smoke] [--out BENCH.json] [--baseline BENCH.json]\n\
-                 \x20 bench        --attr [--smoke] [--model M] [--trace-out trace.json] [--flame-out stacks.txt]\n\
+                 \x20 bench        [--smoke] [--model M] [--trace-out trace.json] [--flame-out stacks.txt]\n\
                  \x20 soak         [--smoke] [--seed N] [--campaigns N] [--workers N] [--model M]\n\
                  \x20              [--corpus DIR] [--out report.json] [--stream frames.jsonl] [--no-self-test]\n\
                  \x20 soak         --record fixture.trace.jsonl [--seed N] [--model M]\n\
                  \x20 soak         --backend replay --trace fixture.trace.jsonl\n\
                  \x20 soak         --backend host [--reads N] [--period-us N]\n\
                  \n\
-                 `bench --attr` prints the per-subsystem hot-path attribution table;\n\
+                 `bench` prints the per-subsystem hot-path attribution table;\n\
                  `--trace-out` exports a Chrome trace-event JSON (load in Perfetto);\n\
                  `soak --stream` appends one pinned-schema telemetry frame per campaign;\n\
                  `soak --record` records the fixture campaign's MSR transcript,\n\
@@ -522,7 +460,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// The `bench --attr` subcommand: one traced characterize-grid pass,
+/// The `bench` subcommand: one traced characterize-grid pass,
 /// rendered as the per-subsystem attribution table, with optional
 /// Chrome-trace and collapsed-stack flamegraph exports.
 fn attr_command(args: &[String], smoke: bool) -> Result<(), Box<dyn std::error::Error>> {

@@ -2,7 +2,7 @@
 //!
 //! Each function takes a [`Scenario`] (seed + optional telemetry) and
 //! produces a report, so the `repro` binary, the integration tests and
-//! the Criterion benches all share one implementation. Machines are
+//! `perfbench` all share one implementation. Machines are
 //! booted through the scenario — never constructed ad hoc here — which
 //! is what keeps every run reproducible from a single root seed. See
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured

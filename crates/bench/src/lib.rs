@@ -6,13 +6,10 @@
 //! - [`scenario`] — the session layer: seed derivation, machine
 //!   construction, memoized characterization maps, telemetry wiring;
 //! - [`experiments`] — one runner per table/figure/ablation of the
-//!   paper, shared by the `repro` binary, the integration tests and the
-//!   Criterion benches;
-//! - [`perf`] — the deterministic in-tree perf harness behind
-//!   `plugvolt-cli bench` (writes the pinned-schema `BENCH.json`);
+//!   paper, shared by the `repro` binary and the integration tests;
 //! - [`attr`] — the span-tracer attribution run behind
-//!   `plugvolt-cli bench --attr` (per-subsystem hot-path table, Chrome
-//!   trace and flamegraph exports);
+//!   `plugvolt-cli bench` (per-subsystem hot-path table, Chrome trace
+//!   and flamegraph exports);
 //! - [`soak`] — the `plugvolt-fuzz` differential soak fuzzer behind
 //!   `plugvolt-cli soak` (randomized campaigns, oracle invariants,
 //!   auto-shrunk reproducer corpus);
@@ -28,7 +25,6 @@
 
 pub mod attr;
 pub mod experiments;
-pub mod perf;
 pub mod scenario;
 pub mod soak;
 pub mod text;

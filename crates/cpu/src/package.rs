@@ -132,27 +132,17 @@ pub struct CpuPackage {
 /// (every `rdmsr`/`wrmsr` plus the kernel's per-access cost
 /// accounting). Kept in plain `Cell`s so the access path never touches
 /// the allocating registry; [`CpuPackage::publish_hot_counters`]
-/// flushes deltas under the same metric keys the per-access path used,
-/// so published totals are bit-identical either way.
+/// flushes deltas under the registered metric keys.
 #[derive(Debug, Default)]
 struct CoreHotCounters {
     rdmsr: Cell<u64>,
     wrmsr: Cell<u64>,
     access_cost_ps: Cell<u64>,
     stolen_ps: Cell<u64>,
-    /// Snapshot of the four counters at the last flush (same order as
-    /// [`HOT_COUNTER_KEYS`]), so repeated publishes add only deltas.
+    /// Snapshot of the four counters at the last flush (in field
+    /// order), so repeated publishes add only deltas.
     flushed: Cell<[u64; 4]>,
 }
-
-/// `(component, name)` pairs of the batched hot counters, in the order
-/// [`CoreHotCounters::flushed`] snapshots them.
-const HOT_COUNTER_KEYS: [(&str, &str); 4] = [
-    ("msr", "rdmsr"),
-    ("msr", "wrmsr"),
-    ("msr", "access_cost_ps"),
-    ("kernel", "stolen_ps"),
-];
 
 impl fmt::Debug for CpuPackage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -192,7 +182,7 @@ impl CpuPackage {
         // Base-spec packages get the shared precomputed slack table (a
         // pure cache — see `crate::slack`). Unit-varied specs have their
         // own calibration and stay on the analytic path.
-        if crate::slack::tables_enabled() && spec == spec.model.spec() {
+        if spec == spec.model.spec() {
             engine.set_slack_table(Some(crate::slack::shared_table(spec.model)));
         }
         let cores = (0..spec.cores)
@@ -322,7 +312,7 @@ impl CpuPackage {
     /// Attaches (or detaches, with `None`) a precomputed slack table on
     /// the execution engine. Boot attaches the shared table
     /// automatically for base specs; tests detach it to pin the analytic
-    /// path, the bench harness swaps it to time both.
+    /// path.
     pub fn set_slack_table(&mut self, table: Option<Arc<crate::slack::SlackTable>>) {
         self.engine.set_slack_table(table);
     }
@@ -353,38 +343,25 @@ impl CpuPackage {
     /// `core` (the kernel's `ModuleCtx` calls this; the time itself is
     /// charged as stolen time separately).
     pub fn note_kernel_msr_cost(&self, core: CoreId, cost_ps: u64) {
-        if plugvolt_telemetry::hot_path_enabled() {
-            if let Some(c) = self.hot.get(core.0) {
-                c.access_cost_ps.set(c.access_cost_ps.get() + cost_ps);
-                return;
-            }
+        if let Some(c) = self.hot.get(core.0) {
+            c.access_cost_ps.set(c.access_cost_ps.get() + cost_ps);
+            return;
         }
-        // Legacy per-access path (and out-of-range cores): owned-key
-        // registry probe, kept as the bench harness's "before" arm.
+        // Out-of-range cores have no batched cell: record directly.
         self.telemetry.add(
-            MetricKey::per_core(
-                String::from("msr"),
-                String::from("access_cost_ps"),
-                core.0 as u32,
-            ),
+            MetricKey::per_core("msr", "access_cost_ps", core.0 as u32),
             cost_ps,
         );
     }
 
     /// Accounts module-stolen time on `core` (kernel `charge` calls).
     pub fn note_stolen(&self, core: CoreId, cost_ps: u64) {
-        if plugvolt_telemetry::hot_path_enabled() {
-            if let Some(c) = self.hot.get(core.0) {
-                c.stolen_ps.set(c.stolen_ps.get() + cost_ps);
-                return;
-            }
+        if let Some(c) = self.hot.get(core.0) {
+            c.stolen_ps.set(c.stolen_ps.get() + cost_ps);
+            return;
         }
         self.telemetry.add(
-            MetricKey::per_core(
-                String::from("kernel"),
-                String::from("stolen_ps"),
-                core.0 as u32,
-            ),
+            MetricKey::per_core("kernel", "stolen_ps", core.0 as u32),
             cost_ps,
         );
     }
@@ -392,10 +369,16 @@ impl CpuPackage {
     /// Flushes the batched per-core hot counters (`msr/rdmsr`,
     /// `msr/wrmsr`, `msr/access_cost_ps`, `kernel/stolen_ps`) to the
     /// telemetry sink. Idempotent: repeated calls add only the delta
-    /// since the last flush, so totals match the legacy per-access
-    /// instrumentation exactly.
+    /// since the last flush.
     pub fn publish_hot_counters(&self) {
         for (i, c) in self.hot.iter().enumerate() {
+            let core = i as u32;
+            let keys = [
+                MetricKey::per_core("msr", "rdmsr", core),
+                MetricKey::per_core("msr", "wrmsr", core),
+                MetricKey::per_core("msr", "access_cost_ps", core),
+                MetricKey::per_core("kernel", "stolen_ps", core),
+            ];
             let cur = [
                 c.rdmsr.get(),
                 c.wrmsr.get(),
@@ -403,12 +386,9 @@ impl CpuPackage {
                 c.stolen_ps.get(),
             ];
             let prev = c.flushed.get();
-            for (k, &(component, name)) in HOT_COUNTER_KEYS.iter().enumerate() {
-                if cur[k] > prev[k] {
-                    self.telemetry.add(
-                        MetricKey::per_core(component, name, i as u32),
-                        cur[k] - prev[k],
-                    );
+            for ((key, now), before) in keys.into_iter().zip(cur).zip(prev) {
+                if now > before {
+                    self.telemetry.add(key, now - before);
                 }
             }
             c.flushed.set(cur);
@@ -732,16 +712,8 @@ impl CpuPackage {
         if core.0 >= self.cores.len() {
             return Err(PackageError::NoSuchCore(core));
         }
-        if plugvolt_telemetry::hot_path_enabled() {
-            let c = &self.hot[core.0];
-            c.rdmsr.set(c.rdmsr.get() + 1);
-        } else {
-            self.telemetry.incr(MetricKey::per_core(
-                String::from("msr"),
-                String::from("rdmsr"),
-                core.0 as u32,
-            ));
-        }
+        let c = &self.hot[core.0];
+        c.rdmsr.set(c.rdmsr.get() + 1);
         if self.telemetry.msr_events_enabled() {
             self.telemetry.emit(
                 now,
@@ -804,16 +776,8 @@ impl CpuPackage {
         if core.0 >= self.cores.len() {
             return Err(PackageError::NoSuchCore(core));
         }
-        if plugvolt_telemetry::hot_path_enabled() {
-            let c = &self.hot[core.0];
-            c.wrmsr.set(c.wrmsr.get() + 1);
-        } else {
-            self.telemetry.incr(MetricKey::per_core(
-                String::from("msr"),
-                String::from("wrmsr"),
-                core.0 as u32,
-            ));
-        }
+        let c = &self.hot[core.0];
+        c.wrmsr.set(c.wrmsr.get() + 1);
         if self.telemetry.msr_events_enabled() {
             self.telemetry.emit(
                 now,

@@ -30,7 +30,6 @@ use plugvolt_circuit::delay::{Millivolts, Picoseconds};
 use plugvolt_circuit::multiplier::MultiplierUnit;
 use plugvolt_circuit::timing::TimingState;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Deepest OC-mailbox offset the grid covers, in 1/1.024 mV units
@@ -219,24 +218,6 @@ impl SlackTable {
     pub fn build_ns(&self) -> u64 {
         self.build_ns
     }
-}
-
-/// Process-wide kill switch for slack-table attachment (default: on).
-///
-/// The bench harness flips this off to time the pure analytic path; the
-/// equivalence tests prefer the racefree per-machine
-/// `CpuPackage::set_slack_table(None)` instead.
-static TABLES_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables automatic slack-table attachment at machine boot.
-pub fn set_tables_enabled(enabled: bool) {
-    TABLES_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether machine boots currently attach the shared slack table.
-#[must_use]
-pub fn tables_enabled() -> bool {
-    TABLES_ENABLED.load(Ordering::SeqCst)
 }
 
 /// The per-model memoized store, keyed by spec name (mirrors the quick

@@ -9,41 +9,39 @@
 //! the primitives defined here:
 //!
 //! - [`time`] — picosecond-resolution [`time::SimTime`] / [`time::SimDuration`];
-//! - [`queue`] + [`sim`] — the event calendar and executive;
 //! - [`rng`] — labelled deterministic random streams;
 //! - [`stats`] — online summaries and histograms for reports;
 //! - [`trace`] — bounded trace ring used to assert on behaviour sequences;
 //! - [`vcd`] — IEEE-1364 Value Change Dump export for waveform viewers.
 //!
+//! The event calendar itself lives with its one user: the kernel's
+//! `Machine` keeps its module timers in a private binary heap.
+//!
 //! # Examples
 //!
-//! A tiny two-event simulation:
+//! Sim time and labelled random streams, the two things every layer
+//! shares:
 //!
 //! ```
 //! use plugvolt_des::prelude::*;
 //!
-//! #[derive(Debug, Default)]
-//! struct World {
-//!     voltage_mv: i32,
-//! }
+//! // An undervolt lands 5 µs in; the countermeasure restores at 9 µs.
+//! let lands = SimTime::ZERO + SimDuration::from_micros(5);
+//! let restores = lands + SimDuration::from_micros(4);
+//! assert_eq!(restores.saturating_duration_since(lands).as_picos(), 4_000_000);
 //!
-//! let mut sim = Simulator::new(World::default());
-//! sim.schedule_in(SimDuration::from_micros(5), |w: &mut World, _| {
-//!     w.voltage_mv = -150; // undervolt lands
-//! });
-//! sim.schedule_in(SimDuration::from_micros(9), |w: &mut World, _| {
-//!     w.voltage_mv = 0; // countermeasure restores
-//! });
-//! sim.run_for(SimDuration::from_micros(10));
-//! assert_eq!(sim.world().voltage_mv, 0);
+//! // Streams with the same seed and label replay identically; a
+//! // different label gives an independent stream.
+//! let mut a = SimRng::from_seed_label(7, "attack/jitter");
+//! let mut b = SimRng::from_seed_label(7, "attack/jitter");
+//! assert_eq!(a.next_u64(), b.next_u64());
+//! assert!(a.below(10) < 10);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod queue;
 pub mod rng;
-pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -51,9 +49,7 @@ pub mod vcd;
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
-    pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::SimRng;
-    pub use crate::sim::{PeriodicHandle, Simulator};
     pub use crate::stats::{Histogram, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{TraceBuffer, TraceLevel, TraceRecord};

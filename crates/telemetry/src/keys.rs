@@ -109,7 +109,7 @@ pub const REGISTERED_KEYS: &[KeyDecl] = &[
         "access_cost_ps",
         KeyKind::Counter,
         KeyScope::PerCore,
-        "accumulated simulated cost of MSR accesses, per core (legacy owned-key path)",
+        "accumulated simulated cost of MSR accesses, per core",
     ),
     key(
         "msr",

@@ -54,9 +54,7 @@ pub use event::{TelemetryEvent, TimedEvent};
 pub use export::events_to_vcd;
 pub use keys::{KeyDecl, KeyKind, KeyScope, SpanDecl, REGISTERED_KEYS, REGISTERED_SPANS};
 pub use profile::{TelemetryProfile, SCHEMA_VERSION};
-pub use registry::{
-    hot_path_enabled, set_hot_path_enabled, HistogramSpec, MetricKey, Registry, Sink,
-};
+pub use registry::{HistogramSpec, MetricKey, Registry, Sink};
 pub use span::{
     set_span_tracing_default, span_tracing_default, SpanEvent, SpanGuard, SpanProfile,
     SpanProfileRow, SpanRow, SpanSnapshot, Tracer, SPAN_SCHEMA_VERSION,

@@ -13,35 +13,9 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default bound on the retained event timeline.
 pub const DEFAULT_EVENT_CAPACITY: usize = 8_192;
-
-/// Whether the allocation-free hot-path instrumentation is active.
-///
-/// When `true` (the default), the simulator's hottest recording sites —
-/// the per-access MSR counters and the kernel's cost accounting — batch
-/// into plain `Cell`s owned by the CPU package and flush deltas into
-/// the registry only at publish time. When `false`, those sites fall
-/// back to the original per-access path (an owned-`String` key plus a
-/// registry probe on every access), which is what the in-tree bench
-/// harness times as its "before" configuration. Published totals are
-/// identical either way; only wall-clock cost differs.
-static HOT_PATH_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Selects between the batched (true) and legacy per-access (false)
-/// hot-path instrumentation. See [`hot_path_enabled`].
-pub fn set_hot_path_enabled(on: bool) {
-    HOT_PATH_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether hot recording sites should batch into local cells (see
-/// [`set_hot_path_enabled`]).
-#[must_use]
-pub fn hot_path_enabled() -> bool {
-    HOT_PATH_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Identifies one metric: the emitting component, the metric name, and
 /// an optional logical core (``None`` for package-wide metrics).

@@ -47,9 +47,8 @@ pub const SPAN_SCHEMA_VERSION: u32 = 1;
 
 /// Process-wide default for whether freshly created tracers start
 /// enabled. Machines boot private [`crate::Sink`]s internally (e.g. the
-/// Table 2 harness), so per-sink toggles cannot reach them; the bench
-/// harness flips this global around its tracer-on arm instead, exactly
-/// like `set_hot_path_enabled`.
+/// Table 2 harness), so per-sink toggles cannot reach them; `soak
+/// --stream` flips this global around its streamed run instead.
 static SPAN_TRACING_DEFAULT: AtomicBool = AtomicBool::new(false);
 
 /// Sets the process-wide default for new tracers (see
@@ -364,8 +363,7 @@ impl Tracer {
     }
 
     /// Clears aggregates, capture buffer and the drop counter (open
-    /// guards keep working against the cleared tree). The bench harness
-    /// resets between arms.
+    /// guards keep working against the cleared tree).
     pub fn reset(&self) {
         self.inner.nodes.replace(vec![SpanNode::new("")]);
         self.inner.stack.borrow_mut().clear();

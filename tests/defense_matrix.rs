@@ -227,3 +227,31 @@ fn repeated_attack_rewrites_never_outrun_the_poller() {
     machine.advance(SimDuration::from_millis(2));
     assert_eq!(total_faults, 0, "victim faulted during the hammering");
 }
+
+#[test]
+fn plundervolt_campaigns_end_when_every_retry_crashes() {
+    // Below the crash threshold each retry of the same offset crashes
+    // again. These machines reach such an offset before a fault lands;
+    // the campaign must give up the descent instead of retrying forever.
+    let cases = [
+        (6_423_466_917_704_494_557, CpuModel::CometLake, false),
+        (14_612_821_414_161_633_896, CpuModel::SkyLake, true),
+    ];
+    for (seed, model, aes) in cases {
+        let mut machine = Scenario::with_seed(seed).machine_for(model, "defense-matrix/attack0");
+        let cfg = PlundervoltConfig::default();
+        let report = if aes {
+            run_aes_attack(&mut machine, &cfg, 1)
+        } else {
+            run_rsa_attack(&mut machine, &cfg, 1)
+        }
+        .expect("runs");
+        assert_eq!(report.crashes, MAX_CRASHES_PER_OFFSET, "{}", report.attack);
+        assert!(!report.success, "{}", report.attack);
+        assert!(
+            !machine.cpu().is_crashed(),
+            "{} left the machine crashed",
+            report.attack
+        );
+    }
+}

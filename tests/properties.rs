@@ -479,90 +479,3 @@ fn vr_slew_rate_is_respected() {
         assert!((b - a).abs() <= 8.0 * dt as f64 + 1e-6);
     });
 }
-
-// ---------- event queue (slab + lazy-tombstone heap) ----------
-
-#[test]
-fn event_queue_matches_reference_model() {
-    // Differential property: random interleavings of schedule / cancel /
-    // pop_due (including cancels of already-fired and already-cancelled
-    // ids, which exercise slot reuse and the tombstone skim) must match
-    // a naive sorted-vector queue operation for operation. Times are
-    // drawn from a tiny domain so simultaneous events are common and
-    // the FIFO tie-break is genuinely stressed.
-    use plugvolt_des::queue::{EventId, EventQueue};
-    cases("event_queue_reference", |g| {
-        let mut q: EventQueue<Vec<u64>> = EventQueue::new();
-        let mut world: Vec<u64> = Vec::new();
-        // Reference: pending (at, key) pairs; keys are issued in schedule
-        // order, so (at, key) ordering is exactly the queue's
-        // (time, sequence) FIFO ordering.
-        let mut pending: Vec<(SimTime, u64)> = Vec::new();
-        let mut expected_fired: Vec<u64> = Vec::new();
-        // Every id ever issued, live or not — cancel targets are drawn
-        // from the full history on purpose.
-        let mut handles: Vec<(EventId, u64)> = Vec::new();
-        let mut next_key = 0u64;
-        let ops = g.usize_in(10, 60);
-        for _ in 0..ops {
-            match g.u32_in(0, 9) {
-                // Schedule (half the mix, so the queue keeps churning).
-                0..=4 => {
-                    let at = SimTime::from_picos(g.u64_in(0, 40));
-                    let key = next_key;
-                    next_key += 1;
-                    let id = q.schedule_at(at, move |w, _| w.push(key));
-                    handles.push((id, key));
-                    pending.push((at, key));
-                }
-                // Cancel an arbitrary historical id.
-                5..=7 => {
-                    if handles.is_empty() {
-                        continue;
-                    }
-                    let (id, key) = handles[g.usize_in(0, handles.len() - 1)];
-                    let was_pending = pending.iter().any(|&(_, k)| k == key);
-                    assert_eq!(
-                        q.cancel(id),
-                        was_pending,
-                        "cancel(key {key}) disagrees with the reference"
-                    );
-                    pending.retain(|&(_, k)| k != key);
-                }
-                // Fire everything due at a random horizon.
-                _ => {
-                    let horizon = SimTime::from_picos(g.u64_in(0, 50));
-                    while let Some((_, f)) = q.pop_due(horizon) {
-                        f(&mut world, &mut q);
-                    }
-                    loop {
-                        let Some(&(at, key)) =
-                            pending.iter().filter(|&&(at, _)| at <= horizon).min()
-                        else {
-                            break;
-                        };
-                        expected_fired.push(key);
-                        pending.retain(|&(_, k)| k != key);
-                        let _ = at;
-                    }
-                    assert_eq!(world, expected_fired, "fired order diverged");
-                }
-            }
-            assert_eq!(q.len(), pending.len(), "live count diverged");
-            assert_eq!(q.is_empty(), pending.is_empty());
-            assert_eq!(
-                q.peek_time(),
-                pending.iter().min().map(|&(at, _)| at),
-                "peek_time diverged"
-            );
-        }
-        // Drain: the tail must fire in exactly the reference order.
-        while let Some((_, f)) = q.pop_due(SimTime::MAX) {
-            f(&mut world, &mut q);
-        }
-        pending.sort_unstable();
-        expected_fired.extend(pending.iter().map(|&(_, k)| k));
-        assert_eq!(world, expected_fired, "drain order diverged");
-        assert!(q.is_empty());
-    });
-}
