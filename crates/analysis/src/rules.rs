@@ -1,4 +1,4 @@
-//! The lint registry: seven determinism & MSR-safety rules.
+//! The lint registry: the per-file determinism & MSR-safety rules.
 //!
 //! Each rule documents its paper rationale inline; the README's "Static
 //! analysis & determinism guarantees" section mirrors this table.
@@ -63,6 +63,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(FloatAccumulationOrder),
         Box::new(MachineConstructionDiscipline),
         Box::new(HotPathTranscendentals),
+        Box::new(NoGlobalSwitch),
     ]
 }
 
@@ -603,6 +604,74 @@ impl Rule for HotPathTranscendentals {
     }
 }
 
+/// Rule 12 — `no-global-switch`.
+///
+/// Configuration is a value, not a process global. A `static` atomic in
+/// library code is a switch every machine, worker and test in the
+/// process shares: flipping it for one run silently reconfigures every
+/// other run, and a parallel sweep's output would then depend on which
+/// thread read it first. Pass the setting with the value it configures
+/// (a telemetry `Sink`'s tracer, a `Scenario`). `OnceLock` memo caches
+/// hold derived data, not switches, and are not flagged.
+pub struct NoGlobalSwitch;
+
+impl Rule for NoGlobalSwitch {
+    fn meta(&self) -> RuleMeta {
+        RuleMeta {
+            id: "no-global-switch",
+            severity: Severity::Error,
+            summary: "static Atomic* in library code is a process-global switch; \
+                      carry configuration on the value it configures",
+        }
+    }
+
+    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
+        if !matches!(file.role, FileRole::Lib) {
+            return;
+        }
+        for (line, column) in file.find_ident("static") {
+            if file.is_test_code(line) {
+                continue;
+            }
+            let text = &file.masked[line - 1];
+            // `&'static T` is a lifetime, not an item.
+            if text[..column - 1].ends_with('\'') {
+                continue;
+            }
+            let Some(ty) = static_item_type(&text[column - 1 + "static".len()..]) else {
+                continue;
+            };
+            if !ty.starts_with("Atomic") {
+                continue;
+            }
+            emit(
+                file,
+                self.meta(),
+                line,
+                column,
+                format!(
+                    "`static` of type `{ty}` is a process-global switch in crate `{}`; \
+                     carry the setting on the value it configures (e.g. a Sink's \
+                     tracer) instead",
+                    file.crate_name
+                ),
+                out,
+            );
+        }
+    }
+}
+
+/// For the text after a `static` keyword (`[mut] NAME: path::Type<…> = …`),
+/// the type's last path segment without generics.
+fn static_item_type(after_static: &str) -> Option<&str> {
+    let rest = after_static.trim_start();
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let (_, ty) = rest.split_once(':')?;
+    let ty = ty.split(['=', ';', '<']).next()?.trim();
+    let last = ty.rsplit("::").next()?.trim();
+    (!last.is_empty()).then_some(last)
+}
+
 /// For each line, the name of the innermost enclosing `fn`, tracked by
 /// brace depth over the masked source (strings and comments are already
 /// blanked, so every brace is structural).
@@ -752,6 +821,24 @@ mod tests {
         HotPathTranscendentals.check(&file, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].line, 2);
+    }
+
+    #[test]
+    fn static_item_type_extraction() {
+        assert_eq!(
+            static_item_type(" FLAG: std::sync::atomic::AtomicBool = AtomicBool::new(false);"),
+            Some("AtomicBool")
+        );
+        assert_eq!(
+            static_item_type(" mut N: AtomicU64 = x;"),
+            Some("AtomicU64")
+        );
+        assert_eq!(
+            static_item_type(" STORE: OnceLock<Mutex<u8>> = OnceLock::new();"),
+            Some("OnceLock")
+        );
+        // `static` without an item type (e.g. a closure bound).
+        assert_eq!(static_item_type(" + Send"), None);
     }
 
     #[test]

@@ -323,6 +323,7 @@ mod tests {
             "no-wall-clock",
             "msr-write-discipline",
             "hot-path-transcendentals",
+            "no-global-switch",
             "seed-label-uniqueness",
             "parallel-merge-determinism",
             "telemetry-key-registry",

@@ -44,6 +44,7 @@ fn list_rules_snapshot() {
         ("float-accumulation-order", "warning"),
         ("machine-construction-discipline", "warning"),
         ("hot-path-transcendentals", "error"),
+        ("no-global-switch", "error"),
         ("seed-label-uniqueness", "error"),
         ("parallel-merge-determinism", "error"),
         ("telemetry-key-registry", "error"),

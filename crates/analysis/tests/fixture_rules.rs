@@ -153,6 +153,31 @@ fn machine_construction_discipline_exempts_scenario_and_tests() {
 }
 
 #[test]
+fn no_global_switch_fires() {
+    let findings = scan(
+        "crates/telemetry/src/fixture.rs",
+        include_str!("fixtures/no_global_switch.rs"),
+    );
+    assert_eq!(rules_hit(&findings), ["no-global-switch"]);
+    // The two live `static` atomics; the `OnceLock` memo, the local
+    // atomic, the `'static` lifetime and the test-only counter stay clean.
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_eq!(
+        findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+        [11, 13]
+    );
+    assert!(findings.iter().all(|f| f.severity == Severity::Error));
+}
+
+#[test]
+fn no_global_switch_is_scoped_to_library_code() {
+    let text = include_str!("fixtures/no_global_switch.rs");
+    // A binary's `main` may hold a process-wide flag.
+    assert!(scan("crates/bench/src/bin/fixture.rs", text).is_empty());
+    assert!(scan("tests/fixture.rs", text).is_empty());
+}
+
+#[test]
 fn clean_fixture_is_clean_even_in_strictest_scope() {
     // Result module inside a sim crate: every rule is active here, and
     // banned names appear only in comments and strings.

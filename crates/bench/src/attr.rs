@@ -115,7 +115,7 @@ pub fn run_attribution(opts: &AttrOptions) -> Result<Attribution, CharacterizeEr
     let scenario = Scenario::new().with_telemetry(sink.clone());
     let mut machine = scenario.machine(opts.model);
     let run = characterize(&mut machine, &cfg)?;
-    machine.publish_trace_drops();
+    machine.publish_telemetry();
     let telemetry = sink.profile("bench-attr");
     Ok(Attribution {
         model: opts.model,

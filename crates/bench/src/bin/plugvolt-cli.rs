@@ -61,8 +61,8 @@ use plugvolt_bench::text::TextTable;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_telemetry::{
-    chrome_trace_json, events_to_vcd, flamegraph_collapsed, set_span_tracing_default, Sink,
-    StreamCursor, TelemetryProfile, SCHEMA_VERSION,
+    chrome_trace_json, events_to_vcd, flamegraph_collapsed, Sink, StreamCursor, TelemetryProfile,
+    SCHEMA_VERSION,
 };
 use std::fmt;
 use std::io::Write as _;
@@ -238,12 +238,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
             let report = run_rsa_attack(&mut machine, &PlundervoltConfig::default(), 1)?;
             println!("{}", serde_json::to_string_pretty(&report)?);
-            if machine.trace().dropped() > 0 {
-                eprintln!(
-                    "note: {} trace records dropped (buffer capacity exceeded)",
-                    machine.trace().dropped()
-                );
-            }
             if report.success {
                 eprintln!("RESULT: machine compromised");
             } else {
@@ -317,14 +311,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     };
                     let mut file = std::fs::File::create(path).map_err(stream_io)?;
                     // One campaign advances the stream clock by one
-                    // simulated millisecond; span tracing is enabled
-                    // globally so campaign machines feed the frames'
-                    // span aggregates.
+                    // simulated millisecond; the stream sink's tracer is
+                    // enabled so campaign machines (which inherit it)
+                    // feed the frames' span aggregates.
                     let mut cursor = StreamCursor::new(1);
                     let mut frames = 0u64;
                     let mut io_error: Option<std::io::Error> = None;
-                    set_span_tracing_default(true);
-                    let result = plugvolt_bench::soak::run_soak_streaming(
+                    sink.tracer().set_enabled(true);
+                    let report = plugvolt_bench::soak::run_soak_streaming(
                         &scn,
                         &cfg,
                         corpus_dir,
@@ -338,9 +332,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                                 }
                             }
                         }),
-                    );
-                    set_span_tracing_default(false);
-                    let report = result?;
+                    )?;
                     if let Some(e) = io_error {
                         return Err(stream_io(e).into());
                     }

@@ -184,10 +184,9 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
         eprintln!(
-            "telemetry profile written to {path} ({} events retained, {} dropped; {} trace records dropped)",
+            "telemetry profile written to {path} ({} events retained, {} dropped)",
             profile.events.len(),
-            profile.events_dropped,
-            profile.trace_dropped
+            profile.events_dropped
         );
     }
     ExitCode::SUCCESS

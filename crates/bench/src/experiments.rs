@@ -251,7 +251,7 @@ fn defense_cell(
         .map_or(0, |s| s.borrow().detections);
     let benign = benign_dvfs_works(&mut scn.machine(model), map, &deployment)?;
     if scn.telemetry().is_some() {
-        machine.publish_trace_drops();
+        machine.publish_telemetry();
     }
     Ok(DefenseCell {
         deployment: deployment.label().to_owned(),
@@ -454,7 +454,7 @@ fn level_row(
             HistogramSpec::EXPOSURE_WINDOW_US,
             exposure.as_picos() as f64 / 1e6,
         );
-        machine.publish_trace_drops();
+        machine.publish_telemetry();
     }
     Ok(LevelRow {
         deployment: deployment.label().to_owned(),
@@ -558,7 +558,7 @@ fn interval_row(
         .last_detection
         .map(|t| t.saturating_duration_since(written_at));
     if scn.telemetry().is_some() {
-        machine.publish_trace_drops();
+        machine.publish_telemetry();
     }
     Ok(IntervalRow {
         period,

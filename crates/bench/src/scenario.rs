@@ -299,7 +299,7 @@ mod tests {
             )
             .expect("deploys");
         machine.advance(plugvolt_des::time::SimDuration::from_millis(1));
-        machine.publish_trace_drops();
+        machine.publish_telemetry();
         let profile = sink.profile("t");
         assert!(
             profile.counter_total("msr", "rdmsr") > 0,

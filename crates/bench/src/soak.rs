@@ -501,6 +501,11 @@ pub(crate) fn run_level_mode(
         BootMode::Replay(cursor) => scn.machine_replaying(model, MACHINE_LABEL, cursor),
     };
     let sink = Sink::with_event_capacity(1 << 16);
+    // Campaign machines trace spans exactly when the scenario sink does
+    // (e.g. under `plugvolt-cli soak --stream`); the aggregates merge
+    // back into it below.
+    sink.tracer()
+        .set_enabled(scn.telemetry().is_some_and(|s| s.tracer().is_enabled()));
     machine.set_telemetry(sink.clone());
     let mut stats_handle = None;
     let bound = match level {
@@ -637,10 +642,10 @@ pub(crate) fn run_level_mode(
     });
 
     // A scenario sink watches campaign machines too: the local sink's
-    // span aggregates (non-empty only when span tracing is enabled,
-    // e.g. by `plugvolt-cli soak --stream`) merge into the scenario
-    // tracer in judge order — deterministic, because an attached sink
-    // forces the sequential campaign path.
+    // span aggregates (non-empty only when the scenario sink's tracer
+    // is enabled) merge into the scenario tracer in judge order —
+    // deterministic, because an attached sink forces the sequential
+    // campaign path.
     if let Some(scn_sink) = scn.telemetry() {
         let spans = sink.tracer().snapshot();
         if !spans.is_empty() {
@@ -649,7 +654,7 @@ pub(crate) fn run_level_mode(
     }
 
     let (profile_json, poll_stats) = if capture {
-        machine.publish_trace_drops();
+        machine.publish_telemetry();
         let profile = sink.profile(level.label()).to_json();
         let stats = stats_handle.as_ref().map(|h| h.borrow().clone());
         (Some(profile), stats)

@@ -19,9 +19,9 @@ use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_des::stats::Summary;
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_des::trace::TraceLevel;
 use plugvolt_kernel::machine::{KernelModule, ModuleCtx};
 use plugvolt_msr::addr::Msr;
+use plugvolt_msr::file::WriteOutcome;
 use plugvolt_msr::oc_mailbox::{OcRequest, Plane};
 use plugvolt_msr::perf_status::PerfStatus;
 use plugvolt_telemetry::{HistogramSpec, MetricKey, TelemetryEvent};
@@ -269,15 +269,7 @@ impl KernelModule for PollingModule {
         MODULE_NAME
     }
 
-    fn init(&mut self, ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
-        ctx.trace(
-            TraceLevel::Info,
-            format!(
-                "polling every {} over {} characterized frequencies",
-                self.cfg.period,
-                self.map.len()
-            ),
-        );
+    fn init(&mut self, _ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
         Some(self.cfg.period)
     }
 
@@ -343,16 +335,15 @@ impl KernelModule for PollingModule {
                         latency_us,
                     );
                 }
-                ctx.trace(
-                    TraceLevel::Warn,
-                    format!(
-                        "unsafe state {state} on core {c} plane {plane}; forcing {restore_mv} mV"
-                    ),
-                );
                 // Algorithm 3 line 7: write 0x150 to force a safe state —
-                // on the plane that was observed unsafe.
+                // on the plane that was observed unsafe. A write the
+                // mailbox ignored (OCM disabled, microcode lock) restored
+                // nothing, so it is neither counted nor announced.
                 let req = OcRequest::write_offset(restore_mv, plane).encode();
-                if ctx.wrmsr_local(core, Msr::OC_MAILBOX, req).is_ok() {
+                if ctx
+                    .wrmsr_local(core, Msr::OC_MAILBOX, req)
+                    .is_ok_and(WriteOutcome::was_written)
+                {
                     self.stats.borrow_mut().restores += 1;
                     sink.emit(
                         ctx.now(),
@@ -389,10 +380,6 @@ impl KernelModule for PollingModule {
                             let raw = plugvolt_msr::perf_status::encode_perf_ctl(fallback.mhz());
                             if ctx.wrmsr_local(core, Msr::IA32_PERF_CTL, raw).is_ok() {
                                 self.stats.borrow_mut().freq_fallbacks += 1;
-                                ctx.trace(
-                                    TraceLevel::Warn,
-                                    format!("frequency fallback to {fallback} on core {c}"),
-                                );
                             }
                         }
                     }
@@ -400,17 +387,6 @@ impl KernelModule for PollingModule {
             }
         }
         Some(self.cfg.period)
-    }
-
-    fn exit(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let s = self.stats.borrow();
-        ctx.trace(
-            TraceLevel::Info,
-            format!(
-                "unloading after {} ticks, {} detections, {} restores",
-                s.ticks, s.detections, s.restores
-            ),
-        );
     }
 }
 
@@ -582,12 +558,34 @@ mod tests {
     }
 
     #[test]
-    fn module_unload_traces_summary() {
-        let (mut m, _stats) = machine_with_module(PollConfig::default());
+    fn ignored_restore_is_not_counted() {
+        let (mut m, stats) = machine_with_module(PollConfig::default());
+        let dev = MsrDev::open(&m, CoreId(0)).expect("core 0 always exists");
+        let req = OcRequest::write_offset(-250, Plane::Core).encode();
+        dev.write(&mut m, Msr::OC_MAILBOX, req)
+            .expect("mailbox write on a live machine succeeds");
+        // With the mailbox disabled every restore write is dropped.
+        m.cpu_mut().set_ocm_enabled(false);
+        m.advance(SimDuration::from_micros(250));
+        assert_eq!(m.cpu().core_offset_mv(), -250);
+        assert!(stats.borrow().detections >= 1);
+        assert_eq!(stats.borrow().restores, 0);
+        m.telemetry().with(|reg| {
+            assert!(!reg.events().any(|e| e.event.kind() == "restore"));
+        });
+    }
+
+    #[test]
+    fn module_unload_stops_polling() {
+        let (mut m, stats) = machine_with_module(PollConfig::default());
         m.advance(SimDuration::from_millis(1));
         m.unload_module(MODULE_NAME)
             .expect("module was loaded by the fixture");
-        assert!(m.trace().any(|r| r.message.contains("unloading after")));
+        assert!(!m.is_module_loaded(MODULE_NAME));
+        let ticks = stats.borrow().ticks;
+        assert!(ticks > 0);
+        m.advance(SimDuration::from_millis(1));
+        assert_eq!(stats.borrow().ticks, ticks);
     }
 
     #[test]

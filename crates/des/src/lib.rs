@@ -11,11 +11,12 @@
 //! - [`time`] — picosecond-resolution [`time::SimTime`] / [`time::SimDuration`];
 //! - [`rng`] — labelled deterministic random streams;
 //! - [`stats`] — online summaries and histograms for reports;
-//! - [`trace`] — bounded trace ring used to assert on behaviour sequences;
 //! - [`vcd`] — IEEE-1364 Value Change Dump export for waveform viewers.
 //!
 //! The event calendar itself lives with its one user: the kernel's
 //! `Machine` keeps its module timers in a private binary heap.
+//! Run-time instrumentation (events, metrics, spans) is not here
+//! either: it has one source, the `plugvolt-telemetry` sink.
 //!
 //! # Examples
 //!
@@ -44,7 +45,6 @@
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod vcd;
 
 /// Convenient glob-import of the commonly used names.
@@ -52,6 +52,5 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::stats::{Histogram, Summary};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{TraceBuffer, TraceLevel, TraceRecord};
     pub use crate::vcd::{SignalId, SignalKind, Value, VcdRecorder};
 }

@@ -24,7 +24,6 @@ use plugvolt_cpu::model::CpuModel;
 use plugvolt_cpu::package::{CpuPackage, PackageError};
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_des::trace::{TraceBuffer, TraceLevel};
 use plugvolt_hal::backend::{MachineBackend, MsrBackend};
 use plugvolt_hal::sim::SimBackend;
 use plugvolt_msr::addr::Msr;
@@ -73,7 +72,6 @@ impl From<PackageError> for MachineError {
 pub struct ModuleCtx<'a> {
     now: SimTime,
     backend: &'a mut dyn MachineBackend,
-    trace: &'a mut TraceBuffer,
     stolen: &'a mut [SimDuration],
     module_name: &'a str,
 }
@@ -211,11 +209,6 @@ impl ModuleCtx<'_> {
             .record_span(label, cost.as_picos());
     }
 
-    /// Emits a trace record attributed to this module.
-    pub fn trace(&mut self, level: TraceLevel, message: impl Into<String>) {
-        self.trace.emit(self.now, level, self.module_name, message);
-    }
-
     fn access_cost(&self, core: CoreId) -> SimDuration {
         let cpu = self.backend.cpu();
         let freq = cpu.core_freq(core).unwrap_or(cpu.spec().base_freq);
@@ -304,7 +297,6 @@ pub struct Machine {
     modules: Vec<ModuleSlot>,
     timers: BinaryHeap<PendingTimer>,
     timer_seq: u64,
-    trace: TraceBuffer,
     stolen: Vec<SimDuration>,
     rng: SimRng,
 }
@@ -350,7 +342,6 @@ impl Machine {
             modules: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            trace: TraceBuffer::with_capacity(16_384),
             stolen: vec![SimDuration::ZERO; cores],
             rng: SimRng::from_seed_label(seed, "machine"),
         }
@@ -427,12 +418,6 @@ impl Machine {
             .map_err(|e| MachineError::Package(e.into()))
     }
 
-    /// The machine trace (modules, faults, countermeasure actions).
-    #[must_use]
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
-    }
-
     /// The machine's telemetry sink (shared with the CPU package).
     #[must_use]
     pub fn telemetry(&self) -> &Sink {
@@ -446,17 +431,12 @@ impl Machine {
         self.backend.cpu_mut().set_telemetry(sink);
     }
 
-    /// Folds the trace buffer's silent-drop counter, the slack-table
-    /// hit/fallback counters, and the batched per-core hot counters
-    /// into the telemetry registry. Call once per machine, after its
-    /// run completes (extra calls only add deltas).
-    pub fn publish_trace_drops(&self) {
+    /// Folds the slack-table hit/fallback counters and the batched
+    /// per-core hot counters into the telemetry registry. Call once per
+    /// machine, after its run completes (extra calls only add deltas).
+    pub fn publish_telemetry(&self) {
         let cpu = self.backend.cpu();
         cpu.telemetry().tracer().record_span("telemetry/flush", 0);
-        let dropped = self.trace.dropped();
-        if dropped > 0 {
-            cpu.telemetry().add_trace_dropped(dropped);
-        }
         cpu.publish_slack_table_stats();
         cpu.publish_hot_counters();
     }
@@ -511,15 +491,9 @@ impl Machine {
         let idx = self.modules.len();
         self.modules.push(ModuleSlot {
             module: Some(module),
-            name: name.clone(),
+            name,
             live: true,
         });
-        self.trace.emit(
-            self.now,
-            TraceLevel::Info,
-            "kernel",
-            format!("insmod {name}"),
-        );
         if let Some(delay) = self.with_module(idx, |m, ctx| m.init(ctx)) {
             self.arm_timer(idx, delay);
         }
@@ -543,12 +517,6 @@ impl Machine {
             m.exit(ctx);
         });
         self.modules[idx].live = false;
-        self.trace.emit(
-            self.now,
-            TraceLevel::Info,
-            "kernel",
-            format!("rmmod {name}"),
-        );
         Ok(())
     }
 
@@ -578,7 +546,6 @@ impl Machine {
         let mut ctx = ModuleCtx {
             now: self.now,
             backend: self.backend.as_mut(),
-            trace: &mut self.trace,
             stolen: &mut self.stolen,
             module_name: &self.modules[idx].name,
         };
@@ -852,8 +819,8 @@ mod tests {
             ticks: 0,
         }))
         .unwrap();
+        assert!(m.is_module_loaded("tick"));
         m.unload_module("tick").unwrap();
-        assert!(m.trace().any(|r| r.message == "insmod tick"));
-        assert!(m.trace().any(|r| r.message == "rmmod tick"));
+        assert!(!m.is_module_loaded("tick"));
     }
 }

@@ -4,9 +4,9 @@
 //! The paper's headline quantities — the 0.28 % polling overhead
 //! (Table 2) and the exposure window that shrinks to zero across the
 //! kernel-module → microcode → MSR-clamp deployment levels (Sec. 5) —
-//! were previously recomputed ad hoc inside each `repro` experiment,
-//! with a per-component string `TraceBuffer` as the only instrument.
-//! This crate replaces that with three layers:
+//! are recorded here and nowhere else: this crate is the single
+//! instrumentation source, configured per [`registry::Sink`] value
+//! rather than by any process-global switch. It has four layers:
 //!
 //! 1. **Typed events** ([`event::TelemetryEvent`]): MSR traffic,
 //!    OC-mailbox commands, VR slews, P-state changes, faults, crashes,
@@ -56,7 +56,7 @@ pub use keys::{KeyDecl, KeyKind, KeyScope, SpanDecl, REGISTERED_KEYS, REGISTERED
 pub use profile::{TelemetryProfile, SCHEMA_VERSION};
 pub use registry::{HistogramSpec, MetricKey, Registry, Sink};
 pub use span::{
-    set_span_tracing_default, span_tracing_default, SpanEvent, SpanGuard, SpanProfile,
-    SpanProfileRow, SpanRow, SpanSnapshot, Tracer, SPAN_SCHEMA_VERSION,
+    SpanEvent, SpanGuard, SpanProfile, SpanProfileRow, SpanRow, SpanSnapshot, Tracer,
+    SPAN_SCHEMA_VERSION,
 };
 pub use stream::{CounterDelta, StreamCursor, StreamFrame, STREAM_SCHEMA_VERSION};

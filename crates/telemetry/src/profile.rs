@@ -17,8 +17,9 @@ use std::fmt::Write as _;
 /// Version of the profile JSON layout. Bump on any breaking change.
 ///
 /// v2 added `spans_dropped` (span capture-buffer overflow accounting,
-/// see [`crate::span::Tracer::dropped`]).
-pub const SCHEMA_VERSION: u32 = 2;
+/// see [`crate::span::Tracer::dropped`]); v3 removed the string-trace
+/// drop counter along with the string trace buffers it counted.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// One exported counter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,8 +130,6 @@ pub struct TelemetryProfile {
     pub events: Vec<TimedEvent>,
     /// Events evicted from the bounded timeline.
     pub events_dropped: u64,
-    /// Trace records silently dropped by `TraceBuffer`s during the run.
-    pub trace_dropped: u64,
     /// Span records dropped by the tracer's bounded capture buffer
     /// (schema v2; zero when profiling a bare [`Registry`], which has
     /// no tracer — [`Sink::profile`] fills it in).
@@ -204,7 +203,6 @@ impl TelemetryProfile {
             summaries: rows.into_values().collect(),
             events: registry.events().cloned().collect(),
             events_dropped: registry.events_dropped(),
-            trace_dropped: registry.trace_dropped(),
             spans_dropped: 0,
         }
     }
@@ -309,10 +307,9 @@ impl TelemetryProfile {
         }
         let _ = writeln!(
             out,
-            "\nevents: {} retained, {} dropped; trace records dropped: {}; spans dropped: {}",
+            "\nevents: {} retained, {} dropped; spans dropped: {}",
             self.events.len(),
             self.events_dropped,
-            self.trace_dropped,
             self.spans_dropped
         );
         for e in &self.events {
@@ -343,7 +340,9 @@ impl Sink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TelemetryEvent;
     use crate::registry::HistogramSpec;
+    use plugvolt_des::time::SimTime;
 
     #[test]
     fn per_core_summaries_roll_up_with_merge() {
@@ -412,12 +411,14 @@ mod tests {
 
     #[test]
     fn table_render_mentions_drop_accounting() {
-        let mut r = Registry::new();
-        r.add_trace_dropped(3);
+        let mut r = Registry::with_event_capacity(1);
+        for core in 0..4 {
+            r.emit(SimTime::ZERO, TelemetryEvent::Crash { core });
+        }
         let p = TelemetryProfile::from_registry(&r, "unit");
         let table = p.render_table();
-        assert!(table.contains("trace records dropped: 3; spans dropped: 0"));
-        assert!(table.starts_with("telemetry profile: unit (schema v2)"));
+        assert!(table.contains("events: 1 retained, 3 dropped; spans dropped: 0"));
+        assert!(table.starts_with("telemetry profile: unit (schema v3)"));
     }
 
     #[test]

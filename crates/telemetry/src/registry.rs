@@ -125,7 +125,6 @@ pub struct Registry {
     events: VecDeque<TimedEvent>,
     event_capacity: usize,
     events_dropped: u64,
-    trace_dropped: u64,
     msr_events: bool,
 }
 
@@ -145,7 +144,7 @@ impl Registry {
     }
 
     /// Creates an empty registry retaining at most `capacity` events
-    /// (older events are dropped and counted, like `TraceBuffer`).
+    /// (older events are dropped and counted).
     #[must_use]
     pub fn with_event_capacity(capacity: usize) -> Self {
         Registry {
@@ -156,7 +155,6 @@ impl Registry {
             events: VecDeque::new(),
             event_capacity: capacity,
             events_dropped: 0,
-            trace_dropped: 0,
             msr_events: false,
         }
     }
@@ -231,11 +229,6 @@ impl Registry {
         self.msr_events = on;
     }
 
-    /// Accounts `n` trace records silently dropped by a `TraceBuffer`.
-    pub fn add_trace_dropped(&mut self, n: u64) {
-        self.trace_dropped += n;
-    }
-
     /// Current value of a counter (0 if never written).
     #[must_use]
     pub fn counter(&self, key: &MetricKey) -> u64 {
@@ -290,12 +283,6 @@ impl Registry {
     pub fn events_dropped(&self) -> u64 {
         self.events_dropped
     }
-
-    /// Trace records accounted via [`Registry::add_trace_dropped`].
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped
-    }
 }
 
 /// A cheaply cloneable, shared handle to one [`Registry`].
@@ -308,8 +295,7 @@ impl Registry {
 pub struct Sink {
     inner: Rc<RefCell<Registry>>,
     /// The span tracer shared by every clone of this sink. A fresh
-    /// sink's tracer starts enabled or disabled per
-    /// [`crate::span::span_tracing_default`].
+    /// sink's tracer starts disabled.
     tracer: Tracer,
 }
 
@@ -380,11 +366,6 @@ impl Sink {
     /// Opts the hot MSR paths into per-access event emission.
     pub fn enable_msr_events(&self, on: bool) {
         self.inner.borrow_mut().enable_msr_events(on);
-    }
-
-    /// Accounts `n` silently dropped trace records.
-    pub fn add_trace_dropped(&self, n: u64) {
-        self.inner.borrow_mut().add_trace_dropped(n);
     }
 
     /// Runs `f` with shared access to the underlying registry.

@@ -38,30 +38,11 @@ use plugvolt_des::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Version of the [`SpanProfile`] JSON layout (and the span rows
 /// embedded in stream frames). Bump on any breaking change.
 pub const SPAN_SCHEMA_VERSION: u32 = 1;
-
-/// Process-wide default for whether freshly created tracers start
-/// enabled. Machines boot private [`crate::Sink`]s internally (e.g. the
-/// Table 2 harness), so per-sink toggles cannot reach them; `soak
-/// --stream` flips this global around its streamed run instead.
-static SPAN_TRACING_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default for new tracers (see
-/// [`span_tracing_default`]). Existing tracers are unaffected.
-pub fn set_span_tracing_default(on: bool) {
-    SPAN_TRACING_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-/// Whether tracers created from now on start enabled.
-#[must_use]
-pub fn span_tracing_default() -> bool {
-    SPAN_TRACING_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// One node of the aggregate span tree: a `(parent, label)` pair with
 /// dual-accounted totals.
@@ -135,8 +116,8 @@ struct TracerInner {
     capture: RefCell<Vec<SpanEvent>>,
     /// 0 = capture off.
     capture_capacity: Cell<usize>,
-    /// Span records lost to capture-buffer overflow (mirrors
-    /// `TraceBuffer::dropped`); surfaced as `spans_dropped` in profiles.
+    /// Span records lost to capture-buffer overflow; surfaced as
+    /// `spans_dropped` in profiles.
     dropped: Cell<u64>,
 }
 
@@ -148,11 +129,11 @@ pub struct Tracer {
 }
 
 impl Default for Tracer {
-    /// A fresh tracer, enabled according to [`span_tracing_default`].
+    /// A fresh, disabled tracer; see [`Tracer::set_enabled`].
     fn default() -> Self {
         Tracer {
             inner: Rc::new(TracerInner {
-                enabled: Cell::new(span_tracing_default()),
+                enabled: Cell::new(false),
                 sim_now_ps: Cell::new(0),
                 nodes: RefCell::new(vec![SpanNode::new("")]),
                 stack: RefCell::new(Vec::new()),
@@ -165,7 +146,7 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh, empty tracer (enabled per [`span_tracing_default`]).
+    /// A fresh, empty, disabled tracer.
     #[must_use]
     pub fn new() -> Self {
         Tracer::default()
@@ -360,15 +341,6 @@ impl Tracer {
         self.inner
             .dropped
             .set(self.inner.dropped.get() + snap.dropped);
-    }
-
-    /// Clears aggregates, capture buffer and the drop counter (open
-    /// guards keep working against the cleared tree).
-    pub fn reset(&self) {
-        self.inner.nodes.replace(vec![SpanNode::new("")]);
-        self.inner.stack.borrow_mut().clear();
-        self.inner.capture.borrow_mut().clear();
-        self.inner.dropped.set(0);
     }
 
     /// Interns the child of `parent` labelled `label`.
@@ -580,7 +552,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::new();
-        assert!(!t.is_enabled(), "tracers default to the global default");
+        assert!(!t.is_enabled(), "fresh tracers start disabled");
         {
             let _g = t.span("outer");
             t.record_span("inner", 5);
@@ -680,18 +652,5 @@ mod tests {
         assert_eq!(p.spans[1].path, "zeta");
         let back: SpanProfile = serde_json::from_str(&p.to_json()).expect("parses back");
         assert_eq!(back, p);
-    }
-
-    #[test]
-    fn reset_clears_aggregates_and_drops() {
-        let t = enabled_tracer();
-        t.enable_capture(1);
-        t.record_span("a", 1);
-        t.record_span("b", 1);
-        assert_eq!(t.dropped(), 1);
-        t.reset();
-        assert!(t.rows().is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert!(t.capture().is_empty());
     }
 }

@@ -39,7 +39,7 @@ fn sample_sink() -> Sink {
 fn profile_json_matches_snapshot() {
     let profile = sample_sink().profile("snapshot");
     let expected = r#"{
-  "schema_version": 2,
+  "schema_version": 3,
   "experiment": "snapshot",
   "counters": [
     {
@@ -111,7 +111,6 @@ fn profile_json_matches_snapshot() {
     }
   ],
   "events_dropped": 0,
-  "trace_dropped": 0,
   "spans_dropped": 0
 }"#;
     assert_eq!(profile.to_json(), expected);

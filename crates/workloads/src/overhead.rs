@@ -136,7 +136,7 @@ pub fn measure_benchmark_with(
         }
         let score = run_rate(&mut machine, &b, tuning);
         if telemetry.is_some() {
-            machine.publish_trace_drops();
+            machine.publish_telemetry();
         }
         score
     };

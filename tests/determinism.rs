@@ -88,7 +88,7 @@ fn machine_histories_replay_exactly() {
             machine.now(),
             machine.cpu().core_offset_mv(),
             machine.stolen_time(CoreId(0)),
-            machine.trace().len(),
+            machine.telemetry().with(|reg| reg.events().count()),
         )
     };
     assert_eq!(run(), run());

@@ -6,6 +6,7 @@
 
 use plugvolt::characterize::SweepConfig;
 use plugvolt_bench::scenario::Scenario;
+use plugvolt_bench::soak::{run_soak_streaming, SoakConfig};
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_telemetry::{chrome_trace_json, Sink, SpanProfile, StreamCursor, StreamFrame, Tracer};
@@ -111,6 +112,43 @@ fn exporters_carry_no_wall_clock_channel() {
     assert!(
         !profile.to_json().contains("wall_ns"),
         "golden-eligible span profile must stay sim-only"
+    );
+}
+
+/// A small streamed soak against a scenario sink whose tracer is on
+/// or off; returns the sink and the number of progress callbacks.
+fn streamed_soak(tracing: bool) -> (Sink, u32) {
+    let sink = Sink::new();
+    sink.tracer().set_enabled(tracing);
+    let scn = Scenario::new().with_telemetry(sink.clone());
+    let cfg = SoakConfig {
+        campaigns: 3,
+        workers: 1,
+        self_test: false,
+        ..SoakConfig::smoke()
+    };
+    let mut calls = 0;
+    run_soak_streaming(&scn, &cfg, None, Some(&mut |_| calls += 1)).expect("soak completes");
+    (sink, calls)
+}
+
+#[test]
+fn streamed_soak_campaign_machines_inherit_scenario_tracing() {
+    let (traced, calls) = streamed_soak(true);
+    assert_eq!(calls, 3, "one progress callback per campaign");
+    assert!(
+        traced
+            .tracer()
+            .rows()
+            .iter()
+            .any(|r| r.label == "poll/iteration"),
+        "campaign machines must feed poll spans into an enabled scenario tracer"
+    );
+
+    let (untraced, _) = streamed_soak(false);
+    assert!(
+        untraced.tracer().snapshot().is_empty(),
+        "a disabled scenario tracer must stay empty"
     );
 }
 
