@@ -141,7 +141,7 @@ impl WorkspaceRule for SeedLabelUniqueness {
 
 /// Rule 10 — `parallel-merge-determinism`.
 ///
-/// The sharded sweeps pin a contract (workers-1/2/7 tests): output must
+/// The worker pool pins a contract (workers-1/2/7 tests): output must
 /// be byte-identical regardless of worker count or scheduling. Inside
 /// `std::thread::scope` spawn bodies in sim/bench crates, that means no
 /// order-dependent accumulation through shared state — results flow
@@ -775,14 +775,24 @@ impl WorkspaceRule for MsrDirectAccess {
 /// The per-file half scans `run_batch*`/`run_imul*`/`poll*` bodies; this
 /// half walks the call graph: any transcendental (`.powf`/`.exp`/`.ln`)
 /// in sim-crate code *reachable* from the characterization entry points
-/// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, `poll*`)
-/// is a hot-path cost, even when it hides two calls down. Traversal stops at
+/// (`characterize*`, `sweep_column*`, `run_cells*`, `run_batch*`,
+/// `run_imul*`, `poll*`) is a hot-path cost, even when it hides two
+/// calls down. `sweep_column` roots the per-column sweep loop itself,
+/// which callers reach only through the bench engine's closures.
+/// Traversal stops at
 /// `crates/cpu/src/slack.rs` — the sanctioned table-build module pays
 /// the analytic cost once per process.
 pub struct HotPathReachability;
 
 /// Name prefixes that seed the hot-entry set.
-const ENTRY_PREFIXES: [&str; 5] = ["characterize", "run_cells", "run_batch", "run_imul", "poll"];
+const ENTRY_PREFIXES: [&str; 6] = [
+    "characterize",
+    "sweep_column",
+    "run_cells",
+    "run_batch",
+    "run_imul",
+    "poll",
+];
 
 /// The sanctioned analytic site; reachable, but not expanded through.
 const BOUNDARY_PATH: &str = "crates/cpu/src/slack.rs";

@@ -201,6 +201,24 @@ fn unreached(x: f64) -> f64 {
 }
 
 #[test]
+fn hot_path_reachability_is_rooted_at_the_sweep_column() {
+    // The per-column sweep loop is an entry point in its own right: a
+    // transcendental reachable only from `sweep_column` is flagged.
+    let src = r#"
+pub fn sweep_column(x: f64) -> f64 {
+    test_point(x)
+}
+fn test_point(x: f64) -> f64 {
+    x.powf(2.0)
+}
+"#;
+    let findings = scan_str("crates/core/src/fixture.rs", src);
+    assert_eq!(rules_hit(&findings), ["hot-path-transcendentals"]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("sweep_column -> test_point"));
+}
+
+#[test]
 fn msr_direct_access_names_the_enclosing_fn() {
     let src = r#"
 pub fn drain(machine: &mut Machine) -> u64 {

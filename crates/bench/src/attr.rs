@@ -12,17 +12,16 @@
 //! a registry footer tying the spans back to the hot counters
 //! (slack-table hits vs analytic fallbacks, MSR retirement counts).
 //!
-//! The run is a single-machine traced pass so that spans, registry
+//! The pass runs [`crate::scenario::Scenario::characterize`] — the one
+//! sweep engine — on a single worker with a traced sink attached, so
+//! every column machine records into that sink and spans, registry
 //! counters and the optional Chrome-trace event capture all describe
-//! the *same* simulation. (The frequency-sharded engine carries span
-//! aggregates across worker threads too — see
-//! [`crate::scenario::Scenario::characterize`] — and its sim channel is
-//! byte-identical for any worker count; the integration tests pin
-//! that.)
+//! the *same* simulation. Each column machine's sim clock starts at
+//! zero, so captured events of successive columns share a time origin.
 
 use crate::scenario::Scenario;
 use crate::text::TextTable;
-use plugvolt::characterize::{characterize, CharacterizeError, SweepConfig};
+use plugvolt::characterize::{CharacterizeError, SweepConfig};
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::time::SimDuration;
 use plugvolt_telemetry::{Sink, SpanEvent, SpanProfile, SpanRow};
@@ -112,10 +111,9 @@ pub fn run_attribution(opts: &AttrOptions) -> Result<Attribution, CharacterizeEr
     if opts.capture_events {
         sink.tracer().enable_capture(TRACE_CAPTURE_CAPACITY);
     }
-    let scenario = Scenario::new().with_telemetry(sink.clone());
-    let mut machine = scenario.machine(opts.model);
-    let run = characterize(&mut machine, &cfg)?;
-    machine.publish_telemetry();
+    let run = Scenario::new()
+        .with_telemetry(sink.clone())
+        .characterize(opts.model, &cfg, 1)?;
     let telemetry = sink.profile("bench-attr");
     Ok(Attribution {
         model: opts.model,

@@ -29,8 +29,8 @@
 //! --stream <path> appends pinned-schema JSONL telemetry snapshot
 //!        frames (registry counter deltas plus span aggregates) every
 //!        simulated millisecond while the characterization figures
-//!        (fig2/fig3/fig4) sweep; each experiment is re-based onto one
-//!        monotone stream clock.
+//!        (fig2/fig3/fig4) sweep; each frequency column is re-based onto
+//!        one monotone stream clock.
 //! ```
 
 use plugvolt::characterize::CharacterizationRun;
@@ -193,11 +193,11 @@ fn main() -> ExitCode {
 }
 
 /// Streams pinned-schema telemetry frames to a JSONL file while the
-/// characterization figures sweep. Each experiment boots an
+/// characterization figures sweep. Every frequency column boots an
 /// independent machine whose sim clock restarts at zero, so the writer
-/// re-bases every experiment onto one monotone stream clock
-/// (`base_ps`) before polling the cursor; I/O errors are stashed and
-/// surfaced once at [`StreamWriter::finish`].
+/// re-bases after each column onto one monotone stream clock
+/// (`base_ps`); I/O errors are stashed and surfaced once at
+/// [`StreamWriter::finish`].
 struct StreamWriter {
     cursor: StreamCursor,
     out: std::fs::File,
@@ -219,9 +219,9 @@ impl StreamWriter {
         })
     }
 
-    /// Re-base the stream clock before an experiment: its machine's
-    /// sim clock starts over at zero.
-    fn begin_experiment(&mut self) {
+    /// Re-base the stream clock after a column: the next column's
+    /// machine starts its sim clock over at zero.
+    fn rebase(&mut self) {
         self.base_ps = self.last_ps;
     }
 
@@ -361,14 +361,13 @@ fn figure(
         spec.name,
         spec.microcode
     ));
+    let cfg = experiments::figure_sweep_config(full);
     let run: CharacterizationRun = match stream {
-        Some(w) => {
-            w.begin_experiment();
-            experiments::figure_characterization_observed(scn, model, full, &mut |m| {
-                w.observe(m.telemetry(), m.now());
-            })
-        }
-        None => experiments::figure_characterization(scn, model, full),
+        Some(w) => scn.characterize_observed(model, &cfg, &mut |m| {
+            w.observe(m.telemetry(), m.now());
+            w.rebase();
+        }),
+        None => scn.characterize(model, &cfg, matrix_workers()),
     }
     .expect("sweep completes");
     if emit_json(name, &run.map) {

@@ -8,8 +8,8 @@
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record produced from these.
 
-use crate::scenario::Scenario;
-use plugvolt::characterize::{characterize, CharacterizationRun, CharacterizeError, SweepConfig};
+use crate::scenario::{run_cells, Scenario};
+use plugvolt::characterize::{CharacterizeError, SweepConfig};
 use plugvolt::charmap::CharacterizationMap;
 use plugvolt::deploy::{deploy, Deployment};
 use plugvolt::poll::{PollConfig, MODULE_NAME};
@@ -82,40 +82,6 @@ pub fn fig1_series(model: CpuModel, freq: FreqMhz, max_offset_mv: i32) -> Vec<Fi
         .collect()
 }
 
-/// Runs the Figures 2–4 characterization for one model.
-///
-/// `full` uses the paper's 1 mV × 0.1 GHz resolution; otherwise a
-/// coarser, faster grid with identical shape.
-///
-/// # Errors
-///
-/// Propagates sweep-configuration and machine errors.
-pub fn figure_characterization(
-    scn: &Scenario,
-    model: CpuModel,
-    full: bool,
-) -> Result<CharacterizationRun, CharacterizeError> {
-    figure_characterization_observed(scn, model, full, &mut |_| {})
-}
-
-/// [`figure_characterization`] with a per-frequency progress observer —
-/// the `repro --stream` hook (see
-/// [`plugvolt::characterize::characterize_observed`]).
-///
-/// # Errors
-///
-/// Propagates config or machine errors from the sweep.
-pub fn figure_characterization_observed(
-    scn: &Scenario,
-    model: CpuModel,
-    full: bool,
-    observe: &mut dyn FnMut(&Machine),
-) -> Result<CharacterizationRun, CharacterizeError> {
-    let mut machine = scn.machine(model);
-    let cfg = figure_sweep_config(full);
-    plugvolt::characterize::characterize_observed(&mut machine, &cfg, observe)
-}
-
 /// The sweep grid used by the Figures 2–4 characterization: the paper's
 /// 1 mV × 0.1 GHz resolution when `full`, otherwise a coarser, faster
 /// grid with identical shape.
@@ -170,8 +136,8 @@ pub fn all_deployments() -> Vec<Deployment> {
 /// seed, so adding or reordering attacks never perturbs the others; a
 /// telemetry sink attached to the scenario is shared across all of them.
 ///
-/// Cells are farmed out over `workers` threads (like the sharded
-/// characterization engine): every cell's stream depends only on the
+/// Cells are farmed out over `workers` threads (the pool the
+/// characterization columns run on): every cell's stream depends only on the
 /// scenario root seed and the cell's own labels, never on which worker
 /// ran it, so the merged matrix is byte-identical for any worker count
 /// (pinned by `tests/determinism.rs`). A telemetry sink forces the
@@ -261,62 +227,6 @@ fn defense_cell(
         detections,
         benign_dvfs_preserved: benign,
     })
-}
-
-/// Runs `cell_count` independent experiment cells, sequentially or over
-/// a worker pool, merging results in cell-index order.
-///
-/// Every cell boots its own machines from seeds derived off the
-/// scenario's root seed and the cell's labels, so the merged vector is
-/// byte-identical for any worker count — the same claim-counter/slot
-/// engine as `characterize_sharded`. Parallel workers each construct a
-/// sink-free `Scenario` from the root seed (the telemetry sink is
-/// `Rc`-based and single-threaded, so a sink on `scn` forces the
-/// sequential path; cells still see identical seed streams either way).
-pub(crate) fn run_cells<T, E, F>(
-    scn: &Scenario,
-    workers: usize,
-    cell_count: usize,
-    cell: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(&Scenario, usize) -> Result<T, E> + Sync,
-{
-    let workers = workers.clamp(1, cell_count.max(1));
-    if workers == 1 || scn.telemetry().is_some() {
-        return (0..cell_count).map(|i| cell(scn, i)).collect();
-    }
-
-    let root_seed = scn.root_seed();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<T, E>>>> = (0..cell_count)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let _worker = scope.spawn(|| {
-                let local = Scenario::with_seed(root_seed);
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= cell_count {
-                        break;
-                    }
-                    let result = cell(&local, i);
-                    *slots[i].lock().expect("cell slot poisoned") = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("cell slot poisoned")
-                .expect("every cell index was claimed by a worker")
-        })
-        .collect()
 }
 
 /// Checks that a benign −40 mV power-saving undervolt still lands and
@@ -610,17 +520,18 @@ pub fn unit_variation_study(
     units: u64,
 ) -> Result<UnitStudy, CharacterizeError> {
     use plugvolt::charmap::FreqBand;
+    let cfg = SweepConfig {
+        offset_step_mv: 3,
+        freq_step_mhz: 400,
+        ..SweepConfig::default()
+    };
+    let fmax = model.spec().freq_table.max();
     let mut rows = Vec::new();
     let mut maps = Vec::new();
     for unit in 0..units {
-        let mut machine = scn.unit_machine(model, unit);
-        let cfg = SweepConfig {
-            offset_step_mv: 3,
-            freq_step_mhz: 400,
-            ..SweepConfig::default()
-        };
-        let run = characterize(&mut machine, &cfg)?;
-        let fmax = machine.cpu().spec().freq_table.max();
+        let run = scn.sweep(model, &cfg, 1, &|scn, label| {
+            scn.unit_machine_for(model, unit, label)
+        })?;
         rows.push(UnitRow {
             unit,
             own_mss_mv: run.map.maximal_safe_offset_mv(5).unwrap_or(0),

@@ -25,18 +25,23 @@
 //!   is installed on every machine the scenario boots, which is what
 //!   deleted the `defense_matrix_with`/`deployment_levels_with`/
 //!   `interval_sweep_with` variant pattern;
-//! - **Sharded characterization** — [`Scenario::characterize`] runs the
-//!   frequency-sharded sweep engine rooted at the scenario seed.
+//! - **Characterization** — [`Scenario::characterize`] is the one S1
+//!   sweep engine: each frequency column runs
+//!   [`plugvolt::characterize::sweep_column`] on its own machine booted
+//!   from a labelled seed, and the columns spread over [`run_cells`], the
+//!   workspace's one worker pool.
 //!
 //! The construction discipline is enforced by the `plugvolt-lint` rule
 //! `machine-construction-discipline`: `Machine::new` outside this
 //! module (and test code) is flagged.
 
 use plugvolt::characterize::{
-    analytic_map, characterize_sharded_traced, CharacterizationRun, CharacterizeError, SweepConfig,
+    analytic_map, shard_label, sweep_column, sweep_frequencies, CharacterizationRun,
+    CharacterizeError, ColumnSweep, SweepConfig,
 };
 use plugvolt::charmap::CharacterizationMap;
 use plugvolt::deploy::{deploy, Deployed, Deployment};
+use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::rng::{derive_seed, SimRng};
 use plugvolt_hal::sim::SimBackend;
@@ -146,6 +151,13 @@ impl Scenario {
         self.install(Machine::new_unit(model, self.root_seed, unit))
     }
 
+    /// Boots a specific physical unit of a SKU from a labelled derived
+    /// seed (one machine per characterization column of a unit).
+    #[must_use]
+    pub fn unit_machine_for(&self, model: CpuModel, unit: u64, label: &str) -> Machine {
+        self.install(Machine::new_unit(model, self.seed_for(label), unit))
+    }
+
     /// Boots a labelled auxiliary machine whose backend appends every
     /// MSR access to `rec`'s transcript. Seeded identically to
     /// [`Scenario::machine_for`] with the same label, so a recorded run
@@ -189,29 +201,91 @@ impl Scenario {
         quick_map(model)
     }
 
-    /// Runs the frequency-sharded characterization engine rooted at the
-    /// session seed across `workers` threads. Byte-identical for any
-    /// worker count (each frequency shard boots its own machine from
-    /// `derive_seed(root_seed, "characterize/f<mhz>")`).
+    /// Runs the S1 characterization sweep rooted at the session seed:
+    /// one column per frequency of [`sweep_frequencies`], each on a
+    /// fresh machine from [`Scenario::machine_for`] labelled
+    /// [`shard_label`], spread over `workers` threads by [`run_cells`].
+    /// Records merge in frequency order, so the run is byte-identical
+    /// for any worker count. With a sink attached the columns run
+    /// sequentially on the caller thread and every column machine
+    /// publishes its counters and spans into the sink.
     ///
     /// # Errors
     ///
-    /// Propagates config or machine errors from the engine.
+    /// Returns [`CharacterizeError::Config`] for a degenerate `cfg`
+    /// before any machine boots, else the first column's machine error
+    /// in frequency order.
     pub fn characterize(
         &self,
         model: CpuModel,
         cfg: &SweepConfig,
         workers: usize,
     ) -> Result<CharacterizationRun, CharacterizeError> {
-        // With an attached sink whose tracer is enabled, shard span
-        // snapshots merge into it in frequency order (worker-count
-        // independent, like the records).
-        let tracer = self
-            .telemetry
-            .as_ref()
-            .map(plugvolt_telemetry::Sink::tracer)
-            .filter(|t| t.is_enabled());
-        characterize_sharded_traced(model, self.root_seed, cfg, workers, tracer)
+        self.sweep(model, cfg, workers, &|scn, label| {
+            scn.machine_for(model, label)
+        })
+    }
+
+    /// [`Scenario::characterize`] on one worker, invoking `observe` with
+    /// each column's machine once its column is done (and, with a sink
+    /// attached, published). This is the streaming hook behind
+    /// `repro --stream`: every column machine's sim clock starts at
+    /// zero, so an observer that keeps one monotone stream clock
+    /// re-bases it after each call.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Scenario::characterize`].
+    pub fn characterize_observed(
+        &self,
+        model: CpuModel,
+        cfg: &SweepConfig,
+        observe: &mut dyn FnMut(&Machine),
+    ) -> Result<CharacterizationRun, CharacterizeError> {
+        cfg.validate()?;
+        let spec = model.spec();
+        let mut columns = Vec::new();
+        for freq in sweep_frequencies(&spec, cfg) {
+            let mut machine = self.machine_for(model, &shard_label(freq));
+            columns.push(self.column(&mut machine, cfg, freq)?);
+            observe(&machine);
+        }
+        Ok(CharacterizationRun::from_columns(&spec, cfg, columns))
+    }
+
+    /// The sweep engine behind [`Scenario::characterize`], with the
+    /// column machine's boot supplied by the caller (the die-to-die
+    /// study boots a specific unit per column).
+    pub(crate) fn sweep(
+        &self,
+        model: CpuModel,
+        cfg: &SweepConfig,
+        workers: usize,
+        boot: &(dyn Fn(&Scenario, &str) -> Machine + Sync),
+    ) -> Result<CharacterizationRun, CharacterizeError> {
+        cfg.validate()?;
+        let spec = model.spec();
+        let freqs = sweep_frequencies(&spec, cfg);
+        let columns = run_cells(self, workers, freqs.len(), |scn, i| {
+            let mut machine = boot(scn, &shard_label(freqs[i]));
+            scn.column(&mut machine, cfg, freqs[i])
+        })?;
+        Ok(CharacterizationRun::from_columns(&spec, cfg, columns))
+    }
+
+    /// One column on a freshly booted machine; with a sink attached the
+    /// machine then publishes its counters into it.
+    fn column(
+        &self,
+        machine: &mut Machine,
+        cfg: &SweepConfig,
+        freq: FreqMhz,
+    ) -> Result<ColumnSweep, CharacterizeError> {
+        let column = sweep_column(machine, cfg, freq)?;
+        if self.telemetry.is_some() {
+            machine.publish_telemetry();
+        }
+        Ok(column)
     }
 
     /// Deploys a countermeasure level on a machine (the S2 step),
@@ -247,6 +321,66 @@ pub fn quick_map(model: CpuModel) -> Arc<CharacterizationMap> {
         .entry(spec.name)
         .or_insert_with(|| Arc::new(analytic_map(&spec)))
         .clone()
+}
+
+/// Runs `cell_count` independent experiment cells, sequentially or over
+/// a worker pool, merging results in cell-index order. This is the
+/// workspace's one worker pool: characterization columns, defense and
+/// level matrices, interval rows and soak campaigns all run on it.
+///
+/// Every cell boots its own machines from seeds derived off the
+/// scenario's root seed and the cell's labels, so the merged vector is
+/// byte-identical for any worker count. Parallel workers each construct
+/// a sink-free `Scenario` from the root seed (the telemetry sink is
+/// `Rc`-based and single-threaded, so a sink on `scn` forces the
+/// sequential path; cells still see identical seed streams either way).
+///
+/// # Errors
+///
+/// The first failing cell's error in cell-index order.
+pub(crate) fn run_cells<T, E, F>(
+    scn: &Scenario,
+    workers: usize,
+    cell_count: usize,
+    cell: F,
+) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(&Scenario, usize) -> Result<T, E> + Sync,
+{
+    let workers = workers.clamp(1, cell_count.max(1));
+    if workers == 1 || scn.telemetry().is_some() {
+        return (0..cell_count).map(|i| cell(scn, i)).collect();
+    }
+
+    let root_seed = scn.root_seed();
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, E>>>> =
+        (0..cell_count).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let _worker = scope.spawn(|| {
+                let local = Scenario::with_seed(root_seed);
+                loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= cell_count {
+                        break;
+                    }
+                    let result = cell(&local, i);
+                    *slots[i].lock().expect("cell slot poisoned") = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("cell slot poisoned")
+                .expect("every cell index was claimed by a worker")
+        })
+        .collect()
 }
 
 #[cfg(test)]

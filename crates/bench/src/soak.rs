@@ -34,8 +34,7 @@
 //! never flip an outcome (`soak` output is pinned byte-identical
 //! across worker counts by `tests/determinism.rs`).
 
-use crate::experiments::run_cells;
-use crate::scenario::Scenario;
+use crate::scenario::{run_cells, Scenario};
 use plugvolt::charmap::CharacterizationMap;
 use plugvolt::deploy::{deploy, Deployment};
 use plugvolt::exposure::{ExposureAccountant, ExposureBound};

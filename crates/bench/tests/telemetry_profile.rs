@@ -69,3 +69,28 @@ fn levels_profile_contains_msr_and_latency_metrics() {
         .any(|s| s.component == "poll" && s.name == "detection_latency_us" && s.core.is_none()));
     let _ = MetricKey::global("poll", "detection_latency_us");
 }
+
+#[test]
+fn traced_sweep_records_its_column_machines() {
+    use plugvolt::characterize::SweepConfig;
+    let model = CpuModel::CometLake;
+    let cfg = SweepConfig::coarse();
+    let sink = Sink::new();
+    let traced = Scenario::new()
+        .with_telemetry(sink.clone())
+        .characterize(model, &cfg, 2)
+        .expect("traced sweep completes");
+    let profile = sink.profile("sweep");
+    assert!(
+        profile.counter_total("msr", "wrmsr") > 0,
+        "column machines' offset writes must reach the sink"
+    );
+    assert!(
+        profile.counter_total("slack-table", "hits") > 0,
+        "column machines' slack-table lookups must reach the sink"
+    );
+    let plain = Scenario::new()
+        .characterize(model, &cfg, 2)
+        .expect("sink-free sweep completes");
+    assert_eq!(traced, plain, "a sink must not change the sweep");
+}

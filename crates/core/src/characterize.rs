@@ -15,14 +15,20 @@
 //! fixed frequency eventually crashes the machine, bounding the band
 //! (the paper characterizes the unsafe width "until we observe a system
 //! crash").
+//!
+//! This module holds the algorithm only: [`sweep_column`] is one
+//! frequency's offset sweep on a caller-supplied machine,
+//! [`sweep_frequencies`] the frequency axis, and
+//! [`CharacterizationRun::from_columns`] the merge. Booting a machine
+//! per column and spreading the columns over workers is the bench
+//! layer's job (`plugvolt_bench::scenario::Scenario::characterize`).
 
 use crate::charmap::{CharacterizationMap, FreqBand};
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::freq::FreqMhz;
-use plugvolt_cpu::model::{CpuModel, CpuSpec};
+use plugvolt_cpu::model::CpuSpec;
 use plugvolt_cpu::package::PackageError;
-use plugvolt_des::rng::derive_seed;
-use plugvolt_des::time::{SimDuration, SimTime};
+use plugvolt_des::time::SimDuration;
 use plugvolt_kernel::cpupower::CpuPower;
 use plugvolt_kernel::machine::{Machine, MachineError};
 use plugvolt_kernel::msr_dev::MsrDev;
@@ -231,15 +237,43 @@ pub struct CharacterizationRun {
     pub records: Vec<SweepRecord>,
     /// Number of machine crashes (and resets) incurred.
     pub crashes: u32,
-    /// Simulated wall-clock time the sweep took.
+    /// Simulated machine-time the sweep took, summed over its columns
+    /// (the total time spent sweeping, not a parallel makespan).
     pub duration: SimDuration,
+}
+
+impl CharacterizationRun {
+    /// Merges per-frequency columns into one run: records concatenate
+    /// in the given order, bands fill the map, crash counts and
+    /// durations sum.
+    #[must_use]
+    pub fn from_columns(
+        spec: &CpuSpec,
+        cfg: &SweepConfig,
+        columns: impl IntoIterator<Item = ColumnSweep>,
+    ) -> Self {
+        let mut run = CharacterizationRun {
+            map: CharacterizationMap::new(spec.name, spec.microcode, cfg.offset_floor_mv),
+            records: Vec::new(),
+            crashes: 0,
+            duration: SimDuration::ZERO,
+        };
+        for column in columns {
+            run.records.extend(column.records);
+            run.crashes += column.crashes;
+            run.duration += column.duration;
+            run.map.insert_band(column.freq, column.band);
+        }
+        run
+    }
 }
 
 /// The frequencies a sweep visits for a spec: the table filtered to the
 /// configured stride, always including the table maximum (the most
 /// restrictive point of the spectrum — shallowest unsafe band — which a
 /// sweep must never skip, whatever the stride).
-fn sweep_frequencies(spec: &CpuSpec, cfg: &SweepConfig) -> Vec<FreqMhz> {
+#[must_use]
+pub fn sweep_frequencies(spec: &CpuSpec, cfg: &SweepConfig) -> Vec<FreqMhz> {
     let mut freqs: Vec<FreqMhz> = spec
         .freq_table
         .iter()
@@ -251,23 +285,51 @@ fn sweep_frequencies(spec: &CpuSpec, cfg: &SweepConfig) -> Vec<FreqMhz> {
     freqs
 }
 
-/// What one frequency's offset sweep produced.
-struct FreqSweep {
-    band: FreqBand,
-    records: Vec<SweepRecord>,
-    crashes: u32,
+/// The seed-derivation label of one frequency column: a sweep boots
+/// each column's machine from `derive_seed(root_seed, shard_label(f))`.
+#[must_use]
+pub fn shard_label(freq: FreqMhz) -> String {
+    format!("characterize/f{}", freq.mhz())
 }
 
-/// Sweeps the offset axis at one pinned frequency (the inner loop of
-/// Algorithm 2), leaving the machine at that frequency with a zero
+/// What one frequency column of the sweep produced.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ColumnSweep {
+    /// The pinned frequency.
+    pub freq: FreqMhz,
+    /// The unsafe band found at `freq`.
+    pub band: FreqBand,
+    /// Raw per-point records, shallowest offset first.
+    pub records: Vec<SweepRecord>,
+    /// Crashes (and resets) incurred.
+    pub crashes: u32,
+    /// Simulated machine-time the column took.
+    pub duration: SimDuration,
+}
+
+/// Sweeps the offset axis at one pinned frequency — the inner loop of
+/// Algorithm 2 — leaving the machine at that frequency with a zero
 /// offset.
-fn sweep_one_frequency(
+///
+/// Per-frequency sweeps are independent units of work (the V0LTpwn
+/// observation): a sweep runs each column on a freshly booted machine,
+/// so a column's records depend only on that machine's seed, never on
+/// which columns ran before it or on which worker.
+///
+/// # Errors
+///
+/// Returns [`CharacterizeError::Config`] for a degenerate `cfg` and
+/// propagates machine errors other than the expected sweep-induced
+/// crashes (which are handled by resetting, as on the real bench).
+pub fn sweep_column(
     machine: &mut Machine,
-    cpupower: &mut CpuPower,
-    dev: &MsrDev,
     cfg: &SweepConfig,
     freq: FreqMhz,
-) -> Result<FreqSweep, MachineError> {
+) -> Result<ColumnSweep, CharacterizeError> {
+    cfg.validate()?;
+    let started = machine.now();
+    let mut cpupower = CpuPower::new(machine);
+    let dev = MsrDev::open(machine, cfg.execute_core)?;
     // All cores to the test frequency: the core-plane rail follows
     // the *maximum* demand across cores, so pinning only the victim
     // core would characterize a higher rail voltage than a machine
@@ -280,7 +342,7 @@ fn sweep_one_frequency(
     let mut crashes = 0u32;
     let mut offset = cfg.offset_start_mv;
     while offset >= cfg.offset_floor_mv {
-        match test_point(machine, dev, cfg, freq, offset) {
+        match test_point(machine, &dev, cfg, offset) {
             Ok(faults) => {
                 records.push(SweepRecord {
                     freq,
@@ -317,227 +379,17 @@ fn sweep_one_frequency(
                     break;
                 }
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
         offset -= cfg.offset_step_mv;
     }
-    Ok(FreqSweep {
+    Ok(ColumnSweep {
+        freq,
         band,
-        records,
-        crashes,
-    })
-}
-
-/// Runs the paper's Algorithm 2 on a machine, returning the
-/// characterization (the machine is left reset to nominal state).
-///
-/// # Errors
-///
-/// Returns [`CharacterizeError::Config`] for a degenerate `cfg` and
-/// propagates machine errors other than the expected sweep-induced
-/// crashes (which are handled by resetting, as on the real bench).
-pub fn characterize(
-    machine: &mut Machine,
-    cfg: &SweepConfig,
-) -> Result<CharacterizationRun, CharacterizeError> {
-    characterize_observed(machine, cfg, &mut |_| {})
-}
-
-/// [`characterize`] with a progress observer: `observe` is invoked with
-/// the machine after every completed frequency sweep, with the sim
-/// clock advanced past that sweep. This is the streaming-telemetry
-/// hook — a [`plugvolt_telemetry::StreamCursor`] polled here produces
-/// sim-time-gated snapshot frames during long sweeps instead of one
-/// profile dump at exit.
-///
-/// # Errors
-///
-/// Same as [`characterize`].
-pub fn characterize_observed(
-    machine: &mut Machine,
-    cfg: &SweepConfig,
-    observe: &mut dyn FnMut(&Machine),
-) -> Result<CharacterizationRun, CharacterizeError> {
-    cfg.validate()?;
-
-    let started = machine.now();
-    let mut cpupower = CpuPower::new(machine);
-    let dev = MsrDev::open(machine, cfg.execute_core)?;
-    let spec = machine.cpu().spec().clone();
-
-    // Algorithm 2 lines 6–7: measure the normal frequency and offset so
-    // each iteration can restore them.
-    let original_freq = machine.cpu().core_freq(cfg.execute_core)?;
-    let original_offset_mv = machine.cpu().core_offset_mv();
-
-    let mut map = CharacterizationMap::new(spec.name, spec.microcode, cfg.offset_floor_mv);
-    let mut records = Vec::new();
-    let mut crashes = 0u32;
-
-    for freq in sweep_frequencies(&spec, cfg) {
-        let sweep = sweep_one_frequency(machine, &mut cpupower, &dev, cfg, freq)?;
-        records.extend(sweep.records);
-        crashes += sweep.crashes;
-        map.insert_band(freq, sweep.band);
-        observe(machine);
-    }
-
-    // Restore the original operating point (Algorithm 2 lines 13–14).
-    cpupower.frequency_set_all(machine, original_freq)?;
-    let restore = OcRequest::write_offset(original_offset_mv, Plane::Core).encode();
-    dev.write(machine, Msr::OC_MAILBOX, restore)?;
-    settle(machine);
-
-    Ok(CharacterizationRun {
-        map,
         records,
         crashes,
         duration: machine.now().saturating_duration_since(started),
     })
-}
-
-/// The seed-derivation label for one frequency shard of a sharded
-/// characterization rooted at `root_seed`.
-#[must_use]
-pub fn shard_label(freq: FreqMhz) -> String {
-    format!("characterize/f{}", freq.mhz())
-}
-
-/// Characterizes a model with the frequency axis sharded across
-/// `workers` threads.
-///
-/// Per-frequency sweeps are independent units of work (the V0LTpwn
-/// observation), so each shard boots its **own** fresh machine seeded
-/// with `derive_seed(root_seed, "characterize/f<mhz>")` and sweeps the
-/// offset axis at that single frequency; records merge back in
-/// frequency order. Because every shard's stream depends only on
-/// `(root_seed, frequency)` — never on which worker ran it or in what
-/// order — the result is byte-identical for any worker count, including
-/// the `workers == 1` sequential path (pinned by a tier-1 test).
-///
-/// The crash counter and the simulated duration are summed across
-/// shards; the duration is therefore the total simulated machine-time
-/// spent sweeping, not the wall-clock-parallel makespan.
-///
-/// Note this engine intentionally does **not** reproduce the records of
-/// the single-machine [`characterize`] (there, one package RNG stream
-/// spans all frequencies, which no frequency-parallel schedule can
-/// replay); the *map* it distills agrees at the band level.
-///
-/// # Errors
-///
-/// Returns [`CharacterizeError::Config`] for a degenerate `cfg` and
-/// propagates the first shard's machine error in frequency order.
-pub fn characterize_sharded(
-    model: CpuModel,
-    root_seed: u64,
-    cfg: &SweepConfig,
-    workers: usize,
-) -> Result<CharacterizationRun, CharacterizeError> {
-    characterize_sharded_traced(model, root_seed, cfg, workers, None)
-}
-
-/// [`characterize_sharded`] with span tracing carried across the shard
-/// boundary: each shard traces into its own machine's tracer, returns a
-/// plain-data `SpanSnapshot`, and the snapshots merge into `tracer` in
-/// frequency order — so the aggregated span profile, like the records,
-/// is byte-identical for any worker count.
-///
-/// # Errors
-///
-/// Same contract as [`characterize_sharded`].
-pub fn characterize_sharded_traced(
-    model: CpuModel,
-    root_seed: u64,
-    cfg: &SweepConfig,
-    workers: usize,
-    tracer: Option<&plugvolt_telemetry::Tracer>,
-) -> Result<CharacterizationRun, CharacterizeError> {
-    cfg.validate()?;
-    let spec = model.spec();
-    let freqs = sweep_frequencies(&spec, cfg);
-    let workers = workers.clamp(1, freqs.len().max(1));
-    let trace = tracer.is_some_and(|t| t.is_enabled());
-
-    // One result slot per frequency; workers claim shard indices from a
-    // shared counter. `Machine` is not `Send`, so each shard constructs
-    // (and drops) its machine entirely inside its worker thread — only
-    // the plain-data sweep results (and span snapshots) cross back.
-    type ShardResult =
-        Result<(FreqSweep, SimDuration, plugvolt_telemetry::SpanSnapshot), MachineError>;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<ShardResult>>> =
-        freqs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let _worker = scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&freq) = freqs.get(i) else {
-                    break;
-                };
-                let result = sweep_shard(model, root_seed, cfg, freq, trace);
-                *slots[i].lock().expect("shard slot poisoned") = Some(result);
-            });
-        }
-    });
-
-    let spec_for_map = model.spec();
-    let mut map = CharacterizationMap::new(
-        spec_for_map.name,
-        spec_for_map.microcode,
-        cfg.offset_floor_mv,
-    );
-    let mut records = Vec::new();
-    let mut crashes = 0u32;
-    let mut duration = SimDuration::ZERO;
-    for (freq, slot) in freqs.iter().zip(slots) {
-        let result = slot
-            .into_inner()
-            .expect("shard slot poisoned")
-            .expect("every shard index was claimed by a worker");
-        let (sweep, shard_duration, spans) = result.map_err(CharacterizeError::Machine)?;
-        records.extend(sweep.records);
-        crashes += sweep.crashes;
-        duration += shard_duration;
-        map.insert_band(*freq, sweep.band);
-        if let Some(t) = tracer {
-            // Frequency order, like the records: first-seen node
-            // creation (and the aggregate totals) stay worker-count
-            // independent.
-            t.absorb(&spans);
-        }
-    }
-    Ok(CharacterizationRun {
-        map,
-        records,
-        crashes,
-        duration,
-    })
-}
-
-/// One shard of [`characterize_sharded`]: a fresh machine, one pinned
-/// frequency, the full offset sweep.
-fn sweep_shard(
-    model: CpuModel,
-    root_seed: u64,
-    cfg: &SweepConfig,
-    freq: FreqMhz,
-    trace: bool,
-) -> Result<(FreqSweep, SimDuration, plugvolt_telemetry::SpanSnapshot), MachineError> {
-    // Shard machines are the engine's own: each frequency gets a fresh
-    // boot from a derived labelled seed, which is what makes the merge
-    // worker-count-independent. Constructing them here (not through the
-    // bench Scenario layer) is the point, not an oversight.
-    // plugvolt-lint: allow(machine-construction-discipline)
-    let mut machine = Machine::new(model, derive_seed(root_seed, &shard_label(freq)));
-    machine.telemetry().tracer().set_enabled(trace);
-    let started = machine.now();
-    let mut cpupower = CpuPower::new(&machine);
-    let dev = MsrDev::open(&machine, cfg.execute_core)?;
-    let sweep = sweep_one_frequency(&mut machine, &mut cpupower, &dev, cfg, freq)?;
-    let duration = machine.now().saturating_duration_since(started);
-    Ok((sweep, duration, machine.telemetry().tracer().snapshot()))
 }
 
 /// Tests one (frequency, offset) grid point: write the offset through
@@ -546,7 +398,6 @@ fn test_point(
     machine: &mut Machine,
     dev: &MsrDev,
     cfg: &SweepConfig,
-    _freq: FreqMhz,
     offset_mv: i32,
 ) -> Result<u64, MachineError> {
     // Guards own tracer clones, so each phase closes when its block
@@ -595,12 +446,6 @@ fn settle(machine: &mut Machine) {
     if t > machine.now() {
         machine.advance_to(t);
     }
-}
-
-/// Convenience: the target the rail must reach before measuring.
-#[must_use]
-pub fn rail_settled_time(machine: &Machine) -> SimTime {
-    machine.cpu().rail_settles_at() + SimDuration::from_micros(1)
 }
 
 /// One row of the instruction-class fault survey.
@@ -676,7 +521,7 @@ pub fn instruction_survey(
 /// An *analytic oracle* map computed straight from a model's physics,
 /// without running the empirical sweep — useful for benches and tests
 /// where the sweep's cost is not the subject. The paper's pipeline is
-/// the empirical [`characterize`]; this function exists because the
+/// the empirical [`sweep_column`] sweep; this function exists because the
 /// simulator, unlike silicon, lets us query the ground truth.
 #[must_use]
 pub fn analytic_map(spec: &plugvolt_cpu::model::CpuSpec) -> CharacterizationMap {
@@ -714,10 +559,21 @@ mod tests {
     use super::*;
     use crate::state::StateClass;
     use plugvolt_cpu::model::CpuModel;
+    use plugvolt_des::rng::derive_seed;
 
+    /// A coarse sweep with one fresh machine per column, seeded the way
+    /// the bench engine seeds them.
     fn coarse_run(model: CpuModel) -> CharacterizationRun {
-        let mut machine = Machine::new(model, 21);
-        characterize(&mut machine, &SweepConfig::coarse()).expect("sweep completes")
+        let spec = model.spec();
+        let cfg = SweepConfig::coarse();
+        let columns: Vec<ColumnSweep> = sweep_frequencies(&spec, &cfg)
+            .into_iter()
+            .map(|f| {
+                let mut machine = Machine::new(model, derive_seed(21, &shard_label(f)));
+                sweep_column(&mut machine, &cfg, f).expect("column completes")
+            })
+            .collect();
+        CharacterizationRun::from_columns(&spec, &cfg, columns)
     }
 
     #[test]
@@ -779,17 +635,37 @@ mod tests {
     }
 
     #[test]
-    fn machine_is_restored_after_sweep() {
+    fn machine_is_restored_after_column() {
+        // The table maximum crashes inside the sweep, so this also
+        // covers the reset path.
         let mut machine = Machine::new(CpuModel::CometLake, 21);
-        let _ = characterize(&mut machine, &SweepConfig::coarse()).unwrap();
+        let fmax = machine.cpu().spec().freq_table.max();
+        let column = sweep_column(&mut machine, &SweepConfig::coarse(), fmax).unwrap();
+        assert_eq!(column.crashes, 1);
         assert!(!machine.cpu().is_crashed());
         assert_eq!(machine.cpu().core_offset_mv(), 0);
+        assert_eq!(machine.cpu().core_freq(CoreId(0)).unwrap(), fmax);
         let now = machine.now();
         let faults = machine
             .cpu_mut()
             .run_imul_loop(now, CoreId(0), 100_000)
             .unwrap();
-        assert_eq!(faults, 0, "machine must be healthy post-sweep");
+        assert_eq!(faults, 0, "machine must be healthy after a column");
+    }
+
+    #[test]
+    fn degenerate_config_is_rejected_before_the_machine_is_touched() {
+        let mut machine = Machine::new(CpuModel::CometLake, 21);
+        let cfg = SweepConfig {
+            offset_step_mv: 0,
+            ..SweepConfig::coarse()
+        };
+        let err = sweep_column(&mut machine, &cfg, FreqMhz(2_000)).unwrap_err();
+        assert!(matches!(
+            err,
+            CharacterizeError::Config(SweepConfigError::NonPositiveOffsetStep { .. })
+        ));
+        assert_eq!(machine.now(), plugvolt_des::time::SimTime::ZERO);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! 1. **[`mod@characterize`]** (S1, Algorithms 1–2) — a DVFS thread sweeps
 //!    frequency × undervolt-offset pairs while an EXECUTE thread runs a
-//!    million-`imul` loop, yielding a [`charmap::CharacterizationMap`] of
-//!    safe/unsafe/crash states (the data behind Figures 2–4);
+//!    million-`imul` loop, one frequency column at a time, yielding a
+//!    [`charmap::CharacterizationMap`] of safe/unsafe/crash states (the
+//!    data behind Figures 2–4);
 //! 2. **[`poll`]** (S2, Algorithm 3) — a kernel module polls MSRs
 //!    0x198/0x150 per core and forces any unsafe state back to safe;
 //! 3. **[`maximal`]** (Sec. 5) — the maximal safe state, distilled for
@@ -20,8 +21,9 @@
 //!
 //! # Examples
 //!
-//! Characterize a Comet Lake coarsely, deploy the polling module, and
-//! verify an attack write is neutralized:
+//! Characterize a Comet Lake coarsely (one fresh machine per frequency
+//! column), deploy the polling module, and verify an attack write is
+//! neutralized:
 //!
 //! ```
 //! use plugvolt::prelude::*;
@@ -30,8 +32,15 @@
 //! use plugvolt_msr::prelude::*;
 //! use plugvolt_des::time::SimDuration;
 //!
+//! let spec = CpuModel::CometLake.spec();
+//! let cfg = SweepConfig::coarse();
+//! let columns = sweep_frequencies(&spec, &cfg)
+//!     .into_iter()
+//!     .map(|f| sweep_column(&mut Machine::new(CpuModel::CometLake, 7), &cfg, f))
+//!     .collect::<Result<Vec<_>, _>>()?;
+//! let run = CharacterizationRun::from_columns(&spec, &cfg, columns);
+//!
 //! let mut machine = Machine::new(CpuModel::CometLake, 7);
-//! let run = characterize(&mut machine, &SweepConfig::coarse())?;
 //! let deployed = deploy(
 //!     &mut machine,
 //!     &run.map,
@@ -63,15 +72,15 @@ pub mod poll;
 pub mod state;
 
 pub use characterize::{
-    characterize, characterize_sharded, CharacterizationRun, CharacterizeError, SweepConfig,
-    SweepConfigError, SweepRecord,
+    sweep_column, sweep_frequencies, CharacterizationRun, CharacterizeError, ColumnSweep,
+    SweepConfig, SweepConfigError, SweepRecord,
 };
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
     pub use crate::characterize::{
-        characterize, characterize_sharded, CharacterizationRun, CharacterizeError, SweepConfig,
-        SweepConfigError, SweepRecord,
+        sweep_column, sweep_frequencies, CharacterizationRun, CharacterizeError, ColumnSweep,
+        SweepConfig, SweepConfigError, SweepRecord,
     };
     pub use crate::charmap::{CharacterizationMap, FreqBand};
     pub use crate::deploy::{deploy, undeploy, worst_case_turnaround, Deployed, Deployment};

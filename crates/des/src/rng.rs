@@ -73,8 +73,8 @@ impl Xoshiro256pp {
 /// Derives a labelled child seed from a root seed.
 ///
 /// This is the workspace's single seed-derivation primitive: one
-/// run-level root seed fans out into per-purpose (and, for sharded
-/// sweeps, per-shard) seeds keyed by a stable string label. The same
+/// run-level root seed fans out into per-purpose (and, for the
+/// characterization sweep, per-column) seeds keyed by a stable string label. The same
 /// `(root, label)` pair always yields the same seed; distinct labels
 /// yield independent seeds. [`SimRng::from_seed_label`] is exactly
 /// "seed a generator from `derive_seed(root, label)`", so a machine

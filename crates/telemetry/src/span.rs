@@ -7,8 +7,9 @@
 //!   delta between enter and exit plus any explicitly attributed sim
 //!   cost ([`Tracer::record_span`]) inside its subtree. Because every
 //!   input is derived from the DES clock, aggregates are byte-identical
-//!   across runs *and across worker counts* (sharded sweeps merge in
-//!   frequency order via [`Tracer::absorb`]) — this channel is eligible
+//!   across runs *and across worker counts* (a traced sweep records its
+//!   columns in frequency order into one sink; soak merges campaign
+//!   tracers in judge order via [`Tracer::absorb`]) — this channel is eligible
 //!   for golden pinning and feeds the [`SpanProfile`], the Chrome trace
 //!   export and the streaming frames.
 //! * **Wall time** (host nanoseconds): the profiling channel. It exists
@@ -286,7 +287,7 @@ impl Tracer {
     }
 
     /// A plain-data, `Send` snapshot of the aggregate tree, for
-    /// carrying span totals out of worker-thread shards.
+    /// carrying span totals from one tracer into another.
     #[must_use]
     pub fn snapshot(&self) -> SpanSnapshot {
         let nodes = self.inner.nodes.borrow();
@@ -319,9 +320,9 @@ impl Tracer {
         }
     }
 
-    /// Merges a shard's snapshot into this tracer's aggregate tree.
-    /// Callers must absorb shards in a deterministic order (the sharded
-    /// sweep merges in frequency order) so first-seen node creation —
+    /// Merges a snapshot into this tracer's aggregate tree. Callers
+    /// must absorb snapshots in a deterministic order (soak merges its
+    /// campaign tracers in judge order) so first-seen node creation —
     /// and therefore nothing observable, since profiles sort by path —
     /// is reproducible.
     pub fn absorb(&self, snap: &SpanSnapshot) {
@@ -458,8 +459,8 @@ struct SnapshotRow {
 }
 
 /// A `Send` carrier of one tracer's aggregates, produced by
-/// [`Tracer::snapshot`] inside a worker shard and merged on the
-/// coordinating thread with [`Tracer::absorb`].
+/// [`Tracer::snapshot`] and merged into another tracer with
+/// [`Tracer::absorb`].
 #[derive(Debug, Clone)]
 pub struct SpanSnapshot {
     rows: Vec<SnapshotRow>,

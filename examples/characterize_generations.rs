@@ -2,9 +2,10 @@
 //! persist the maps as JSON artifacts — the S1 step a vendor or admin
 //! would run once per SKU before deploying the countermeasure.
 //!
-//! Uses the frequency-sharded sweep engine: each frequency shard runs
-//! on its own worker thread with a derived, labelled seed, so the
-//! result is byte-identical whatever the worker count.
+//! Uses the scenario's sweep engine: each frequency column runs on its
+//! own machine booted from a derived, labelled seed, spread over the
+//! worker pool, so the result is byte-identical whatever the worker
+//! count.
 //!
 //! Run with: `cargo run --release --example characterize_generations`
 

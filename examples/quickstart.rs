@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Characterize (coarse grid for the quickstart; the repro binary
     //    runs the paper's full 1 mV × 0.1 GHz sweep).
     println!("\ncharacterizing safe/unsafe states…");
-    let run = characterize(&mut machine, &SweepConfig::coarse())?;
+    let run = scn.characterize(CpuModel::CometLake, &SweepConfig::coarse(), 1)?;
     println!(
         "  {} grid points, {} crashes, {} simulated",
         run.records.len(),

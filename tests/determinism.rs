@@ -15,8 +15,9 @@ use plugvolt_workloads::prelude::*;
 #[test]
 fn characterization_is_reproducible() {
     let run = |seed| {
-        let mut machine = Scenario::with_seed(seed).machine(CpuModel::KabyLakeR);
-        characterize(&mut machine, &SweepConfig::coarse()).expect("sweeps")
+        Scenario::with_seed(seed)
+            .characterize(CpuModel::KabyLakeR, &SweepConfig::coarse(), 1)
+            .expect("sweeps")
     };
     let a = run(5);
     let b = run(5);
@@ -180,14 +181,14 @@ fn recorded_traces_replay_bit_identically() {
 
 #[test]
 fn sharded_sweep_is_worker_count_independent() {
-    // The tentpole invariant: every frequency shard boots its own
-    // machine from a derived, labelled seed, so the merged records are
-    // byte-identical whether one worker or many walked the shards.
-    use plugvolt::characterize::characterize_sharded;
+    // Every frequency column boots its own machine from a derived,
+    // labelled seed, so the merged records are byte-identical whether
+    // one worker or many walked the columns.
     for model in CpuModel::ALL {
         let cfg = SweepConfig::coarse();
-        let sequential = characterize_sharded(model, 2024, &cfg, 1).expect("sequential sweeps");
-        let sharded = characterize_sharded(model, 2024, &cfg, 4).expect("sharded sweeps");
+        let scn = Scenario::with_seed(2024);
+        let sequential = scn.characterize(model, &cfg, 1).expect("sequential sweeps");
+        let sharded = scn.characterize(model, &cfg, 4).expect("sharded sweeps");
         assert_eq!(sequential.records, sharded.records, "{model}");
         assert_eq!(sequential.map, sharded.map, "{model}");
         assert_eq!(sequential.crashes, sharded.crashes, "{model}");

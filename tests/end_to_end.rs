@@ -11,8 +11,8 @@ use plugvolt_kernel::prelude::*;
 use plugvolt_msr::prelude::*;
 
 fn coarse_map(model: CpuModel) -> CharacterizationMap {
-    let mut machine = Scenario::with_seed(2024).machine(model);
-    characterize(&mut machine, &SweepConfig::coarse())
+    Scenario::with_seed(2024)
+        .characterize(model, &SweepConfig::coarse(), 2)
         .expect("sweep completes")
         .map
 }

@@ -3,7 +3,7 @@
 //! paranoid maps, frequency changes under a running workload, module
 //! behaviour on dead machines.
 
-use plugvolt::characterize::{analytic_map, characterize, SweepConfig};
+use plugvolt::characterize::analytic_map;
 use plugvolt::charmap::CharacterizationMap;
 use plugvolt::prelude::*;
 use plugvolt_cpu::prelude::*;
@@ -145,22 +145,6 @@ fn module_handles_crashed_machine_gracefully() {
     dev.write(&mut m, Msr::OC_MAILBOX, attack).unwrap();
     m.advance(SimDuration::from_millis(1));
     assert_eq!(m.cpu().core_offset_mv(), 0, "post-reboot restore works");
-}
-
-#[test]
-fn characterize_restores_a_preexisting_benign_offset() {
-    let mut m = Machine::new(CpuModel::KabyLakeR, 94);
-    let dev = MsrDev::open(&m, CoreId(0)).unwrap();
-    let benign = OcRequest::write_offset(-50, Plane::Core).encode();
-    dev.write(&mut m, Msr::OC_MAILBOX, benign).unwrap();
-    m.advance(SimDuration::from_millis(2));
-    assert_eq!(m.cpu().core_offset_mv(), -50);
-    let _ = characterize(&mut m, &SweepConfig::coarse()).unwrap();
-    assert_eq!(
-        m.cpu().core_offset_mv(),
-        -50,
-        "Algorithm 2 lines 13–14: original offset restored"
-    );
 }
 
 #[test]

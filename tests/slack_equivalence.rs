@@ -9,7 +9,9 @@
 //! from the same machine running the analytic path. These tests pin
 //! that across every CPU model and the entire grid.
 
-use plugvolt::characterize::{characterize, SweepConfig};
+use plugvolt::characterize::{
+    shard_label, sweep_column, sweep_frequencies, CharacterizationRun, SweepConfig,
+};
 use plugvolt_bench::scenario::Scenario;
 use plugvolt_circuit::multiplier::MultiplierUnit;
 use plugvolt_cpu::core::CoreId;
@@ -70,17 +72,23 @@ fn full_grid_matches_analytic_bits_for_every_model() {
 /// A full characterization run with the table attached is identical to
 /// the analytic run — including the stochastic fault sampling, because
 /// a table hit returns the same fault probability bits and therefore
-/// consumes the RNG stream identically.
+/// consumes the RNG stream identically. Each column runs on the machine
+/// `Scenario::characterize` would boot for it, with the table detached
+/// on the analytic arm.
 #[test]
 fn characterization_is_identical_with_and_without_table() {
     for model in CpuModel::ALL {
         let cfg = SweepConfig::coarse();
+        let scn = Scenario::with_seed(77);
         let run = |table: bool| {
-            let mut machine = Scenario::with_seed(77).machine(model);
-            if !table {
-                machine.set_slack_table(None);
-            }
-            characterize(&mut machine, &cfg).expect("sweeps")
+            let columns = sweep_frequencies(&model.spec(), &cfg).into_iter().map(|f| {
+                let mut machine = scn.machine_for(model, &shard_label(f));
+                if !table {
+                    machine.set_slack_table(None);
+                }
+                sweep_column(&mut machine, &cfg, f).expect("sweeps")
+            });
+            CharacterizationRun::from_columns(&model.spec(), &cfg, columns)
         };
         let with_table = run(true);
         let analytic = run(false);
