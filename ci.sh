@@ -7,18 +7,20 @@
 #
 #   1. formatting          cargo fmt --check
 #   2. static analysis     plugvolt-lint SARIF + baseline ratchet gate
-#   3. lint-wall coverage  every workspace member opts into [workspace.lints]
-#   4. hygiene             no build artifacts tracked by git
-#   5. build               cargo build --release (whole workspace)
-#   6. tests               cargo test -q (tier-1 suite + all members)
-#   7. perfbench self-test cargo test on perfbench/ (the registered
+#   3. telemetry lint      plugvolt-lint --root crates/telemetry
+#   4. lint-wall coverage  every workspace member opts into [workspace.lints]
+#   5. hygiene             no build artifacts tracked by git
+#   6. build               cargo build --release (whole workspace)
+#   7. host backend        cargo build --release -p plugvolt-hal
+#   8. tests               cargo test -q (tier-1 suite + all members)
+#   9. perfbench self-test cargo test on perfbench/ (the registered
 #                          benchmark's rebuilt entry points == library)
-#   8. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
-#   9. soak gate           plugvolt-cli soak --smoke + corpus replay
-#  10. trace replay gate   committed MSR transcript replayed through the
+#  10. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
+#  11. soak gate           plugvolt-cli soak --smoke + corpus replay
+#  12. trace replay gate   committed MSR transcript replayed through the
 #                          HAL replay backend (tape-clean + oracles +
 #                          sim-differential byte identity)
-#  11. golden gate         results/ regenerate bit-for-bit vs golden.manifest
+#  13. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -584,5 +584,7 @@ fn parse_model(s: &str) -> Result<CpuModel, String> {
 }
 
 fn load_map(path: &str) -> Result<CharacterizationMap, Box<dyn std::error::Error>> {
-    Ok(serde_json::from_str(&std::fs::read_to_string(path)?)?)
+    let map: CharacterizationMap = serde_json::from_str(&std::fs::read_to_string(path)?)?;
+    map.validate()?;
+    Ok(map)
 }

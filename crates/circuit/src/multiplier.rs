@@ -30,6 +30,16 @@ pub struct MulExecution {
     pub outcome: FaultOutcome,
 }
 
+/// The voltage-dependent stage delays of the multiplier at one supply:
+/// the launching flop's clock-to-Q and one logic gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageDelays {
+    /// Clock-to-Q delay of the launching flop.
+    pub clk_to_q_ps: Picoseconds,
+    /// Delay of one gate level.
+    pub gate_ps: Picoseconds,
+}
+
 /// The multiplier datapath timing model.
 ///
 /// # Examples
@@ -123,12 +133,27 @@ impl MultiplierUnit {
         self.base_depth + self.full_width_extra_depth * frac.sqrt()
     }
 
+    /// The two voltage-dependent stage delays at supply `v_mv`. Every
+    /// path through the unit is built from these, so a caller that needs
+    /// several paths at one voltage evaluates the alpha-power model once.
+    #[must_use]
+    pub fn stage_delays(&self, v_mv: Millivolts) -> StageDelays {
+        StageDelays {
+            clk_to_q_ps: self.clk_to_q.delay_ps(v_mv),
+            gate_ps: self.gate.delay_ps(v_mv),
+        }
+    }
+
+    /// `T_src + T_prop` for one `imul` traversal with stage delays `st`.
+    #[must_use]
+    pub fn path_delay_at(&self, a: u64, b: u64, st: StageDelays) -> Picoseconds {
+        st.clk_to_q_ps + self.depth_for(a, b) * st.gate_ps + self.wire_ps
+    }
+
     /// `T_src + T_prop` for one `imul` traversal at supply `v_mv`.
     #[must_use]
     pub fn path_delay_ps(&self, a: u64, b: u64, v_mv: Millivolts) -> Picoseconds {
-        self.clk_to_q.delay_ps(v_mv)
-            + self.depth_for(a, b) * self.gate.delay_ps(v_mv)
-            + self.wire_ps
+        self.path_delay_at(a, b, self.stage_delays(v_mv))
     }
 
     /// Worst-case (full-width) path delay at supply `v_mv`.
@@ -190,10 +215,11 @@ impl MultiplierUnit {
     ) -> LoopOutcome {
         // The loop varies operands; model it as a mix of width classes
         // (see [`Self::IMUL_LOOP_CLASSES`]).
+        let st = self.stage_delays(v_mv);
         let mut faults = 0u64;
         for (frac, a, b) in Self::IMUL_LOOP_CLASSES {
             let n = (iters as f64 * frac).round() as u64;
-            let slack = self.slack_ps(a, b, budget, v_mv);
+            let slack = budget.slack_ps(self.path_delay_at(a, b, st));
             if fm.classify(slack) == crate::timing::TimingState::Crash {
                 return LoopOutcome::Crashed { completed: 0 };
             }

@@ -8,6 +8,7 @@
 
 use crate::state::StateClass;
 use plugvolt_cpu::freq::FreqMhz;
+use plugvolt_msr::oc_mailbox::OcRequest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -21,6 +22,56 @@ pub struct FreqBand {
     /// crashed within the sweep.
     pub crash_mv: Option<i32>,
 }
+
+/// A characterization-map field outside the offsets the OC mailbox can
+/// encode (`OcRequest::MIN_OFFSET_MV` and up), as a loaded map may carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MapError {
+    /// `sweep_floor_mv` is not in `[OcRequest::MIN_OFFSET_MV, -1]`.
+    SweepFloor {
+        /// The offending floor.
+        sweep_floor_mv: i32,
+    },
+    /// A band's `fault_onset_mv` is not in `[OcRequest::MIN_OFFSET_MV, 0]`.
+    FaultOnset {
+        /// The band's frequency.
+        freq_mhz: u32,
+        /// The offending onset.
+        fault_onset_mv: i32,
+    },
+    /// A band's `crash_mv` is not in `[OcRequest::MIN_OFFSET_MV, 0]`.
+    Crash {
+        /// The band's frequency.
+        freq_mhz: u32,
+        /// The offending crash offset.
+        crash_mv: i32,
+    },
+}
+
+impl std::fmt::Display for MapError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let min = OcRequest::MIN_OFFSET_MV;
+        match self {
+            MapError::SweepFloor { sweep_floor_mv } => write!(
+                f,
+                "sweep_floor_mv {sweep_floor_mv} mV is outside [{min}, -1]"
+            ),
+            MapError::FaultOnset {
+                freq_mhz,
+                fault_onset_mv,
+            } => write!(
+                f,
+                "fault_onset_mv {fault_onset_mv} mV at {freq_mhz} MHz is outside [{min}, 0]"
+            ),
+            MapError::Crash { freq_mhz, crash_mv } => write!(
+                f,
+                "crash_mv {crash_mv} mV at {freq_mhz} MHz is outside [{min}, 0]"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MapError {}
 
 /// The safe/unsafe characterization of one machine (Figures 2–4).
 ///
@@ -65,6 +116,36 @@ impl CharacterizationMap {
             sweep_floor_mv,
             bands: BTreeMap::new(),
         }
+    }
+
+    /// Checks that every offset lies in the range the OC mailbox can
+    /// encode. A map built by a sweep always does; a map decoded from
+    /// JSON is only trusted after this check, since the maximal safe
+    /// state derived from it becomes a mailbox clamp value.
+    ///
+    /// # Errors
+    ///
+    /// The first out-of-range field, floor first, then bands ascending
+    /// by frequency.
+    pub fn validate(&self) -> Result<(), MapError> {
+        let min = OcRequest::MIN_OFFSET_MV;
+        if !(min..=-1).contains(&self.sweep_floor_mv) {
+            return Err(MapError::SweepFloor {
+                sweep_floor_mv: self.sweep_floor_mv,
+            });
+        }
+        for (&freq_mhz, band) in &self.bands {
+            if let Some(fault_onset_mv) = band.fault_onset_mv.filter(|o| !(min..=0).contains(o)) {
+                return Err(MapError::FaultOnset {
+                    freq_mhz,
+                    fault_onset_mv,
+                });
+            }
+            if let Some(crash_mv) = band.crash_mv.filter(|c| !(min..=0).contains(c)) {
+                return Err(MapError::Crash { freq_mhz, crash_mv });
+            }
+        }
+        Ok(())
     }
 
     /// The characterized machine's name.
@@ -321,6 +402,52 @@ mod tests {
         assert_eq!(back.microcode(), 0xf4);
         assert_eq!(back.sweep_floor_mv(), -300);
         assert_eq!(back.len(), 3);
+    }
+
+    #[test]
+    fn validate_names_the_out_of_range_field() {
+        assert_eq!(map().validate(), Ok(()));
+        let json = serde_json::to_string(&map()).unwrap();
+        let floor: CharacterizationMap =
+            serde_json::from_str(&json.replace("\"sweep_floor_mv\":-300", "\"sweep_floor_mv\":10"))
+                .unwrap();
+        assert_eq!(
+            floor.validate(),
+            Err(MapError::SweepFloor { sweep_floor_mv: 10 })
+        );
+        let mut m = map();
+        m.insert_band(
+            FreqMhz(2_000),
+            FreqBand {
+                fault_onset_mv: Some(-5_000),
+                crash_mv: None,
+            },
+        );
+        assert_eq!(
+            m.validate(),
+            Err(MapError::FaultOnset {
+                freq_mhz: 2_000,
+                fault_onset_mv: -5_000
+            })
+        );
+        m.insert_band(
+            FreqMhz(2_000),
+            FreqBand {
+                fault_onset_mv: Some(-200),
+                crash_mv: Some(OcRequest::MIN_OFFSET_MV - 1),
+            },
+        );
+        assert!(matches!(m.validate(), Err(MapError::Crash { .. })));
+        // The mailbox bounds themselves are in range.
+        let mut edge = CharacterizationMap::new("x", 0, OcRequest::MIN_OFFSET_MV);
+        edge.insert_band(
+            FreqMhz(800),
+            FreqBand {
+                fault_onset_mv: Some(0),
+                crash_mv: Some(OcRequest::MIN_OFFSET_MV),
+            },
+        );
+        assert_eq!(edge.validate(), Ok(()));
     }
 
     #[test]

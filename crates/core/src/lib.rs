@@ -82,7 +82,7 @@ pub mod prelude {
         sweep_column, sweep_frequencies, CharacterizationRun, CharacterizeError, ColumnSweep,
         SweepConfig, SweepConfigError, SweepRecord,
     };
-    pub use crate::charmap::{CharacterizationMap, FreqBand};
+    pub use crate::charmap::{CharacterizationMap, FreqBand, MapError};
     pub use crate::deploy::{deploy, undeploy, worst_case_turnaround, Deployed, Deployment};
     pub use crate::exposure::{Episode, ExposureAccountant, ExposureBound};
     pub use crate::maximal::MaximalSafeState;

@@ -11,7 +11,7 @@ use crate::freq::FreqMhz;
 use crate::slack::{class_index, SlackTable};
 use plugvolt_circuit::delay::{Millivolts, Picoseconds};
 use plugvolt_circuit::fault::{sample_binomial, FaultModel};
-use plugvolt_circuit::multiplier::MultiplierUnit;
+use plugvolt_circuit::multiplier::{MultiplierUnit, StageDelays};
 use plugvolt_circuit::timing::{TimingBudget, TimingState};
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::time::SimDuration;
@@ -125,6 +125,22 @@ impl BatchOutcome {
     }
 }
 
+/// The two multiplier paths at one voltage that the instruction classes
+/// interpolate between (see [`ExecutionEngine::class_paths`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassPaths {
+    full: Picoseconds,
+    shallow: Picoseconds,
+}
+
+impl ClassPaths {
+    /// Critical-path delay of one instruction of `class`.
+    pub(crate) fn delay_ps(self, class: InstrClass) -> Picoseconds {
+        // The class factor scales the logic depth, not the fixed wire part.
+        self.shallow + (self.full - self.shallow) * class.depth_factor()
+    }
+}
+
 /// The execution engine for one package (shared across cores; the core's
 /// frequency and the rail voltage are passed per call).
 #[derive(Debug, Clone)]
@@ -210,10 +226,17 @@ impl ExecutionEngine {
     /// Critical-path delay of one instruction of `class` at voltage `v`.
     #[must_use]
     pub fn class_path_delay_ps(&self, class: InstrClass, v_mv: Millivolts) -> Picoseconds {
-        // The class factor scales the logic depth, not the fixed wire part.
-        let full = self.mul.worst_path_delay_ps(v_mv);
-        let shallow = self.mul.path_delay_ps(1, 1, v_mv);
-        shallow + (full - shallow) * class.depth_factor()
+        self.class_paths(self.mul.stage_delays(v_mv))
+            .delay_ps(class)
+    }
+
+    /// The full-width and shallowest multiplier paths with stage delays
+    /// `st`, between which every class's critical path lies.
+    pub(crate) fn class_paths(&self, st: StageDelays) -> ClassPaths {
+        ClassPaths {
+            full: self.mul.path_delay_at(u64::MAX, u64::MAX, st),
+            shallow: self.mul.path_delay_at(1, 1, st),
+        }
     }
 
     /// Timing slack for `class` at frequency `f` and voltage `v`.
@@ -360,6 +383,75 @@ mod tests {
 
     fn rng() -> SimRng {
         SimRng::from_seed_label(3, "exec-tests")
+    }
+
+    /// The analytic slacks pinned as bit patterns, independently of the
+    /// slack table (which shares the stage-delay helpers and so would
+    /// drift together with them). Comet Lake at its base frequency, at
+    /// nominal, nominal − 150 mV, and at `vth`, where every stage delay
+    /// is infinite: the class slacks are NaN (∞ − ∞ between the two
+    /// bounding paths; NaN payloads are not portable, so only NaN-ness
+    /// is pinned) and the imul slacks −∞, all classified Crash.
+    #[test]
+    fn analytic_slack_bits_are_pinned() {
+        let e = engine();
+        let spec = CpuModel::CometLake.spec();
+        let f = spec.base_freq;
+        let nominal = spec.nominal_voltage_mv(f);
+        let cases: [(f64, [u64; 5], [u64; 3]); 2] = [
+            (
+                nominal,
+                [
+                    0x4073_5873_197b_32ba,
+                    0x4074_83c0_ef25_bbc1,
+                    0x4073_ccd8_7acb_bd5a,
+                    0x4076_b91b_10f6_13ea,
+                    0x4075_d050_4e54_feac,
+                ],
+                [
+                    0x4073_5873_197b_32ba,
+                    0x4074_670f_6cb7_0b6c,
+                    0x4076_6767_b445_8ee7,
+                ],
+            ),
+            (
+                nominal - 150.0,
+                [
+                    0x406c_d98f_9ede_325a,
+                    0x4070_1229_1449_9022,
+                    0x406e_214d_0d4f_398a,
+                    0x4073_2e19_b2c9_c62b,
+                    0x4071_e65c_4458_befa,
+                ],
+                [
+                    0x406c_d98f_9ede_325a,
+                    0x406f_d387_2c74_9d24,
+                    0x4072_bb13_ac52_98a8,
+                ],
+            ),
+        ];
+        let imul = |v, i: usize| {
+            let (_, a, b) = MultiplierUnit::IMUL_LOOP_CLASSES[i];
+            e.multiplier().slack_ps(a, b, &e.budget(f), v)
+        };
+        for (v, class_bits, imul_bits) in cases {
+            for (c, bits) in InstrClass::ALL.into_iter().zip(class_bits) {
+                assert_eq!(e.class_slack_ps(c, f, v).to_bits(), bits, "{c:?} at {v} mV");
+            }
+            for (i, bits) in imul_bits.into_iter().enumerate() {
+                assert_eq!(imul(v, i).to_bits(), bits, "imul class {i} at {v} mV");
+            }
+        }
+        let v = spec.vth_mv;
+        for c in InstrClass::ALL {
+            let slack = e.class_slack_ps(c, f, v);
+            assert!(slack.is_nan(), "{c:?} at vth: {slack}");
+            assert_eq!(e.fault_model().classify(slack), TimingState::Crash);
+        }
+        for i in 0..MultiplierUnit::IMUL_LOOP_CLASSES.len() {
+            assert_eq!(imul(v, i).to_bits(), f64::NEG_INFINITY.to_bits());
+            assert_eq!(e.fault_model().classify(imul(v, i)), TimingState::Crash);
+        }
     }
 
     #[test]

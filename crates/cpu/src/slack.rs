@@ -14,21 +14,29 @@
 //! cache nominal curves.
 //!
 //! [`SlackTable`] evaluates that grid once per process per model and
-//! memoizes the result, turning the batch hot path into a `HashMap`
-//! probe. **The table is a cache, never a semantic change**: every
-//! stored value is produced by calling the *same* engine methods the
-//! analytic path calls, keyed by the exact bit pattern of the voltage,
-//! so a hit returns bit-identical slack/probability values and consumes
-//! the RNG stream identically. Off-grid queries (mid-slew rails,
-//! unit-varied specs, cross-frequency demand) miss the map and fall
-//! back to the analytic path — correctness never depends on a hit.
+//! memoizes the result, turning the batch hot path into one indexed load
+//! from a dense array. **The table is a cache, never a semantic change**:
+//! every stored value is produced by the *same* helpers the analytic
+//! path goes through, keyed by the exact bit pattern of the voltage, so
+//! a hit returns bit-identical slack/probability values and consumes the
+//! RNG stream identically. Off-grid queries (mid-slew rails, unit-varied
+//! specs, cross-frequency demand) miss the table and fall back to the
+//! analytic path — correctness never depends on a hit.
+//!
+//! Of the eight slacks a grid point stores (five instruction classes,
+//! three imul operand classes), every one is a path through the same
+//! multiplier at the same voltage, and only two values in them depend on
+//! the voltage: the clock-to-Q and per-gate stage delays. The build
+//! evaluates those once per point (`MultiplierUnit::stage_delays`, two
+//! `powf`) and the two paths the classes interpolate between once,
+//! instead of re-running the alpha-power model per slack (26 `powf`).
 
 use crate::exec::{ExecutionEngine, InstrClass};
 use crate::freq::FreqMhz;
 use crate::model::{CpuModel, CpuSpec};
 use plugvolt_circuit::delay::{Millivolts, Picoseconds};
 use plugvolt_circuit::multiplier::MultiplierUnit;
-use plugvolt_circuit::timing::TimingState;
+use plugvolt_circuit::timing::{TimingBudget, TimingState};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -130,6 +138,7 @@ impl SlackTable {
         let mut v_bits = Vec::with_capacity(freqs.len() * PLANES * OFFSET_SPAN);
         let mut entries = Vec::with_capacity(freqs.len() * PLANES * OFFSET_SPAN);
         for f in spec.freq_table.iter() {
+            let budget = engine.budget(f);
             bases.push(spec.nominal_voltage_mv(f));
             bases.push(spec.nominal_cache_voltage_mv(f));
             for plane in 0..PLANES {
@@ -140,7 +149,7 @@ impl SlackTable {
                     // 1000/1024 mV per unit, added to the nominal curve.
                     let v_mv = base + f64::from(units) * 1000.0 / 1024.0;
                     v_bits.push(v_mv.to_bits());
-                    entries.push(Self::grid_entry(&engine, f, v_mv));
+                    entries.push(Self::grid_entry(&engine, &budget, v_mv));
                 }
             }
         }
@@ -154,19 +163,26 @@ impl SlackTable {
         }
     }
 
-    /// Computes one grid point *via the engine's own analytic methods*,
-    /// so the cached bits are the analytic bits by construction.
-    fn grid_entry(engine: &ExecutionEngine, f: FreqMhz, v_mv: Millivolts) -> GridEntry {
+    /// Computes one grid point *via the engine's own analytic helpers*,
+    /// so the cached bits are the analytic bits by construction. The two
+    /// stage delays and the two class-bounding paths are evaluated once
+    /// per voltage and shared by all eight slacks.
+    fn grid_entry(engine: &ExecutionEngine, budget: &TimingBudget, v_mv: Millivolts) -> GridEntry {
         let fm = engine.fault_model();
-        let entry = |slack_ps: Picoseconds| ClassEntry {
-            slack_ps,
-            state: fm.classify(slack_ps),
-            fault_p: fm.fault_probability(slack_ps),
+        let entry = |path_ps: Picoseconds| {
+            let slack_ps = budget.slack_ps(path_ps);
+            ClassEntry {
+                slack_ps,
+                state: fm.classify(slack_ps),
+                fault_p: fm.fault_probability(slack_ps),
+            }
         };
-        let classes = InstrClass::ALL.map(|c| entry(engine.class_slack_ps(c, f, v_mv)));
-        let budget = engine.budget(f);
-        let imul_ops = MultiplierUnit::IMUL_LOOP_CLASSES
-            .map(|(_, a, b)| entry(engine.multiplier().slack_ps(a, b, &budget, v_mv)));
+        let mul = engine.multiplier();
+        let st = mul.stage_delays(v_mv);
+        let paths = engine.class_paths(st);
+        let classes = InstrClass::ALL.map(|c| entry(paths.delay_ps(c)));
+        let imul_ops =
+            MultiplierUnit::IMUL_LOOP_CLASSES.map(|(_, a, b)| entry(mul.path_delay_at(a, b, st)));
         GridEntry { classes, imul_ops }
     }
 

@@ -30,10 +30,12 @@
 //! directions checked by `plugvolt-lint`'s `telemetry-key-registry`
 //! rule.
 //!
-//! Hot-path discipline mirrors the PR 4 hot counters: a disabled tracer
+//! Hot-path discipline mirrors the hot counters: a disabled tracer
 //! costs one `Cell` load per site (no allocation, no `Instant` read, no
-//! `RefCell` borrow), and the enabled-path overhead is measured by the
-//! `span-overhead` bench and gated by the CI decay check.
+//! `RefCell` borrow). The enabled-path overhead is measured by
+//! perfbench's `trace.overhead_ratio` and `trace.empty_span_ns` rows, and
+//! `crates/bench/tests/telemetry_profile.rs::traced_sweep_records_its_column_machines`
+//! checks that a traced sweep's records equal the untraced ones.
 
 use plugvolt_des::time::SimTime;
 use serde::{Deserialize, Serialize};
