@@ -383,7 +383,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             if let Some(st) = &report.self_test {
                 if st.caught {
                     eprintln!(
-                        "self-test: weakened poller (skip every {}th poll) caught, \
+                        "self-test: weakened poller (skips 1 poll in {}) caught, \
                          reproducer shrunk to {} events in {} evals",
                         st.skip_every, st.shrunk_events, st.shrink_evals
                     );

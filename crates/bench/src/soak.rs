@@ -65,6 +65,11 @@ pub const CORPUS_SCHEMA_VERSION: u32 = 1;
 /// Sampling interval of the exposure watcher.
 const SAMPLE: SimDuration = SimDuration::from_micros(10);
 
+/// Events one level-run's telemetry ring holds. A polling run that
+/// emits more is refused ([`SoakError::EventRingOverflow`]): oracle 3
+/// reads its first detection back from the ring.
+const EVENT_CAPACITY: usize = 1 << 16;
+
 /// Machine-boot label every soak evaluation uses. One fixed label (not
 /// per-campaign) keeps a schedule's verdict a pure function of the
 /// root seed and the schedule, so shrink steps and corpus replay see
@@ -315,6 +320,13 @@ pub enum SoakError {
     Machine(MachineError),
     /// Corpus directory I/O failed.
     Io(std::io::Error),
+    /// The polling run emitted more events than its telemetry ring
+    /// holds, so the first detection the stream-equivalence oracle cuts
+    /// at may have been evicted.
+    EventRingOverflow {
+        /// Events the ring evicted.
+        dropped: u64,
+    },
 }
 
 impl fmt::Display for SoakError {
@@ -322,6 +334,11 @@ impl fmt::Display for SoakError {
         match self {
             SoakError::Machine(e) => write!(f, "machine error: {e}"),
             SoakError::Io(e) => write!(f, "corpus i/o error: {e}"),
+            SoakError::EventRingOverflow { dropped } => write!(
+                f,
+                "polling run overflowed its event ring ({dropped} events evicted); \
+                 its first detection is unknown"
+            ),
         }
     }
 }
@@ -499,7 +516,7 @@ pub(crate) fn run_level_mode(
         BootMode::Record(rec) => scn.machine_recording(model, MACHINE_LABEL, rec),
         BootMode::Replay(cursor) => scn.machine_replaying(model, MACHINE_LABEL, cursor),
     };
-    let sink = Sink::with_event_capacity(1 << 16);
+    let sink = Sink::with_event_capacity(EVENT_CAPACITY);
     // Campaign machines trace spans exactly when the scenario sink does
     // (e.g. under `plugvolt-cli soak --stream`); the aggregates merge
     // back into it below.
@@ -619,6 +636,10 @@ pub(crate) fn run_level_mode(
     advance_sampling(&mut machine, map, &mut acct, end);
     acct.finish(machine.now());
 
+    let dropped = sink.with(|reg| reg.events_dropped());
+    if level == Level::Polling && dropped > 0 {
+        return Err(SoakError::EventRingOverflow { dropped });
+    }
     let first_detection = sink.with(|reg| {
         reg.events()
             .find(|e| matches!(e.event, TelemetryEvent::Detection { .. }))
@@ -675,8 +696,17 @@ pub(crate) fn run_level_mode(
     })
 }
 
-/// Advances the machine to `until` in [`SAMPLE`] steps, recording
-/// rail/config exposure samples.
+/// Advances the machine to `until`, recording rail/config exposure
+/// samples on the [`SAMPLE`] grid (`start + k·SAMPLE`, then `until`).
+///
+/// What [`sample`] reads (core frequency, core-offset register, core
+/// rail) changes only when a module timer fires or the core VR moves
+/// the rail, so in between every grid sample repeats the one before.
+/// [`ExposureAccountant::record`] telescopes over such a run (unsafe
+/// time sums consecutive deltas; episodes and dwells open at its first
+/// sample and close at the first differing one), so after each sample
+/// the loop jumps to the run's last grid instant ([`quiet_end`]) and
+/// samples once there, bit-identical to sampling every step.
 fn advance_sampling(
     machine: &mut Machine,
     map: &CharacterizationMap,
@@ -687,6 +717,30 @@ fn advance_sampling(
         let left = until.saturating_duration_since(machine.now());
         machine.advance(left.min(SAMPLE));
         sample(machine, map, acct);
+        let last = quiet_end(machine, until);
+        if last > machine.now() {
+            machine.advance_to(last);
+            sample(machine, map, acct);
+        }
+    }
+}
+
+/// The last sample instant, up to `until`, whose sample must equal the
+/// one just taken: the last grid instant `now + k·SAMPLE` before the
+/// next module timer or before the core rail leaves its hold, or
+/// `until` itself if neither comes first.
+fn quiet_end(machine: &Machine, until: SimTime) -> SimTime {
+    let now = machine.now();
+    let rail_moves = machine
+        .cpu()
+        .core_rail_holds_until(now)
+        .map(|t| t + SimDuration::from_picos(1));
+    match machine.next_timer_at().into_iter().chain(rail_moves).min() {
+        Some(quiet) if quiet <= until => {
+            let steps = (quiet - now).as_picos().saturating_sub(1) / SAMPLE.as_picos();
+            now + SimDuration::from_picos(steps * SAMPLE.as_picos())
+        }
+        _ => until,
     }
 }
 
@@ -1250,6 +1304,74 @@ mod tests {
             again.corpus_failures
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every level-run's record over 3 seeds × 10 campaigns (odd ones at
+    /// the self-test period) × 4 levels, polling both healthy and
+    /// skipping every 3rd poll; recorded with the per-step sampler.
+    #[test]
+    fn run_records_are_pinned() {
+        let model = CpuModel::CometLake;
+        let spec = model.spec();
+        let mut text = String::new();
+        for seed in 0..3u64 {
+            let scn = Scenario::with_seed(seed);
+            let map = scn.quick_map(model);
+            for c in 0..10usize {
+                let family = AttackFamily::ALL[c % AttackFamily::ALL.len()];
+                let mut rng = scn.rng(&format!("soak/pin/{c}"));
+                let mut schedule = CampaignSchedule::generate(family, &spec, &mut rng);
+                if c % 2 == 1 {
+                    schedule.poll_period_us = SELF_TEST_PERIOD_US;
+                }
+                for (level, weaken) in [
+                    (Level::None, None),
+                    (Level::Polling, None),
+                    (Level::Polling, Some(3)),
+                    (Level::Microcode, None),
+                    (Level::Hardware, None),
+                ] {
+                    let run = run_level(&scn, model, &map, &schedule, level, weaken).expect("runs");
+                    text.push_str(&format!("{run:?}\n"));
+                }
+            }
+        }
+        assert_eq!(
+            fnv1a(text.as_bytes()),
+            0x2cc4_9aa4_d6ed_20d6,
+            "run records drifted"
+        );
+    }
+
+    #[test]
+    fn a_wrapped_event_ring_is_an_error_not_a_verdict() {
+        use plugvolt_attacks::schedule::{PlaneSel, ScheduleEvent};
+        // Each accepted mailbox write emits an `OcMailbox` and two
+        // `VrSlew` events, so this overflows the ring many times over.
+        let events = (0..=EVENT_CAPACITY as u64)
+            .map(|i| ScheduleEvent {
+                at_us: i,
+                action: ScheduleAction::OffsetWrite {
+                    plane: PlaneSel::Core,
+                    offset_mv: if i % 2 == 0 { -20 } else { 0 },
+                },
+            })
+            .collect();
+        let schedule = CampaignSchedule {
+            family: AttackFamily::ALL[0],
+            poll_period_us: SELF_TEST_PERIOD_US,
+            events,
+        };
+        let scn = Scenario::new();
+        let model = CpuModel::CometLake;
+        let map = scn.quick_map(model);
+        // Only the polling run's ring feeds an oracle; the others may wrap.
+        assert!(run_level(&scn, model, &map, &schedule, Level::None, None).is_ok());
+        let got = run_level(&scn, model, &map, &schedule, Level::Polling, None);
+        assert!(
+            matches!(got, Err(SoakError::EventRingOverflow { dropped }) if dropped > 0),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -481,6 +481,13 @@ impl CpuPackage {
         self.core_vr.voltage_mv(now)
     }
 
+    /// How long the core-plane rail keeps its voltage at `now`, absent a
+    /// retarget (see [`VoltageRegulator::holds_until`]).
+    #[must_use]
+    pub fn core_rail_holds_until(&self, now: SimTime) -> Option<SimTime> {
+        self.core_vr.holds_until(now)
+    }
+
     /// The actual cache-plane rail voltage at `now`, in mV.
     #[must_use]
     pub fn cache_voltage_mv(&self, now: SimTime) -> f64 {

@@ -60,13 +60,35 @@ impl VoltageRegulator {
         if now <= self.ramp_begins {
             return self.start_mv;
         }
-        let elapsed_us = now.saturating_duration_since(self.ramp_begins).as_picos() as f64 / 1e6;
-        let max_swing = self.slew_mv_per_us * elapsed_us;
+        let max_swing = self.max_swing_mv(now);
         let want = self.target_mv - self.start_mv;
         if want.abs() <= max_swing {
             self.target_mv
         } else {
             self.start_mv + want.signum() * max_swing
+        }
+    }
+
+    /// How far the ramp may have moved the rail by `now` (after
+    /// `ramp_begins`); monotone in `now`.
+    fn max_swing_mv(&self, now: SimTime) -> f64 {
+        let elapsed_us = now.saturating_duration_since(self.ramp_begins).as_picos() as f64 / 1e6;
+        self.slew_mv_per_us * elapsed_us
+    }
+
+    /// How long [`voltage_mv`](Self::voltage_mv) keeps its value at
+    /// `now`, absent a retarget: through `ramp_begins` before the ramp,
+    /// only `now` mid-ramp, and `None` (until the next retarget) once the
+    /// rail sits exactly at its target. Exact, unlike the rounded-up
+    /// [`settles_at`](Self::settles_at).
+    #[must_use]
+    pub fn holds_until(&self, now: SimTime) -> Option<SimTime> {
+        if now <= self.ramp_begins {
+            Some(self.ramp_begins)
+        } else if (self.target_mv - self.start_mv).abs() <= self.max_swing_mv(now) {
+            None
+        } else {
+            Some(now)
         }
     }
 
@@ -186,6 +208,52 @@ mod tests {
         // Re-requesting the identical target later must not restart the ramp.
         v.set_target(SimTime::ZERO + us(2), 900.0);
         assert_eq!(v.settles_at(), settles);
+    }
+
+    #[test]
+    fn holds_until_tracks_the_settle_window_and_the_ramp() {
+        let mut v = vr();
+        v.set_target(SimTime::ZERO, 900.0);
+        let ramp_begins = SimTime::ZERO + us(8);
+        assert_eq!(v.holds_until(SimTime::ZERO), Some(ramp_begins));
+        assert_eq!(v.holds_until(ramp_begins), Some(ramp_begins));
+        let mid = SimTime::ZERO + us(13);
+        assert_eq!(v.holds_until(mid), Some(mid));
+        // 100 mV at 10 mV/µs: the rail lands on the target 10 µs into
+        // the ramp and not one picosecond earlier.
+        let lands = ramp_begins + us(10);
+        let before = SimTime::from_picos(lands.as_picos() - 1);
+        assert_eq!(v.holds_until(before), Some(before));
+        assert_eq!(v.holds_until(lands), None);
+        assert_eq!(v.voltage_mv(lands), 900.0);
+        // A retarget mid-ramp opens a new settle window from there.
+        v.set_target(mid, 1_000.0);
+        assert_eq!(v.holds_until(mid + us(1)), Some(mid + us(8)));
+        assert_eq!(v.holds_until(mid + us(9)), Some(mid + us(9)));
+        assert_eq!(v.holds_until(mid + us(13)), None);
+    }
+
+    #[test]
+    fn rail_never_moves_after_holds_until_turns_none() {
+        let mut rng = plugvolt_des::rng::SimRng::from_seed_label(7, "vr/holds_until");
+        for _ in 0..500 {
+            let start = 600.0 + rng.next_f64() * 600.0;
+            let target = 600.0 + rng.next_f64() * 600.0;
+            let slew = 0.5 + rng.next_f64() * 20.0;
+            let settle = SimDuration::from_picos(rng.below(2_000_000_000));
+            let mut v = VoltageRegulator::new(start, settle, slew);
+            let t0 = SimTime::from_picos(1 + rng.below(1_000_000_000));
+            v.set_target(t0, target);
+            let mut t = t0;
+            while v.holds_until(t).is_some() {
+                t += SimDuration::from_picos(1 + rng.below(50_000_000));
+            }
+            for shift in [0, 1, 1_000, 123_456_789, 10_000_000_000] {
+                let later = t + SimDuration::from_picos(shift);
+                assert_eq!(v.holds_until(later), None);
+                assert_eq!(v.voltage_mv(later).to_bits(), target.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -554,6 +554,14 @@ impl Machine {
         r
     }
 
+    /// When the earliest pending module timer fires, if any. Timers of
+    /// unloaded modules still count until their slot comes up, so this
+    /// may be earlier than the next timer that does any work.
+    #[must_use]
+    pub fn next_timer_at(&self) -> Option<SimTime> {
+        self.timers.peek().map(|t| t.at)
+    }
+
     /// Advances the clock to `horizon`, firing due module timers in order.
     pub fn advance_to(&mut self, horizon: SimTime) {
         // `with_module` needs `&mut self`, so hold the tracer by clone
@@ -637,8 +645,7 @@ impl Machine {
                 .cpu()
                 .engine()
                 .batch_duration(class, remaining, freq);
-            let next_timer = self.timers.peek().map(|t| t.at);
-            match next_timer {
+            match self.next_timer_at() {
                 Some(t) if t < self.now + full => {
                     // Run the part of the batch that fits before the timer.
                     let slice = t.saturating_duration_since(self.now);
@@ -750,6 +757,21 @@ mod tests {
         // 10 ticks × 2 µs stolen per core.
         assert_eq!(m.stolen_time(CoreId(0)), SimDuration::from_micros(20));
         assert_eq!(m.stolen_time(CoreId(3)), SimDuration::from_micros(20));
+    }
+
+    #[test]
+    fn next_timer_at_reports_the_armed_timer() {
+        let mut m = machine();
+        assert_eq!(m.next_timer_at(), None);
+        m.advance(SimDuration::from_micros(250));
+        let period = SimDuration::from_millis(1);
+        m.load_module(Box::new(TickModule {
+            period,
+            cost: SimDuration::ZERO,
+            ticks: 0,
+        }))
+        .unwrap();
+        assert_eq!(m.next_timer_at(), Some(m.now() + period));
     }
 
     #[test]

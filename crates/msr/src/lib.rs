@@ -10,10 +10,9 @@
 //!   per-plane offset encoding abused by Plundervolt/V0LTpwn;
 //! - [`perf_status`] — MSR 0x198/0x199, the frequency/voltage status the
 //!   countermeasure polls and the cpufreq control register;
-//! - [`power_limit`] — the `MSR_DRAM_POWER_LIMIT`/`MSR_DRAM_POWER_INFO`
-//!   clamp pair whose semantics Sec. 5.2 borrows;
 //! - [`offset_limit`] — the hypothetical `MSR_VOLTAGE_OFFSET_LIMIT`
-//!   hardware clamp built on those semantics;
+//!   hardware clamp, with the `MSR_DRAM_POWER_INFO` floor semantics
+//!   Sec. 5.2 borrows;
 //! - [`mod@file`] — the register file with `#GP` semantics and microcode
 //!   write-intercept hooks (the Sec. 5.1 deployment point).
 //!
@@ -36,7 +35,6 @@ pub mod file;
 pub mod oc_mailbox;
 pub mod offset_limit;
 pub mod perf_status;
-pub mod power_limit;
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {

@@ -2,9 +2,11 @@
 //!
 //! A vendor-provisioned register clamping what MSR 0x150 may request:
 //! writes asking for an undervolt deeper than the **maximal safe state**
-//! characterized for the CPU generation are clamped to that bound —
-//! exactly the `DRAM_MIN_PWR` semantics of
-//! [`crate::power_limit::DramPowerInfo::clamp`], transplanted to voltage.
+//! characterized for the CPU generation are clamped to that bound.
+//! These are the semantics of the DRAM power-limit pair, transplanted to
+//! voltage: software may request any limit through
+//! `MSR_DRAM_POWER_LIMIT`, but a request below the `DRAM_MIN_PWR` floor
+//! advertised in `MSR_DRAM_POWER_INFO` is silently raised to that floor.
 //!
 //! Layout (our design, no real part implements this):
 //!

@@ -7,8 +7,8 @@
 #                              output drifts from the pinned manifest
 #
 # The manifest pins a SHA-256 per artifact: every repro table/figure,
-# the machine-readable figure JSON, the soak fuzzer's reproducer
-# corpus, and the MSR-transcript trace fixture. `check` re-runs
+# the machine-readable figure JSON, the default-size soak report, the
+# soak fuzzer's reproducer corpus, and the MSR-transcript trace fixture. `check` re-runs
 # everything, so a code change that moves any number fails CI until the
 # author re-runs `update` and commits the new outputs — drift is always
 # a reviewed diff, never an accident.
@@ -49,6 +49,10 @@ regenerate() {
     "$CLI" soak --smoke --corpus "$out/fuzz-corpus" --out "$out/.soak-report.json" \
         > /dev/null
     rm -f "$out/.soak-report.json"
+    # The default-size soak report (40 campaigns + the self-test, no
+    # corpus): the run the benchmark times, pinned so a change to the
+    # exposure sampler cannot move a verdict or a figure unseen.
+    "$CLI" soak --workers 1 --out "$out/soak.json"
     # The MSR-transcript fixture: the deterministic fixture campaign
     # recorded through the HAL tracing backend, pinned byte-for-byte.
     # ci.sh replays this exact file through the replay backend.

@@ -273,13 +273,26 @@ fn write_string(out: &mut String, s: &str) {
 /// overflow the stack; the committed results nest at most six levels.
 pub const MAX_DEPTH: usize = 128;
 
+/// Largest document [`parse`] accepts, in bytes. This bounds the tree
+/// one parse builds, not what a caller reads: the file loaders read the
+/// whole file before handing it over. The largest committed artifact is
+/// about 85 KB.
+pub const MAX_INPUT_BYTES: usize = 16 << 20;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
 /// Returns a message with byte offset on malformed input, including
-/// nesting deeper than [`MAX_DEPTH`].
+/// nesting deeper than [`MAX_DEPTH`], and a message naming the limit on
+/// input longer than [`MAX_INPUT_BYTES`].
 pub fn parse(input: &str) -> Result<Value, crate::Error> {
+    if input.len() > MAX_INPUT_BYTES {
+        return Err(crate::Error::msg(format!(
+            "input of {} bytes exceeds the {MAX_INPUT_BYTES}-byte limit",
+            input.len()
+        )));
+    }
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
@@ -591,6 +604,16 @@ mod tests {
         let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
         assert!(parse(&objects).is_ok());
         assert!(parse(&format!("[{objects}]")).is_err());
+    }
+
+    #[test]
+    fn input_size_is_bounded() {
+        let at_limit = format!("0{}", " ".repeat(MAX_INPUT_BYTES - 1));
+        assert_eq!(at_limit.len(), MAX_INPUT_BYTES);
+        assert_eq!(parse(&at_limit).unwrap(), Value::Number(Number::U(0)));
+        let past = format!("{at_limit} ");
+        let err = parse(&past).expect_err("one byte past the limit must be refused");
+        assert!(err.to_string().contains("limit"), "{err}");
     }
 
     #[test]
