@@ -2,10 +2,11 @@
 //! run would write is deterministic, and the §5 deployment levels show
 //! the expected exposure windows.
 
-use plugvolt_bench::experiments::{deployment_levels, quick_map};
+use plugvolt_bench::experiments::{defense_matrix, deployment_levels, quick_map};
 use plugvolt_bench::scenario::Scenario;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_telemetry::{MetricKey, Sink};
+use plugvolt_telemetry::{MetricKey, Sink, TelemetryEvent, TelemetryProfile};
+use plugvolt_workloads::overhead::{run_table2_with, OverheadConfig};
 
 fn levels_profile() -> plugvolt_telemetry::TelemetryProfile {
     let model = CpuModel::CometLake;
@@ -93,4 +94,60 @@ fn traced_sweep_records_its_column_machines() {
         .characterize(model, &cfg, 2)
         .expect("sink-free sweep completes");
     assert_eq!(traced, plain, "a sink must not change the sweep");
+}
+
+/// FNV-1a over a profile's JSON with the one wall-clock field
+/// (`SlackTableBuilt::build_ns`) zeroed: a hash of the sim channel.
+fn sim_channel_hash(mut profile: TelemetryProfile) -> u64 {
+    for e in &mut profile.events {
+        if let TelemetryEvent::SlackTableBuilt { build_ns, .. } = &mut e.event {
+            *build_ns = 0;
+        }
+    }
+    profile
+        .to_json()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn table2_profile_sim_channel_is_pinned() {
+    let sink = Sink::new();
+    let cfg = OverheadConfig {
+        work_divisor: 200,
+        ..OverheadConfig::default()
+    };
+    run_table2_with(&cfg, Some(&sink)).expect("table2 completes");
+    let hash = sim_channel_hash(sink.profile("table2"));
+    assert_eq!(
+        hash, 0xd9ca_ea30_8583_f2d2,
+        "table2 profile hash {hash:#018x}"
+    );
+}
+
+#[test]
+fn levels_profile_sim_channel_is_pinned() {
+    let hash = sim_channel_hash(levels_profile());
+    assert_eq!(
+        hash, 0xe6ab_3ac3_2da3_03c3,
+        "levels profile hash {hash:#018x}"
+    );
+}
+
+#[test]
+fn defense_profile_sim_channel_is_pinned() {
+    // Unlike table2 and levels, the defense matrix boots machines that
+    // never publish (the benign-DVFS checks): their timer firings reach
+    // the sink only when they drop.
+    let model = CpuModel::CometLake;
+    let sink = Sink::new();
+    let scn = Scenario::new().with_telemetry(sink.clone());
+    defense_matrix(&scn, model, &quick_map(model), 1).expect("matrix completes");
+    let hash = sim_channel_hash(sink.profile("defense"));
+    assert_eq!(
+        hash, 0x4df6_3f16_9448_6f7c,
+        "defense profile hash {hash:#018x}"
+    );
 }

@@ -157,6 +157,9 @@ pub struct PollingModule {
     map: CharacterizationMap,
     cfg: PollConfig,
     stats: StatsHandle,
+    /// One core's observations, refilled by every `poll_core` call so a
+    /// quiet tick allocates nothing.
+    observed: Vec<(Plane, SystemState)>,
 }
 
 impl PollingModule {
@@ -170,6 +173,7 @@ impl PollingModule {
                 map,
                 cfg,
                 stats: Rc::clone(&stats),
+                observed: Vec::new(),
             },
             stats,
         )
@@ -196,10 +200,9 @@ impl PollingModule {
         table: &plugvolt_cpu::freq::FreqTable,
         offset_mv: i32,
     ) -> Option<FreqMhz> {
-        let mut freqs: Vec<FreqMhz> = table.iter().collect();
-        freqs.reverse();
-        freqs
-            .into_iter()
+        let (top, step) = (table.max().mhz(), table.step_mhz());
+        (0..table.len() as u32)
+            .map(|k| FreqMhz(top - k * step))
             .find(|&f| self.classify_guarded(f, offset_mv) == StateClass::Safe)
     }
 
@@ -214,32 +217,41 @@ impl PollingModule {
         }
     }
 
-    /// Polls one core; returns the per-plane observations it made.
-    fn poll_core(&mut self, ctx: &mut ModuleCtx<'_>, core: CoreId) -> Vec<(Plane, SystemState)> {
+    /// Polls one core, replacing `out` with the per-plane observations
+    /// it made.
+    fn poll_core(
+        &self,
+        ctx: &mut ModuleCtx<'_>,
+        core: CoreId,
+        out: &mut Vec<(Plane, SystemState)>,
+    ) {
+        out.clear();
         ctx.charge(core, self.cfg.timer_overhead);
         ctx.tracer()
             .record_span("poll/overhead", self.cfg.timer_overhead.as_picos());
         // Algorithm 3 line 4: read 0x198, locally.
         let Ok(perf) = ctx.rdmsr_local(core, Msr::IA32_PERF_STATUS) else {
-            return Vec::new();
+            return;
         };
         let freq = FreqMhz(PerfStatus::decode(perf).freq_mhz());
-        let mut out = Vec::with_capacity(self.cfg.planes.len());
+        let observe = |raw: u64| {
+            OcRequest::decode(raw).ok().map(|req| {
+                (
+                    req.plane(),
+                    SystemState {
+                        freq,
+                        offset_mv: req.offset_mv(),
+                    },
+                )
+            })
+        };
         if self.cfg.planes == [Plane::Core] {
             // Algorithm 3 line 5 verbatim: one read of the response
             // register; act on whatever plane it reflects.
             if let Ok(raw) = ctx.rdmsr_local(core, Msr::OC_MAILBOX) {
-                if let Ok(req) = OcRequest::decode(raw) {
-                    out.push((
-                        req.plane(),
-                        SystemState {
-                            freq,
-                            offset_mv: req.offset_mv(),
-                        },
-                    ));
-                }
+                out.extend(observe(raw));
             }
-            return out;
+            return;
         }
         for &plane in &self.cfg.planes {
             // Explicit read command per plane, then fetch the response.
@@ -247,20 +259,10 @@ impl PollingModule {
             if ctx.wrmsr_local(core, Msr::OC_MAILBOX, cmd).is_err() {
                 continue;
             }
-            let Ok(raw) = ctx.rdmsr_local(core, Msr::OC_MAILBOX) else {
-                continue;
-            };
-            if let Ok(req) = OcRequest::decode(raw) {
-                out.push((
-                    req.plane(),
-                    SystemState {
-                        freq,
-                        offset_mv: req.offset_mv(),
-                    },
-                ));
+            if let Ok(raw) = ctx.rdmsr_local(core, Msr::OC_MAILBOX) {
+                out.extend(observe(raw));
             }
         }
-        out
     }
 }
 
@@ -279,14 +281,14 @@ impl KernelModule for PollingModule {
         let _iteration = ctx.tracer().span("poll/iteration");
         self.stats.borrow_mut().ticks += 1;
         let cores = ctx.cpu().core_count();
-        let restore_mv = self.restore_offset_mv();
+        let mut observed = std::mem::take(&mut self.observed);
         for c in 0..cores {
             let core = CoreId(c);
             if self.cfg.skip_idle_cores && !ctx.cpu().is_core_running(core).unwrap_or(true) {
                 continue;
             }
-            let observations = self.poll_core(ctx, core);
-            for (plane, state) in observations {
+            self.poll_core(ctx, core, &mut observed);
+            for &(plane, state) in &observed {
                 self.stats.borrow_mut().observations += 1;
                 // Algorithm 3 line 6: membership in the (guard-widened)
                 // unsafe set.
@@ -337,13 +339,13 @@ impl KernelModule for PollingModule {
                 }
                 // Algorithm 3 line 7: write 0x150 to force a safe state —
                 // on the plane that was observed unsafe. A write the
-                // mailbox ignored (OCM disabled, microcode lock) restored
-                // nothing, so it is neither counted nor announced.
+                // mailbox ignored (OCM disabled, microcode lock) or that
+                // failed restored nothing: it is accounted as a failure,
+                // not as a restore.
+                let restore_mv = self.restore_offset_mv();
                 let req = OcRequest::write_offset(restore_mv, plane).encode();
-                if ctx
-                    .wrmsr_local(core, Msr::OC_MAILBOX, req)
-                    .is_ok_and(WriteOutcome::was_written)
-                {
+                let written = ctx.wrmsr_local(core, Msr::OC_MAILBOX, req);
+                if written.is_ok_and(WriteOutcome::was_written) {
                     self.stats.borrow_mut().restores += 1;
                     sink.emit(
                         ctx.now(),
@@ -367,6 +369,19 @@ impl KernelModule for PollingModule {
                             landing_us,
                         );
                     }
+                } else {
+                    sink.add(
+                        MetricKey::per_core("poll", "restore_failed", core.0 as u32),
+                        1,
+                    );
+                    sink.emit(
+                        ctx.now(),
+                        TelemetryEvent::RestoreFailed {
+                            core: core.0 as u32,
+                            restore_mv,
+                            ignored: written.is_ok(),
+                        },
+                    );
                 }
                 // Fast-path mitigation: the mailbox restore only reaches
                 // the rail after the VR command latency, but the core can
@@ -374,18 +389,31 @@ impl KernelModule for PollingModule {
                 // Eq. 1. (Only core-plane timing scales with frequency in
                 // this model, but the lookup is conservative either way.)
                 if self.cfg.frequency_fallback {
-                    let table = ctx.cpu().spec().freq_table.clone();
-                    if let Some(fallback) = self.safe_frequency_for(&table, state.offset_mv) {
+                    let table = &ctx.cpu().spec().freq_table;
+                    if let Some(fallback) = self.safe_frequency_for(table, state.offset_mv) {
                         if fallback < state.freq {
                             let raw = plugvolt_msr::perf_status::encode_perf_ctl(fallback.mhz());
                             if ctx.wrmsr_local(core, Msr::IA32_PERF_CTL, raw).is_ok() {
                                 self.stats.borrow_mut().freq_fallbacks += 1;
+                            } else {
+                                sink.add(
+                                    MetricKey::per_core("poll", "fallback_failed", core.0 as u32),
+                                    1,
+                                );
+                                sink.emit(
+                                    ctx.now(),
+                                    TelemetryEvent::FallbackFailed {
+                                        core: core.0 as u32,
+                                        freq_mhz: fallback.mhz(),
+                                    },
+                                );
                             }
                         }
                     }
                 }
             }
         }
+        self.observed = observed;
         Some(self.cfg.period)
     }
 }
@@ -395,6 +423,8 @@ mod tests {
     use super::*;
     use crate::charmap::FreqBand;
     use plugvolt_cpu::model::CpuModel;
+    use plugvolt_cpu::package::CpuPackage;
+    use plugvolt_hal::prelude::{DvfsBackend, HalError, MachineBackend, MsrBackend, SimBackend};
     use plugvolt_kernel::machine::Machine;
     use plugvolt_kernel::msr_dev::MsrDev;
 
@@ -573,6 +603,158 @@ mod tests {
         m.telemetry().with(|reg| {
             assert!(!reg.events().any(|e| e.event.kind() == "restore"));
         });
+    }
+
+    /// Restore failures per core: the event kinds and the counter.
+    fn failures(m: &Machine, kind: &str, counter: &str) -> (u64, u64) {
+        m.telemetry().with(|reg| {
+            let events = reg.events().filter(|e| e.event.kind() == kind).count() as u64;
+            let count = reg
+                .counters()
+                .filter(|(k, _)| k.component == "poll" && k.name == counter)
+                .map(|(_, v)| v)
+                .sum();
+            (events, count)
+        })
+    }
+
+    #[test]
+    fn restores_the_microcode_lock_ignores_are_failures() {
+        // A layered deployment: the poller restores to its maximal safe
+        // state (−104 mV), deeper than the microcode lock admits
+        // (−49 mV), so the lock ignores every restore write.
+        let mut m = Machine::new(CpuModel::CometLake, 33);
+        let dev = MsrDev::open(&m, CoreId(0)).expect("core 0 always exists");
+        let req = OcRequest::write_offset(-250, Plane::Core).encode();
+        dev.write(&mut m, Msr::OC_MAILBOX, req)
+            .expect("mailbox write on a live machine succeeds");
+        crate::deploy::deploy(
+            &mut m,
+            &demo_map(),
+            crate::deploy::Deployment::Microcode {
+                revision: 0xf5,
+                margin_mv: 60,
+            },
+        )
+        .expect("microcode deploys");
+        let (module, stats) = PollingModule::new(
+            demo_map(),
+            PollConfig {
+                restore: RestorePolicy::MaximalSafe { margin_mv: 5 },
+                frequency_fallback: false,
+                ..PollConfig::default()
+            },
+        );
+        m.load_module(Box::new(module)).expect("fresh machine");
+        m.advance(SimDuration::from_millis(1));
+        assert_eq!(m.cpu().core_offset_mv(), -250, "nothing was restored");
+        let s = stats.borrow();
+        assert_eq!(s.detections, 20, "5 ticks x 4 cores");
+        assert_eq!(s.restores, 0);
+        assert_eq!(
+            failures(&m, "restore-failed", "restore_failed"),
+            (s.detections, s.detections),
+            "one ignored-restore event and one count per detection"
+        );
+        m.telemetry().with(|reg| {
+            assert!(reg.events().all(|e| !matches!(
+                e.event,
+                TelemetryEvent::RestoreFailed { ignored: false, .. }
+            )));
+        });
+    }
+
+    /// A sim backend whose `IA32_PERF_CTL` writes fail, as a locked
+    /// register would.
+    struct PerfCtlLocked(SimBackend);
+
+    impl MsrBackend for PerfCtlLocked {
+        fn name(&self) -> &'static str {
+            "perf-ctl-locked"
+        }
+        fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
+            self.0.rdmsr(now, core, msr)
+        }
+        fn wrmsr(
+            &mut self,
+            now: SimTime,
+            core: CoreId,
+            msr: Msr,
+            value: u64,
+        ) -> Result<WriteOutcome, HalError> {
+            if msr == Msr::IA32_PERF_CTL {
+                return Err(HalError::ReadOnlyBackend {
+                    backend: "perf-ctl-locked",
+                    msr,
+                });
+            }
+            self.0.wrmsr(now, core, msr, value)
+        }
+    }
+
+    impl DvfsBackend for PerfCtlLocked {
+        fn core_count(&self) -> usize {
+            self.0.core_count()
+        }
+        fn current_freq(&mut self, core: CoreId) -> Result<FreqMhz, HalError> {
+            self.0.current_freq(core)
+        }
+        fn set_freq(
+            &mut self,
+            now: SimTime,
+            core: CoreId,
+            freq: FreqMhz,
+        ) -> Result<FreqMhz, HalError> {
+            self.0.set_freq(now, core, freq)
+        }
+    }
+
+    impl MachineBackend for PerfCtlLocked {
+        fn cpu(&self) -> &CpuPackage {
+            self.0.cpu()
+        }
+        fn cpu_mut(&mut self) -> &mut CpuPackage {
+            self.0.cpu_mut()
+        }
+    }
+
+    #[test]
+    fn failed_frequency_fallbacks_are_failures() {
+        let backend = PerfCtlLocked(SimBackend::new(CpuModel::CometLake, 33));
+        let mut m = Machine::with_backend(Box::new(backend), 33);
+        let (module, stats) = PollingModule::new(demo_map(), PollConfig::default());
+        m.load_module(Box::new(module)).expect("fresh machine");
+        let dev = MsrDev::open(&m, CoreId(0)).expect("core 0 always exists");
+        let req = OcRequest::write_offset(-250, Plane::Core).encode();
+        dev.write(&mut m, Msr::OC_MAILBOX, req)
+            .expect("mailbox write on a live machine succeeds");
+        m.advance(SimDuration::from_micros(250));
+        let s = stats.borrow();
+        assert!(s.detections >= 1);
+        assert_eq!(s.freq_fallbacks, 0);
+        assert_eq!(
+            failures(&m, "fallback-failed", "fallback_failed"),
+            (s.detections, s.detections),
+            "one failed-fallback event and one count per detection"
+        );
+        assert_eq!(failures(&m, "restore-failed", "restore_failed"), (0, 0));
+    }
+
+    #[test]
+    fn safe_frequency_walks_the_table_from_the_top() {
+        let (module, _stats) = PollingModule::new(demo_map(), PollConfig::default());
+        let table = CpuModel::CometLake.spec().freq_table;
+        let descending: Vec<FreqMhz> = table.iter().collect::<Vec<_>>().into_iter().rev().collect();
+        for offset_mv in [-300, -250, -200, -150, -100, 0] {
+            assert_eq!(
+                module.safe_frequency_for(&table, offset_mv),
+                descending
+                    .iter()
+                    .copied()
+                    .find(|&f| module.classify_guarded(f, offset_mv) == StateClass::Safe),
+                "offset {offset_mv} mV"
+            );
+        }
     }
 
     #[test]

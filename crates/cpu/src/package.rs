@@ -129,19 +129,18 @@ pub struct CpuPackage {
 }
 
 /// The per-core counters bumped on the simulator's hottest paths
-/// (every `rdmsr`/`wrmsr` plus the kernel's per-access cost
-/// accounting). Kept in plain `Cell`s so the access path never touches
-/// the allocating registry; [`CpuPackage::publish_hot_counters`]
-/// flushes deltas under the registered metric keys.
+/// (every `rdmsr`/`wrmsr`). Kept in plain `Cell`s so the access path
+/// never touches the allocating registry;
+/// [`CpuPackage::publish_hot_counters`] flushes deltas under the
+/// registered metric keys. The kernel's own cost accounting (stolen
+/// time, MSR access cost) lives in its `Machine`, not here.
 #[derive(Debug, Default)]
 struct CoreHotCounters {
     rdmsr: Cell<u64>,
     wrmsr: Cell<u64>,
-    access_cost_ps: Cell<u64>,
-    stolen_ps: Cell<u64>,
-    /// Snapshot of the four counters at the last flush (in field
+    /// Snapshot of the two counters at the last flush (in field
     /// order), so repeated publishes add only deltas.
-    flushed: Cell<[u64; 4]>,
+    flushed: Cell<[u64; 2]>,
 }
 
 impl fmt::Debug for CpuPackage {
@@ -339,52 +338,17 @@ impl CpuPackage {
         self.slack_stats_flushed.set((hits, fallbacks));
     }
 
-    /// Accounts the modelled cost of one kernel-context MSR access on
-    /// `core` (the kernel's `ModuleCtx` calls this; the time itself is
-    /// charged as stolen time separately).
-    pub fn note_kernel_msr_cost(&self, core: CoreId, cost_ps: u64) {
-        if let Some(c) = self.hot.get(core.0) {
-            c.access_cost_ps.set(c.access_cost_ps.get() + cost_ps);
-            return;
-        }
-        // Out-of-range cores have no batched cell: record directly.
-        self.telemetry.add(
-            MetricKey::per_core("msr", "access_cost_ps", core.0 as u32),
-            cost_ps,
-        );
-    }
-
-    /// Accounts module-stolen time on `core` (kernel `charge` calls).
-    pub fn note_stolen(&self, core: CoreId, cost_ps: u64) {
-        if let Some(c) = self.hot.get(core.0) {
-            c.stolen_ps.set(c.stolen_ps.get() + cost_ps);
-            return;
-        }
-        self.telemetry.add(
-            MetricKey::per_core("kernel", "stolen_ps", core.0 as u32),
-            cost_ps,
-        );
-    }
-
-    /// Flushes the batched per-core hot counters (`msr/rdmsr`,
-    /// `msr/wrmsr`, `msr/access_cost_ps`, `kernel/stolen_ps`) to the
-    /// telemetry sink. Idempotent: repeated calls add only the delta
-    /// since the last flush.
+    /// Flushes the batched per-core MSR instruction counters
+    /// (`msr/rdmsr`, `msr/wrmsr`) to the telemetry sink. Idempotent:
+    /// repeated calls add only the delta since the last flush.
     pub fn publish_hot_counters(&self) {
         for (i, c) in self.hot.iter().enumerate() {
             let core = i as u32;
             let keys = [
                 MetricKey::per_core("msr", "rdmsr", core),
                 MetricKey::per_core("msr", "wrmsr", core),
-                MetricKey::per_core("msr", "access_cost_ps", core),
-                MetricKey::per_core("kernel", "stolen_ps", core),
             ];
-            let cur = [
-                c.rdmsr.get(),
-                c.wrmsr.get(),
-                c.access_cost_ps.get(),
-                c.stolen_ps.get(),
-            ];
+            let cur = [c.rdmsr.get(), c.wrmsr.get()];
             let prev = c.flushed.get();
             for ((key, now), before) in keys.into_iter().zip(cur).zip(prev) {
                 if now > before {

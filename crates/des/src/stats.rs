@@ -196,6 +196,23 @@ impl Histogram {
         self.bins.iter().sum()
     }
 
+    /// Adds every bin count into `dst` and empties `self`. Counts are
+    /// integers, so draining batched observations is exact: `dst` ends
+    /// up as if it had recorded each value itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two histograms have different layouts.
+    pub fn drain_into(&mut self, dst: &mut Histogram) {
+        assert!(
+            self.lo == dst.lo && self.hi == dst.hi && self.bins.len() == dst.bins.len(),
+            "histogram layouts differ"
+        );
+        for (d, s) in dst.bins.iter_mut().zip(&mut self.bins) {
+            *d += std::mem::take(s);
+        }
+    }
+
     /// Inclusive value range covered by bin `idx`.
     ///
     /// # Panics
@@ -271,6 +288,28 @@ mod tests {
         assert_eq!(h.total(), 4);
         let (lo, hi) = h.bin_range(1);
         assert!((lo - 2.0).abs() < 1e-12 && (hi - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_drain_adds_counts_and_empties_source() {
+        let mut batch = Histogram::new(0.0, 10.0, 5);
+        let mut direct = Histogram::new(0.0, 10.0, 5);
+        let mut dst = Histogram::new(0.0, 10.0, 5);
+        dst.record(1.0);
+        direct.record(1.0);
+        for v in [0.5, 3.0, 3.5, 42.0] {
+            batch.record(v);
+            direct.record(v);
+        }
+        batch.drain_into(&mut dst);
+        assert_eq!(dst, direct);
+        assert_eq!(batch.total(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "layouts differ")]
+    fn histogram_drain_rejects_other_layouts() {
+        Histogram::new(0.0, 10.0, 5).drain_into(&mut Histogram::new(0.0, 10.0, 4));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_cpu::package::{CpuPackage, PackageError};
 use plugvolt_des::rng::SimRng;
+use plugvolt_des::stats::Histogram;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_hal::backend::{MachineBackend, MsrBackend};
 use plugvolt_hal::sim::SimBackend;
@@ -64,15 +65,36 @@ impl From<PackageError> for MachineError {
     }
 }
 
+/// The kernel's cost accounting for one core: what its modules stole
+/// from it and what their MSR accesses cost, kept on the [`Machine`]
+/// and flushed to the telemetry sink at publish.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreAccount {
+    /// Module-stolen time since boot (`kernel/stolen_ps`).
+    stolen: SimDuration,
+    /// Modelled cost of kernel-context MSR accesses since boot
+    /// (`msr/access_cost_ps`); also part of `stolen`.
+    msr_cost: SimDuration,
+    /// The microcode-flow cost of one MSR access, memoized with the
+    /// core frequency it was computed at.
+    flow_cost: Option<(FreqMhz, SimDuration)>,
+    /// `[stolen, msr_cost]` in ps at the last publish, so repeated
+    /// publishes add only deltas.
+    flushed: [u64; 2],
+}
+
 /// Context handed to a module while its timer runs.
 ///
 /// All MSR accesses through the context are **cost-accounted**: they
 /// consume time on the accessed core (IPI + microcode flow), which is
-/// how the polling countermeasure's overhead arises.
+/// how the polling countermeasure's overhead arises. An access to a
+/// core that does not exist costs nothing and is not recorded; the
+/// access itself fails with [`PackageError::NoSuchCore`].
 pub struct ModuleCtx<'a> {
     now: SimTime,
     backend: &'a mut dyn MachineBackend,
-    stolen: &'a mut [SimDuration],
+    cores: &'a mut [CoreAccount],
+    tracer: &'a Tracer,
     module_name: &'a str,
 }
 
@@ -104,10 +126,7 @@ impl ModuleCtx<'_> {
     ///
     /// Propagates [`PackageError`].
     pub fn rdmsr(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
-        let cost = self.access_cost(core);
-        self.note_access_cost(core, cost);
-        self.charge(core, cost);
-        self.record_span("msr/access", cost);
+        self.account_access(core, IPI_COST);
         self.backend
             .rdmsr(self.now, core, msr)
             .map_err(PackageError::from)
@@ -124,10 +143,7 @@ impl ModuleCtx<'_> {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
-        let cost = self.access_cost(core);
-        self.note_access_cost(core, cost);
-        self.charge(core, cost);
-        self.record_span("msr/access", cost);
+        self.account_access(core, IPI_COST);
         self.backend
             .wrmsr(self.now, core, msr, value)
             .map_err(PackageError::from)
@@ -141,10 +157,7 @@ impl ModuleCtx<'_> {
     ///
     /// Propagates [`PackageError`].
     pub fn rdmsr_local(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
-        let cost = self.local_access_cost(core);
-        self.note_access_cost(core, cost);
-        self.charge(core, cost);
-        self.record_span("msr/access", cost);
+        self.account_access(core, SimDuration::ZERO);
         self.backend
             .rdmsr(self.now, core, msr)
             .map_err(PackageError::from)
@@ -161,34 +174,41 @@ impl ModuleCtx<'_> {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
-        let cost = self.local_access_cost(core);
-        self.note_access_cost(core, cost);
-        self.charge(core, cost);
-        self.record_span("msr/access", cost);
+        self.account_access(core, SimDuration::ZERO);
         self.backend
             .wrmsr(self.now, core, msr, value)
             .map_err(PackageError::from)
     }
 
-    fn local_access_cost(&self, core: CoreId) -> SimDuration {
+    /// Charges one kernel-context MSR access on `core` — `ipi` plus the
+    /// microcode flow at the core's current frequency — as stolen time
+    /// and as MSR access cost. The flow cost is recomputed only when
+    /// the core's frequency changed since the last access, so a
+    /// `PERF_CTL` write mid-tick is costed exactly.
+    fn account_access(&mut self, core: CoreId, ipi: SimDuration) {
+        let Some(acct) = self.cores.get_mut(core.0) else {
+            return;
+        };
         let cpu = self.backend.cpu();
         let freq = cpu.core_freq(core).unwrap_or(cpu.spec().base_freq);
-        cpu.engine().msr_access_duration(freq)
-    }
-
-    /// Accounts the modelled cost of one kernel-context MSR access in
-    /// the telemetry registry (the time itself is charged separately).
-    fn note_access_cost(&self, core: CoreId, cost: SimDuration) {
-        self.backend
-            .cpu()
-            .note_kernel_msr_cost(core, cost.as_picos());
+        let flow = match acct.flow_cost {
+            Some((at, cost)) if at == freq => cost,
+            _ => {
+                let cost = cpu.engine().msr_access_duration(freq);
+                acct.flow_cost = Some((freq, cost));
+                cost
+            }
+        };
+        let cost = ipi + flow;
+        acct.msr_cost += cost;
+        acct.stolen += cost;
+        self.tracer.record_span("msr/access", cost.as_picos());
     }
 
     /// Charges pure compute time (comparisons, set lookups) to a core.
     pub fn charge(&mut self, core: CoreId, cost: SimDuration) {
-        if let Some(slot) = self.stolen.get_mut(core.0) {
-            *slot += cost;
-            self.backend.cpu().note_stolen(core, cost.as_picos());
+        if let Some(acct) = self.cores.get_mut(core.0) {
+            acct.stolen += cost;
         }
     }
 
@@ -196,23 +216,7 @@ impl ModuleCtx<'_> {
     /// modules opening their own spans (e.g. the poll loop).
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
-        self.backend.cpu().telemetry().tracer()
-    }
-
-    /// Point-records `cost` of simulated time under span `label`
-    /// (see `Tracer::record_span`); free when tracing is disabled.
-    fn record_span(&self, label: &'static str, cost: SimDuration) {
-        self.backend
-            .cpu()
-            .telemetry()
-            .tracer()
-            .record_span(label, cost.as_picos());
-    }
-
-    fn access_cost(&self, core: CoreId) -> SimDuration {
-        let cpu = self.backend.cpu();
-        let freq = cpu.core_freq(core).unwrap_or(cpu.spec().base_freq);
-        IPI_COST + cpu.engine().msr_access_duration(freq)
+        self.tracer
     }
 }
 
@@ -297,7 +301,10 @@ pub struct Machine {
     modules: Vec<ModuleSlot>,
     timers: BinaryHeap<PendingTimer>,
     timer_seq: u64,
-    stolen: Vec<SimDuration>,
+    cores: Vec<CoreAccount>,
+    /// `kernel/timer_iteration_us` observations not yet drained into
+    /// the sink (at publish, on a sink swap, and on drop).
+    timer_iterations: Histogram,
     rng: SimRng,
 }
 
@@ -336,13 +343,15 @@ impl Machine {
     #[must_use]
     pub fn with_backend(backend: Box<dyn MachineBackend>, seed: u64) -> Self {
         let cores = backend.cpu().core_count();
+        let spec = HistogramSpec::POLL_ITERATION_US;
         Machine {
             now: SimTime::ZERO,
             backend,
             modules: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            stolen: vec![SimDuration::ZERO; cores],
+            cores: vec![CoreAccount::default(); cores],
+            timer_iterations: Histogram::new(spec.lo, spec.hi, spec.bins),
             rng: SimRng::from_seed_label(seed, "machine"),
         }
     }
@@ -428,17 +437,47 @@ impl Machine {
     /// fresh instances an experiment boots per measurement) record into
     /// one registry.
     pub fn set_telemetry(&mut self, sink: Sink) {
+        // Firings so far belong to the sink they happened under.
+        self.drain_timer_iterations();
         self.backend.cpu_mut().set_telemetry(sink);
     }
 
-    /// Folds the slack-table hit/fallback counters and the batched
-    /// per-core hot counters into the telemetry registry. Call once per
-    /// machine, after its run completes (extra calls only add deltas).
-    pub fn publish_telemetry(&self) {
+    /// Folds the slack-table hit/fallback counters, the package's
+    /// batched MSR counters and the kernel's per-core accounting
+    /// (`kernel/stolen_ps`, `msr/access_cost_ps`,
+    /// `kernel/timer_iteration_us`) into the telemetry registry. Call
+    /// once per machine, after its run completes (extra calls only add
+    /// deltas). Timer iterations are also drained when the machine is
+    /// dropped, so a machine that never publishes still records them.
+    pub fn publish_telemetry(&mut self) {
         let cpu = self.backend.cpu();
-        cpu.telemetry().tracer().record_span("telemetry/flush", 0);
+        let sink = cpu.telemetry();
+        sink.tracer().record_span("telemetry/flush", 0);
         cpu.publish_slack_table_stats();
         cpu.publish_hot_counters();
+        for (i, acct) in self.cores.iter_mut().enumerate() {
+            let core = i as u32;
+            let keys = [
+                MetricKey::per_core("kernel", "stolen_ps", core),
+                MetricKey::per_core("msr", "access_cost_ps", core),
+            ];
+            let cur = [acct.stolen.as_picos(), acct.msr_cost.as_picos()];
+            for ((key, now), before) in keys.into_iter().zip(cur).zip(acct.flushed) {
+                if now > before {
+                    sink.add(key, now - before);
+                }
+            }
+            acct.flushed = cur;
+        }
+        self.drain_timer_iterations();
+    }
+
+    fn drain_timer_iterations(&mut self) {
+        self.backend.cpu().telemetry().drain_histogram(
+            MetricKey::global("kernel", "timer_iteration_us"),
+            HistogramSpec::POLL_ITERATION_US,
+            &mut self.timer_iterations,
+        );
     }
 
     /// Attaches (or detaches, with `None`) a precomputed slack table on
@@ -458,10 +497,13 @@ impl Machine {
     /// Cumulative module-stolen time per core since boot.
     #[must_use]
     pub fn stolen_time(&self, core: CoreId) -> SimDuration {
-        self.stolen
+        self.cores
             .get(core.0)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+            .map_or(SimDuration::ZERO, |acct| acct.stolen)
+    }
+
+    fn total_stolen(&self) -> SimDuration {
+        self.cores.iter().map(|acct| acct.stolen).sum()
     }
 
     /// Names of loaded modules (what the SGX attestation report lists).
@@ -494,8 +536,9 @@ impl Machine {
             name,
             live: true,
         });
-        if let Some(delay) = self.with_module(idx, |m, ctx| m.init(ctx)) {
-            self.arm_timer(idx, delay);
+        let tracer = self.telemetry().tracer().clone();
+        if let Some(delay) = self.with_module(idx, &tracer, |m, ctx| m.init(ctx)) {
+            self.arm_timer(idx, delay, &tracer);
         }
         Ok(())
     }
@@ -513,21 +556,18 @@ impl Machine {
             .iter()
             .position(|s| s.live && s.name == name)
             .ok_or_else(|| MachineError::ModuleNotLoaded(name.to_owned()))?;
-        self.with_module(idx, |m, ctx| {
+        let tracer = self.telemetry().tracer().clone();
+        self.with_module(idx, &tracer, |m, ctx| {
             m.exit(ctx);
         });
         self.modules[idx].live = false;
         Ok(())
     }
 
-    fn arm_timer(&mut self, module_idx: usize, delay: SimDuration) {
+    fn arm_timer(&mut self, module_idx: usize, delay: SimDuration, tracer: &Tracer) {
         // Queue churn is attributed, not costed: scheduling a kernel
         // timer is free on the sim clock.
-        self.backend
-            .cpu()
-            .telemetry()
-            .tracer()
-            .record_span("queue/schedule", 0);
+        tracer.record_span("queue/schedule", 0);
         let seq = self.timer_seq;
         self.timer_seq += 1;
         self.timers.push(PendingTimer {
@@ -540,13 +580,15 @@ impl Machine {
     fn with_module<R>(
         &mut self,
         idx: usize,
+        tracer: &Tracer,
         f: impl FnOnce(&mut Box<dyn KernelModule>, &mut ModuleCtx<'_>) -> R,
     ) -> R {
         let mut module = self.modules[idx].module.take().expect("module re-entered");
         let mut ctx = ModuleCtx {
             now: self.now,
             backend: self.backend.as_mut(),
-            stolen: &mut self.stolen,
+            cores: &mut self.cores,
+            tracer,
             module_name: &self.modules[idx].name,
         };
         let r = f(&mut module, &mut ctx);
@@ -578,18 +620,16 @@ impl Machine {
             self.now = timer.at;
             tracer.set_sim_now(self.now);
             let span = tracer.span("kernel/timer");
-            let steal_before: SimDuration = self.stolen.iter().copied().sum();
-            if let Some(next) = self.with_module(timer.module_idx, |m, ctx| m.on_timer(ctx)) {
-                self.arm_timer(timer.module_idx, next);
+            let steal_before = self.total_stolen();
+            if let Some(next) =
+                self.with_module(timer.module_idx, &tracer, |m, ctx| m.on_timer(ctx))
+            {
+                self.arm_timer(timer.module_idx, next, &tracer);
             }
             drop(span);
-            let steal_after: SimDuration = self.stolen.iter().copied().sum();
-            let iteration = steal_after.saturating_sub(steal_before);
-            self.backend.cpu().telemetry().observe(
-                MetricKey::global("kernel", "timer_iteration_us"),
-                HistogramSpec::POLL_ITERATION_US,
-                iteration.as_picos() as f64 / 1e6,
-            );
+            let iteration = self.total_stolen().saturating_sub(steal_before);
+            self.timer_iterations
+                .record(iteration.as_picos() as f64 / 1e6);
         }
         if horizon > self.now {
             self.now = horizon;
@@ -634,8 +674,14 @@ impl Machine {
                 .batch_duration(class, done, freq);
             let target = started + work_time + accrued;
             if target > self.now {
+                let fires = self.next_timer_at().is_some_and(|t| t <= target);
                 self.advance_to(target);
-                continue; // re-evaluate: the catch-up may have fired timers
+                if fires {
+                    continue; // re-evaluate: the catch-up fired timers
+                }
+                // A quiet catch-up changed nothing but the clock, which
+                // now sits on the target: re-evaluating would give the
+                // same frequency and target again.
             }
             if remaining == 0 {
                 break;
@@ -676,6 +722,17 @@ impl Machine {
             wall: self.now.saturating_duration_since(started),
             stolen,
         })
+    }
+}
+
+impl Drop for Machine {
+    fn drop(&mut self) {
+        // Many experiment machines never publish; their timer firings
+        // still belong in the sink. Not while unwinding: the sink may be
+        // borrowed by the frame that panicked, and a second panic aborts.
+        if !std::thread::panicking() {
+            self.drain_timer_iterations();
+        }
     }
 }
 
@@ -830,6 +887,140 @@ mod tests {
             diff < SimDuration::from_micros(50),
             "compute={compute} pure={pure}"
         );
+    }
+
+    /// Charges `cost` and reads `PERF_STATUS` locally on every core, plus
+    /// one remote read of core 0 and one of `extra_core`, per tick.
+    struct MsrTickModule {
+        cost: SimDuration,
+        extra_core: CoreId,
+        firings: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl KernelModule for MsrTickModule {
+        fn name(&self) -> &str {
+            "msr-tick"
+        }
+        fn init(&mut self, _ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
+            Some(SimDuration::from_millis(1))
+        }
+        fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
+            self.firings.set(self.firings.get() + 1);
+            for c in 0..ctx.cpu().core_count() {
+                ctx.charge(CoreId(c), self.cost);
+                ctx.rdmsr_local(CoreId(c), Msr::IA32_PERF_STATUS)
+                    .expect("core exists");
+            }
+            ctx.rdmsr(CoreId(0), Msr::IA32_PERF_STATUS)
+                .expect("core 0 exists");
+            let _ = ctx.rdmsr(self.extra_core, Msr::IA32_PERF_STATUS);
+            Some(SimDuration::from_millis(1))
+        }
+    }
+
+    fn msr_tick_machine(extra_core: CoreId) -> (Machine, Sink, std::rc::Rc<std::cell::Cell<u64>>) {
+        let sink = Sink::new();
+        let mut m = machine();
+        m.set_telemetry(sink.clone());
+        let firings = std::rc::Rc::default();
+        m.load_module(Box::new(MsrTickModule {
+            cost: SimDuration::from_micros(2),
+            extra_core,
+            firings: std::rc::Rc::clone(&firings),
+        }))
+        .unwrap();
+        (m, sink, firings)
+    }
+
+    #[test]
+    fn publish_and_drop_flush_the_kernel_accounting() {
+        let (mut m, sink, firings) = msr_tick_machine(CoreId(1));
+        let cores = m.cpu().core_count();
+        let flow = m
+            .cpu()
+            .engine()
+            .msr_access_duration(m.cpu().core_freq(CoreId(0)).unwrap());
+        m.advance(SimDuration::from_millis(3));
+        m.publish_telemetry();
+        m.advance(SimDuration::from_millis(2));
+        m.publish_telemetry();
+        let published = firings.get();
+        let stolen: Vec<SimDuration> = (0..cores).map(|c| m.stolen_time(CoreId(c))).collect();
+        // Firings after the last publish reach the sink when the
+        // machine drops; the counters stay at their published values.
+        m.advance(SimDuration::from_millis(4));
+        let total = firings.get();
+        drop(m);
+        assert_eq!((published, total), (5, 9));
+        let remote = IPI_COST + flow;
+        let per_tick_cost = |c: usize| match c {
+            0 | 1 => flow + remote,
+            _ => flow,
+        };
+        let mut iteration = SimDuration::ZERO;
+        sink.with(|reg| {
+            for (c, stolen) in stolen.iter().enumerate() {
+                let core = c as u32;
+                let cost = per_tick_cost(c) * published;
+                assert_eq!(
+                    reg.counter(&MetricKey::per_core("kernel", "stolen_ps", core)),
+                    stolen.as_picos()
+                );
+                assert_eq!(*stolen, cost + SimDuration::from_micros(2) * published);
+                assert_eq!(
+                    reg.counter(&MetricKey::per_core("msr", "access_cost_ps", core)),
+                    cost.as_picos()
+                );
+                iteration += per_tick_cost(c) + SimDuration::from_micros(2);
+            }
+            let spec = HistogramSpec::POLL_ITERATION_US;
+            let mut expect = Histogram::new(spec.lo, spec.hi, spec.bins);
+            for _ in 0..total {
+                expect.record(iteration.as_picos() as f64 / 1e6);
+            }
+            assert_eq!(
+                reg.histogram(&MetricKey::global("kernel", "timer_iteration_us")),
+                Some(&expect)
+            );
+        });
+    }
+
+    #[test]
+    fn firings_stay_with_the_sink_they_happened_under() {
+        let (mut m, first, _firings) = msr_tick_machine(CoreId(1));
+        m.advance(SimDuration::from_millis(3));
+        let second = Sink::new();
+        m.set_telemetry(second.clone());
+        m.advance(SimDuration::from_millis(2));
+        drop(m);
+        let firings = |sink: &Sink| {
+            sink.with(|reg| {
+                reg.histogram(&MetricKey::global("kernel", "timer_iteration_us"))
+                    .map_or(0, Histogram::total)
+            })
+        };
+        assert_eq!((firings(&first), firings(&second)), (3, 2));
+    }
+
+    #[test]
+    fn access_to_a_missing_core_is_neither_costed_nor_recorded() {
+        let (mut m, sink, _firings) = msr_tick_machine(CoreId(99));
+        m.advance(SimDuration::from_millis(3));
+        let stolen: Vec<SimDuration> = (0..4).map(|c| m.stolen_time(CoreId(c))).collect();
+        m.publish_telemetry();
+        sink.with(|reg| {
+            assert!(
+                reg.counters().all(|(k, _)| k.core.is_none_or(|c| c < 4)),
+                "no metric for a core the package does not have"
+            );
+            let total: u64 = reg
+                .counters()
+                .filter(|(k, _)| k.component == "kernel" && k.name == "stolen_ps")
+                .map(|(_, v)| v)
+                .sum();
+            let expect: SimDuration = stolen.iter().copied().sum();
+            assert_eq!(total, expect.as_picos());
+        });
     }
 
     #[test]

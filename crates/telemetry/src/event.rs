@@ -18,7 +18,8 @@ use std::fmt;
 /// (`MsrRead`/`MsrWrite`), the overclocking mailbox (`OcMailbox`), the
 /// voltage regulators (`VrSlew`), DVFS (`PState`), the fault engine
 /// (`Fault`/`Crash`), and the polling countermeasure
-/// (`Detection`/`Restore`).
+/// (`Detection`/`Restore`, and its own failures `RestoreFailed`/
+/// `FallbackFailed`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TelemetryEvent {
     /// A model-specific register was read.
@@ -97,6 +98,25 @@ pub enum TelemetryEvent {
         /// Offset written back, in millivolts.
         restore_mv: i32,
     },
+    /// The countermeasure's restore write restored nothing.
+    RestoreFailed {
+        /// Logical core whose restore failed.
+        core: u32,
+        /// Offset the write asked for, in millivolts.
+        restore_mv: i32,
+        /// `true` when the write went through but was ignored (OCM
+        /// disabled, a microcode lock, the clamp); `false` when the
+        /// write itself returned an error.
+        ignored: bool,
+    },
+    /// The countermeasure's frequency-fallback write (`IA32_PERF_CTL`)
+    /// returned an error, leaving the core at the unsafe frequency.
+    FallbackFailed {
+        /// Logical core whose fallback failed.
+        core: u32,
+        /// Frequency the write asked for, in MHz.
+        freq_mhz: u32,
+    },
     /// A soak-fuzzer campaign began its differential run.
     SoakCampaign {
         /// Campaign index within the soak run.
@@ -144,6 +164,8 @@ impl TelemetryEvent {
             TelemetryEvent::Crash { .. } => "crash",
             TelemetryEvent::Detection { .. } => "detection",
             TelemetryEvent::Restore { .. } => "restore",
+            TelemetryEvent::RestoreFailed { .. } => "restore-failed",
+            TelemetryEvent::FallbackFailed { .. } => "fallback-failed",
             TelemetryEvent::SoakCampaign { .. } => "soak-campaign",
             TelemetryEvent::SoakOracle { .. } => "soak-oracle",
             TelemetryEvent::SlackTableBuilt { .. } => "slack-table-built",
@@ -193,6 +215,18 @@ impl fmt::Display for TelemetryEvent {
             ),
             TelemetryEvent::Restore { core, restore_mv } => {
                 write!(f, "restore core{core} -> {restore_mv} mV")
+            }
+            TelemetryEvent::RestoreFailed {
+                core,
+                restore_mv,
+                ignored,
+            } => write!(
+                f,
+                "restore-failed core{core} -> {restore_mv} mV ({})",
+                if *ignored { "ignored" } else { "error" }
+            ),
+            TelemetryEvent::FallbackFailed { core, freq_mhz } => {
+                write!(f, "fallback-failed core{core} -> {freq_mhz} MHz")
             }
             TelemetryEvent::SoakCampaign {
                 campaign,

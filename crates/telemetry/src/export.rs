@@ -49,6 +49,8 @@ pub fn events_to_vcd(events: &[TimedEvent]) -> String {
             }
             TelemetryEvent::MsrRead { .. }
             | TelemetryEvent::MsrWrite { .. }
+            | TelemetryEvent::RestoreFailed { .. }
+            | TelemetryEvent::FallbackFailed { .. }
             | TelemetryEvent::SoakCampaign { .. }
             | TelemetryEvent::SoakOracle { ok: true, .. }
             | TelemetryEvent::SlackTableBuilt { .. } => {}

@@ -102,7 +102,7 @@ pub const REGISTERED_KEYS: &[KeyDecl] = &[
         "timer_iteration_us",
         KeyKind::Histogram,
         KeyScope::Global,
-        "wall time of one countermeasure timer iteration, per firing",
+        "simulated core time one module timer firing steals, summed over cores",
     ),
     key(
         "msr",
@@ -138,6 +138,20 @@ pub const REGISTERED_KEYS: &[KeyDecl] = &[
         KeyKind::Histogram,
         KeyScope::Both,
         "undervolt onset to countermeasure detection, the exposure-window opening edge",
+    ),
+    key(
+        "poll",
+        "fallback_failed",
+        KeyKind::Counter,
+        KeyScope::PerCore,
+        "frequency-fallback (IA32_PERF_CTL) writes of the poller that returned an error",
+    ),
+    key(
+        "poll",
+        "restore_failed",
+        KeyKind::Counter,
+        KeyScope::PerCore,
+        "poller restore writes that were ignored or returned an error",
     ),
     key(
         "poll",

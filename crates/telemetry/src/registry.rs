@@ -183,6 +183,24 @@ impl Registry {
             .record(value);
     }
 
+    /// Moves the counts batched in `batch` into the histogram at `key`
+    /// (created with `spec` on first use) and empties `batch`. An empty
+    /// batch creates nothing, exactly as if no value had been observed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch`'s layout differs from the registered one.
+    pub fn drain_histogram(&mut self, key: MetricKey, spec: HistogramSpec, batch: &mut Histogram) {
+        if batch.total() == 0 {
+            return;
+        }
+        batch.drain_into(
+            self.histograms
+                .entry(key)
+                .or_insert_with(|| Histogram::new(spec.lo, spec.hi, spec.bins)),
+        );
+    }
+
     /// Records `value` into the streaming summary at `key`.
     pub fn record_summary(&mut self, key: MetricKey, value: f64) {
         // `Summary::new()`, not `::default()`: the latter zeroes the
@@ -342,6 +360,12 @@ impl Sink {
         self.inner.borrow_mut().observe(key, spec, value);
     }
 
+    /// Moves a batched histogram into the one at `key` (see
+    /// [`Registry::drain_histogram`]).
+    pub fn drain_histogram(&self, key: MetricKey, spec: HistogramSpec, batch: &mut Histogram) {
+        self.inner.borrow_mut().drain_histogram(key, spec, batch);
+    }
+
     /// Records `value` into the streaming summary at `key`.
     pub fn record_summary(&self, key: MetricKey, value: f64) {
         self.inner.borrow_mut().record_summary(key, value);
@@ -431,6 +455,26 @@ mod tests {
         assert_eq!(h.bins().len(), 20);
         // The out-of-range observation clamps into the last bin.
         assert_eq!(h.bins()[19], 1);
+    }
+
+    #[test]
+    fn drained_batch_equals_direct_observations() {
+        let key = MetricKey::global("kernel", "timer_iteration_us");
+        let spec = HistogramSpec::POLL_ITERATION_US;
+        let (mut direct, mut batched) = (Registry::new(), Registry::new());
+        let mut batch = Histogram::new(spec.lo, spec.hi, spec.bins);
+        batched.drain_histogram(key.clone(), spec, &mut batch);
+        assert!(
+            batched.histogram(&key).is_none(),
+            "empty batch creates no row"
+        );
+        for v in [0.4, 0.4, 3.2, 25.0] {
+            direct.observe(key.clone(), spec, v);
+            batch.record(v);
+        }
+        batched.drain_histogram(key.clone(), spec, &mut batch);
+        batched.drain_histogram(key.clone(), spec, &mut batch);
+        assert_eq!(batched.histogram(&key), direct.histogram(&key));
     }
 
     #[test]

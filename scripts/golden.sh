@@ -12,6 +12,9 @@
 # everything, so a code change that moves any number fails CI until the
 # author re-runs `update` and commits the new outputs — drift is always
 # a reviewed diff, never an accident.
+#
+# Both modes print each artifact's regeneration wall time in ms to
+# stderr; the outputs themselves are unaffected.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,37 +30,58 @@ sha() {
     fi
 }
 
+# Milliseconds since the epoch (bash 5's EPOCHREALTIME, else date).
+now_ms() {
+    if [ -n "${EPOCHREALTIME:-}" ]; then
+        local t=${EPOCHREALTIME/[.,]/}
+        echo $((t / 1000))
+    else
+        echo $(($(date +%s%N) / 1000000))
+    fi
+}
+
+# Runs "$@" (its stdout is the caller's) and prints the wall time of
+# the artifact named $1 to stderr, so the CI log carries the end-to-end
+# cost of every experiment the manifest pins.
+timed() {
+    local name="$1" t0
+    shift
+    t0=$(now_ms)
+    "$@"
+    printf 'golden: %-28s %6d ms\n' "$name" "$(($(now_ms) - t0))" >&2
+}
+
 # Regenerates every golden artifact into the directory given as $1
 # (results layout: <dir>/*.txt, <dir>/*.json, <dir>/fuzz-corpus/*.json).
 regenerate() {
     local out="$1"
     mkdir -p "$out"
-    "$REPRO" table1 > "$out/table1.txt"
-    "$REPRO" fig1 > "$out/fig1.txt"
+    timed table1.txt "$REPRO" table1 > "$out/table1.txt"
+    timed fig1.txt "$REPRO" fig1 > "$out/fig1.txt"
     local fig
     for fig in fig2 fig3 fig4; do
-        "$REPRO" --full "$fig" > "$out/$fig.txt"
-        "$REPRO" --full --json "$fig" > "$out/$fig.json"
+        timed "$fig.txt" "$REPRO" --full "$fig" > "$out/$fig.txt"
+        timed "$fig.json" "$REPRO" --full --json "$fig" > "$out/$fig.json"
     done
-    "$REPRO" --full table2 > "$out/table2.txt"
+    timed table2.txt "$REPRO" --full table2 > "$out/table2.txt"
     local name
     for name in defense levels stepping interval planes energy units attest; do
-        "$REPRO" "$name" > "$out/$name.txt"
+        timed "$name.txt" "$REPRO" "$name" > "$out/$name.txt"
     done
     # The soak self-test writes its weakened-poller reproducer into the
     # corpus; replaying the committed corpus is part of the smoke gate.
-    "$CLI" soak --smoke --corpus "$out/fuzz-corpus" --out "$out/.soak-report.json" \
-        > /dev/null
+    timed fuzz-corpus "$CLI" soak --smoke --corpus "$out/fuzz-corpus" \
+        --out "$out/.soak-report.json" > /dev/null
     rm -f "$out/.soak-report.json"
     # The default-size soak report (40 campaigns + the self-test, no
     # corpus): the run the benchmark times, pinned so a change to the
     # exposure sampler cannot move a verdict or a figure unseen.
-    "$CLI" soak --workers 1 --out "$out/soak.json"
+    timed soak.json "$CLI" soak --workers 1 --out "$out/soak.json"
     # The MSR-transcript fixture: the deterministic fixture campaign
     # recorded through the HAL tracing backend, pinned byte-for-byte.
     # ci.sh replays this exact file through the replay backend.
     mkdir -p "$out/traces"
-    "$CLI" soak --record "$out/traces/fixture.trace.jsonl"
+    timed traces/fixture.trace.jsonl "$CLI" soak --record "$out/traces/fixture.trace.jsonl"
 }
 
 # Emits "sha256  relative-path" lines for every artifact under $1,
