@@ -296,8 +296,8 @@ impl CpuPackage {
     pub fn set_telemetry(&mut self, sink: Sink) {
         self.telemetry = sink;
         if let Some(table) = self.engine.slack_table() {
-            // The table predates the sink (built at boot), so the event
-            // lands at t=0. `build_ns` is wall-clock telemetry only.
+            // The table predates the sink (laid out at boot), so the
+            // event lands at t=0. `build_ns` is wall-clock telemetry only.
             self.telemetry.emit(
                 SimTime::ZERO,
                 TelemetryEvent::SlackTableBuilt {

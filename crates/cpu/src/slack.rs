@@ -13,20 +13,24 @@
 //! (1/1.024 mV granularity, see `OcRequest`), on both the core and the
 //! cache nominal curves.
 //!
-//! [`SlackTable`] evaluates that grid once per process per model and
-//! memoizes the result, turning the batch hot path into one indexed load
-//! from a dense array. **The table is a cache, never a semantic change**:
-//! every stored value is produced by the *same* helpers the analytic
-//! path goes through, keyed by the exact bit pattern of the voltage, so
-//! a hit returns bit-identical slack/probability values and consumes the
-//! RNG stream identically. Off-grid queries (mid-slew rails, unit-varied
-//! specs, cross-frequency demand) miss the table and fall back to the
-//! analytic path — correctness never depends on a hit.
+//! [`SlackTable`] lays that grid out once per process per model and
+//! evaluates each `(frequency, plane)` row of it the first time a lookup
+//! hits it, turning the batch hot path into one indexed load from a
+//! dense row. Most processes read a small part of the grid (a Table 2
+//! run at one frequency touches 2 of Comet Lake's 92 rows), so nothing
+//! is computed before it is read. **The table is a cache, never a
+//! semantic change**: every stored value is produced by the *same*
+//! helpers the analytic path goes through, keyed by the exact bit
+//! pattern of the voltage, so a hit returns bit-identical
+//! slack/probability values and consumes the RNG stream identically.
+//! Off-grid queries (mid-slew rails, unit-varied specs, cross-frequency
+//! demand) miss the table and fall back to the analytic path —
+//! correctness never depends on a hit.
 //!
 //! Of the eight slacks a grid point stores (five instruction classes,
 //! three imul operand classes), every one is a path through the same
 //! multiplier at the same voltage, and only two values in them depend on
-//! the voltage: the clock-to-Q and per-gate stage delays. The build
+//! the voltage: the clock-to-Q and per-gate stage delays. A row build
 //! evaluates those once per point (`MultiplierUnit::stage_delays`, two
 //! `powf`) and the two paths the classes interpolate between once,
 //! instead of re-running the alpha-power model per slack (26 `powf`).
@@ -35,6 +39,7 @@ use crate::exec::{ExecutionEngine, InstrClass};
 use crate::freq::FreqMhz;
 use crate::model::{CpuModel, CpuSpec};
 use plugvolt_circuit::delay::{Millivolts, Picoseconds};
+use plugvolt_circuit::fault::FaultModel;
 use plugvolt_circuit::multiplier::MultiplierUnit;
 use plugvolt_circuit::timing::{TimingBudget, TimingState};
 use std::collections::BTreeMap;
@@ -89,17 +94,21 @@ pub fn class_index(class: InstrClass) -> usize {
 
 /// The precomputed slack table for one CPU model's base spec.
 ///
-/// Storage is a dense direct-indexed array, not a hash map: the grid is
-/// a perfect cartesian product (table frequency × plane × offset step),
+/// Storage is dense and direct-indexed, not a hash map: the grid is a
+/// perfect cartesian product (table frequency × plane × offset step),
 /// so a lookup is a binary search over the (tiny, sorted) frequency list
 /// followed by *deriving* the offset-unit index back from the voltage
-/// and one array load. Each slot carries the exact bit pattern of the
-/// voltage it was built for; a lookup only hits when the query voltage
-/// matches those bits, which guarantees the cached values equal what
-/// the analytic path would compute for that voltage, however the rail
-/// arrived there. The hash-map probe this replaces cost as much as the
-/// analytic math it was saving (SipHash over 12-byte keys, ~70 ns); the
-/// indexed load is a few nanoseconds.
+/// and one array load. A lookup only hits when the query voltage has the
+/// exact bits of the grid voltage at that index, which guarantees the
+/// cached values equal what the analytic path would compute for that
+/// voltage, however the rail arrived there. The hash-map probe this
+/// replaces cost as much as the analytic math it was saving (SipHash
+/// over 12-byte keys, ~70 ns); the indexed load is a few nanoseconds.
+///
+/// Each `(frequency, plane)` row of 513 offset steps is built on the
+/// first hit that lands in it and kept for the life of the table; a run
+/// at one frequency builds two rows, not the whole grid. Concurrent
+/// first touches of a row build it once.
 #[derive(Debug)]
 pub struct SlackTable {
     /// Sorted table frequencies, in MHz.
@@ -108,59 +117,89 @@ pub struct SlackTable {
     /// curve value), indexed `freq_idx * PLANES + plane`. Used to
     /// derive the offset-unit index from a query voltage.
     bases: Vec<f64>,
-    /// Exact voltage bits per slot, for hit verification.
-    v_bits: Vec<u64>,
-    /// Cached grid values, parallel to `v_bits`.
-    entries: Vec<GridEntry>,
+    /// The analytic engine's inputs, from which a row is built.
+    mul: MultiplierUnit,
+    fault_model: FaultModel,
+    t_setup_ps: f64,
+    t_eps_ps: f64,
+    /// Cached grid values, one row of `OFFSET_SPAN` entries per
+    /// `(frequency, plane)`, parallel to `bases`; empty until first hit.
+    rows: Box<[OnceLock<Box<[GridEntry]>>]>,
     build_ns: u64,
 }
 
+/// The grid voltage `units` mailbox steps from the nominal `base`: the
+/// same expression as `CpuPackage::retarget_rail`, reproduced
+/// term-for-term so the bits match. The offset units (an i16 widened to
+/// f64 there, any integral f64 here: a rounded `-0.0` adds nothing
+/// either) are scaled by 1000/1024 mV per unit and added to the nominal
+/// curve.
+fn grid_voltage(base: Millivolts, units: f64) -> Millivolts {
+    base + units * 1000.0 / 1024.0
+}
+
 impl SlackTable {
-    /// Evaluates the full grid for `spec`.
+    /// Lays out the grid for `spec` without evaluating any of it.
     ///
     /// The grid is every table frequency × every mailbox offset step in
     /// `[MIN_OFFSET_UNITS, 0]`, applied to both the core and the cache
-    /// nominal curves — the exact voltage expressions the regulator
-    /// targets in `retarget_rail`, reproduced term-for-term so the slot
-    /// bits match.
+    /// nominal curves — the exact voltages the regulator targets in
+    /// `retarget_rail`. Rows are evaluated on first hit (see
+    /// [`SlackTable::entry`]).
     #[must_use]
     pub fn build(spec: &CpuSpec) -> Self {
         let start = std::time::Instant::now(); // plugvolt-lint: allow(no-wall-clock)
-        let engine = ExecutionEngine::new(
-            spec.multiplier(),
-            spec.fault_model(),
-            spec.t_setup_ps,
-            spec.t_eps_ps,
-        );
         let freqs: Vec<u32> = spec.freq_table.iter().map(FreqMhz::mhz).collect();
         debug_assert!(freqs.windows(2).all(|w| w[0] < w[1]));
-        let mut bases = Vec::with_capacity(freqs.len() * PLANES);
-        let mut v_bits = Vec::with_capacity(freqs.len() * PLANES * OFFSET_SPAN);
-        let mut entries = Vec::with_capacity(freqs.len() * PLANES * OFFSET_SPAN);
-        for f in spec.freq_table.iter() {
-            let budget = engine.budget(f);
-            bases.push(spec.nominal_voltage_mv(f));
-            bases.push(spec.nominal_cache_voltage_mv(f));
-            for plane in 0..PLANES {
-                let base = bases[bases.len() - PLANES + plane];
-                for units in MIN_OFFSET_UNITS..=0 {
-                    // Same expression as CpuPackage::retarget_rail: the
-                    // offset units are an i16 widened to f64, scaled by
-                    // 1000/1024 mV per unit, added to the nominal curve.
-                    let v_mv = base + f64::from(units) * 1000.0 / 1024.0;
-                    v_bits.push(v_mv.to_bits());
-                    entries.push(Self::grid_entry(&engine, &budget, v_mv));
-                }
-            }
-        }
+        let bases: Vec<f64> = spec
+            .freq_table
+            .iter()
+            .flat_map(|f| [spec.nominal_voltage_mv(f), spec.nominal_cache_voltage_mv(f)])
+            .collect();
+        let rows = bases.iter().map(|_| OnceLock::new()).collect();
+        let mul = spec.multiplier();
         let build_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         SlackTable {
             freqs,
             bases,
-            v_bits,
-            entries,
+            mul,
+            fault_model: spec.fault_model(),
+            t_setup_ps: spec.t_setup_ps,
+            t_eps_ps: spec.t_eps_ps,
+            rows,
             build_ns,
         }
+    }
+
+    /// The `(frequency, plane)` row `row`, evaluated on first use.
+    #[inline]
+    fn row(&self, row: usize) -> &[GridEntry] {
+        match self.rows[row].get() {
+            Some(entries) => entries,
+            None => self.build_row(row),
+        }
+    }
+
+    /// Evaluates row `row` once; a concurrent caller waits for it. Kept
+    /// out of line so the lookup stays small where it is inlined.
+    #[cold]
+    #[inline(never)]
+    fn build_row(&self, row: usize) -> &[GridEntry] {
+        self.rows[row].get_or_init(|| {
+            let engine = ExecutionEngine::new(
+                self.mul.clone(),
+                self.fault_model,
+                self.t_setup_ps,
+                self.t_eps_ps,
+            );
+            let budget = engine.budget(FreqMhz(self.freqs[row / PLANES]));
+            let base = self.bases[row];
+            (MIN_OFFSET_UNITS..=0)
+                .map(|units| {
+                    Self::grid_entry(&engine, &budget, grid_voltage(base, f64::from(units)))
+                })
+                .collect()
+        })
     }
 
     /// Computes one grid point *via the engine's own analytic helpers*,
@@ -190,49 +229,58 @@ impl SlackTable {
     ///
     /// The offset-unit index is derived arithmetically from the query
     /// voltage (`units ≈ (v − nominal) · 1024/1000`, rounded), then the
-    /// slot's stored voltage bits are compared against the query bits.
+    /// grid voltage at that index is compared against the query bits.
     /// Rounding error in the derivation can only ever land on the
-    /// *adjacent* slot, whose stored bits then differ — so a wrong
-    /// index degrades to a miss (analytic fallback), never a wrong hit.
+    /// *adjacent* step, whose grid bits then differ — so a wrong index
+    /// degrades to a miss (analytic fallback), never a wrong hit. Only a
+    /// hit touches the row, so a miss never builds one.
     #[inline]
     #[must_use]
     pub fn entry(&self, f: FreqMhz, v_mv: Millivolts) -> Option<&GridEntry> {
         let fi = self.freqs.binary_search(&f.mhz()).ok()?;
         let bits = v_mv.to_bits();
         for plane in 0..PLANES {
-            let units = (v_mv - self.bases[fi * PLANES + plane]) * 1024.0 / 1000.0;
-            let units = units.round();
+            let row = fi * PLANES + plane;
+            let base = self.bases[row];
+            let units = ((v_mv - base) * 1024.0 / 1000.0).round();
             if units < f64::from(MIN_OFFSET_UNITS) || units > 0.0 {
                 continue;
             }
-            #[allow(clippy::cast_possible_truncation)]
-            let step = (units as i32 - i32::from(MIN_OFFSET_UNITS)) as usize;
-            let slot = (fi * PLANES + plane) * OFFSET_SPAN + step;
-            if self.v_bits[slot] == bits {
-                return Some(&self.entries[slot]);
+            if grid_voltage(base, units).to_bits() == bits {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                let step = (units - f64::from(MIN_OFFSET_UNITS)) as usize;
+                return Some(&self.row(row)[step]);
             }
         }
         None
     }
 
-    /// Number of `(frequency, voltage)` grid points stored.
+    /// Number of addressable `(frequency, voltage)` grid points, built
+    /// or not (rows are evaluated on first hit).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len() * OFFSET_SPAN
     }
 
-    /// Whether the table is empty (never true for a built table).
+    /// Whether the grid is empty (never true for a real spec).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Wall-clock nanoseconds the one-time build took. Telemetry-only:
-    /// this is the single host-dependent value the table carries, and it
+    /// Wall-clock nanoseconds [`SlackTable::build`] took: the skeleton
+    /// only, not the rows later built on first hit. Telemetry-only: this
+    /// is the single host-dependent value the table carries, and it
     /// never feeds back into simulation results.
     #[must_use]
     pub fn build_ns(&self) -> u64 {
         self.build_ns
+    }
+
+    /// How many rows have been built so far.
+    #[cfg(test)]
+    fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
     }
 }
 
@@ -320,6 +368,63 @@ mod tests {
                 assert_eq!(entry.imul_ops[i].slack_ps.to_bits(), slack.to_bits());
             }
         }
+    }
+
+    /// A fresh Comet Lake table and the core/cache row indices of its
+    /// base frequency.
+    fn fresh_base_rows() -> (CpuSpec, SlackTable, usize, usize) {
+        let spec = CpuModel::CometLake.spec();
+        let table = SlackTable::build(&spec);
+        let fi = table
+            .freqs
+            .binary_search(&spec.base_freq.mhz())
+            .expect("table frequency");
+        (spec, table, fi * PLANES, fi * PLANES + 1)
+    }
+
+    #[test]
+    fn a_fresh_table_has_built_no_rows() {
+        let (_, table, _, _) = fresh_base_rows();
+        assert_eq!(table.rows_built(), 0);
+        assert_eq!(table.len(), 46 * PLANES * OFFSET_SPAN);
+    }
+
+    #[test]
+    fn a_core_curve_hit_builds_exactly_its_row() {
+        let (spec, table, core_row, _) = fresh_base_rows();
+        let f = spec.base_freq;
+        let v = spec.nominal_voltage_mv(f);
+        assert!(table.entry(f, v).is_some());
+        assert_eq!(table.rows_built(), 1);
+        assert!(table.rows[core_row].get().is_some());
+        // A second hit in the same row builds nothing more.
+        let deepest = v + f64::from(MIN_OFFSET_UNITS) * 1000.0 / 1024.0;
+        assert!(table.entry(f, deepest).is_some());
+        assert_eq!(table.rows_built(), 1);
+    }
+
+    #[test]
+    fn a_cache_curve_hit_leaves_the_core_row_unbuilt() {
+        let (spec, table, core_row, cache_row) = fresh_base_rows();
+        let f = spec.base_freq;
+        let v = spec.nominal_cache_voltage_mv(f) - 100.0 * 1000.0 / 1024.0;
+        assert!(table.entry(f, v).is_some());
+        assert_eq!(table.rows_built(), 1);
+        assert!(table.rows[cache_row].get().is_some());
+        assert!(table.rows[core_row].get().is_none());
+    }
+
+    #[test]
+    fn misses_build_nothing() {
+        let (spec, table, _, _) = fresh_base_rows();
+        let f = spec.base_freq;
+        let v = spec.nominal_voltage_mv(f);
+        // Mid-slew, above nominal, past the deepest step, off-table.
+        assert!(table.entry(f, v - 0.123_456_789).is_none());
+        assert!(table.entry(f, v + 1.0).is_none());
+        assert!(table.entry(f, v - 600.0).is_none());
+        assert!(table.entry(FreqMhz(1_850), v).is_none());
+        assert_eq!(table.rows_built(), 0);
     }
 
     #[test]

@@ -138,13 +138,16 @@ pub enum TelemetryEvent {
     },
     /// A precomputed slack table was attached to the execution engine.
     ///
-    /// `build_ns` is host wall-clock time for the one-time grid build —
-    /// the only host-dependent field in the event stream; it never feeds
-    /// back into simulation results.
+    /// The table evaluates its grid row by row on first hit, so neither
+    /// field says how much of it has been computed. `build_ns` is host
+    /// wall-clock time for laying out the table, not for evaluating its
+    /// rows — the only host-dependent field in the event stream; it
+    /// never feeds back into simulation results.
     SlackTableBuilt {
-        /// Number of `(frequency, voltage)` grid points in the table.
+        /// Number of addressable `(frequency, voltage)` grid points,
+        /// built or not.
         entries: u64,
-        /// Wall-clock nanoseconds the one-time build took.
+        /// Wall-clock nanoseconds the table's skeleton took to lay out.
         build_ns: u64,
     },
 }

@@ -14,7 +14,8 @@
 # a reviewed diff, never an accident.
 #
 # Both modes print each artifact's regeneration wall time in ms to
-# stderr; the outputs themselves are unaffected.
+# stderr, then the whole regeneration's as "golden: total N ms"; the
+# outputs themselves are unaffected.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,9 +53,11 @@ timed() {
 }
 
 # Regenerates every golden artifact into the directory given as $1
-# (results layout: <dir>/*.txt, <dir>/*.json, <dir>/fuzz-corpus/*.json).
+# (results layout: <dir>/*.txt, <dir>/*.json, <dir>/fuzz-corpus/*.json)
+# and prints the total wall time to stderr.
 regenerate() {
-    local out="$1"
+    local out="$1" t0
+    t0=$(now_ms)
     mkdir -p "$out"
     timed table1.txt "$REPRO" table1 > "$out/table1.txt"
     timed fig1.txt "$REPRO" fig1 > "$out/fig1.txt"
@@ -82,6 +85,7 @@ regenerate() {
     # ci.sh replays this exact file through the replay backend.
     mkdir -p "$out/traces"
     timed traces/fixture.trace.jsonl "$CLI" soak --record "$out/traces/fixture.trace.jsonl"
+    printf 'golden: total %d ms\n' "$(($(now_ms) - t0))" >&2
 }
 
 # Emits "sha256  relative-path" lines for every artifact under $1,

@@ -17,7 +17,7 @@ use plugvolt_circuit::multiplier::MultiplierUnit;
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::exec::{ExecutionEngine, InstrClass};
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_cpu::slack::{class_index, SlackTable, MIN_OFFSET_UNITS};
+use plugvolt_cpu::slack::{class_index, GridEntry, SlackTable, MIN_OFFSET_UNITS};
 use plugvolt_des::time::SimDuration;
 
 /// Every grid point of every model matches the analytic path bit for
@@ -67,6 +67,73 @@ fn full_grid_matches_analytic_bits_for_every_model() {
         }
         assert_eq!(checked, table.len(), "{model}: grid size mismatch");
     }
+}
+
+/// Two workers walking one fresh table in opposite orders (the
+/// `run_cells` case: parallel shards sharing the process-wide table)
+/// race on every row's first touch. Each row is built once: both see
+/// the same entry at the same address for every grid point, and every
+/// entry matches the analytic bits.
+#[test]
+fn concurrent_first_touches_build_each_row_once() {
+    let spec = CpuModel::CometLake.spec();
+    let table = SlackTable::build(&spec);
+    let mut points = Vec::new();
+    for f in spec.freq_table.iter() {
+        for units in MIN_OFFSET_UNITS..=0 {
+            let offset = f64::from(units) * 1000.0 / 1024.0;
+            points.push((f, spec.nominal_voltage_mv(f) + offset));
+            points.push((f, spec.nominal_cache_voltage_mv(f) + offset));
+        }
+    }
+    // Each walker records the address of every point's entry, indexed
+    // in `points` order whatever order it walked in.
+    let walk = |reverse: bool| {
+        // The engine counts its hits in `Cell`s, so each walker has one.
+        let engine = ExecutionEngine::new(
+            spec.multiplier(),
+            spec.fault_model(),
+            spec.t_setup_ps,
+            spec.t_eps_ps,
+        );
+        let mut addrs = vec![0usize; points.len()];
+        let mut visit = |i: usize| {
+            let (f, v) = points[i];
+            let entry = table.entry(f, v).expect("grid point present");
+            for class in InstrClass::ALL {
+                let slack = engine.class_slack_ps(class, f, v);
+                let cached = entry.classes[class_index(class)];
+                assert_eq!(cached.slack_ps.to_bits(), slack.to_bits());
+                assert_eq!(cached.state, engine.fault_model().classify(slack));
+                assert_eq!(
+                    cached.fault_p.to_bits(),
+                    engine.fault_model().fault_probability(slack).to_bits()
+                );
+            }
+            let budget = engine.budget(f);
+            for (i, (_, a, b)) in MultiplierUnit::IMUL_LOOP_CLASSES.iter().enumerate() {
+                let slack = engine.multiplier().slack_ps(*a, *b, &budget, v);
+                assert_eq!(entry.imul_ops[i].slack_ps.to_bits(), slack.to_bits());
+            }
+            addrs[i] = std::ptr::from_ref::<GridEntry>(entry) as usize;
+        };
+        if reverse {
+            (0..points.len()).rev().for_each(&mut visit);
+        } else {
+            (0..points.len()).for_each(&mut visit);
+        }
+        addrs
+    };
+    let (forward, backward) = std::thread::scope(|s| {
+        let forward = s.spawn(|| walk(false));
+        let backward = s.spawn(|| walk(true));
+        (
+            forward.join().expect("forward walker"),
+            backward.join().expect("backward walker"),
+        )
+    });
+    assert_eq!(forward.len(), table.len());
+    assert_eq!(forward, backward, "a row was built more than once");
 }
 
 /// A full characterization run with the table attached is identical to
