@@ -160,6 +160,9 @@ pub struct PollingModule {
     /// One core's observations, refilled by every `poll_core` call so a
     /// quiet tick allocates nothing.
     observed: Vec<(Plane, SystemState)>,
+    /// The observations the last tick made, if it detected nothing (a
+    /// quiet tick: see [`KernelModule::fold_quiet_ticks`]).
+    quiet: Option<u64>,
 }
 
 impl PollingModule {
@@ -174,6 +177,7 @@ impl PollingModule {
                 cfg,
                 stats: Rc::clone(&stats),
                 observed: Vec::new(),
+                quiet: None,
             },
             stats,
         )
@@ -282,6 +286,7 @@ impl KernelModule for PollingModule {
         self.stats.borrow_mut().ticks += 1;
         let cores = ctx.cpu().core_count();
         let mut observed = std::mem::take(&mut self.observed);
+        let (mut observations, mut detections) = (0u64, 0u64);
         for c in 0..cores {
             let core = CoreId(c);
             if self.cfg.skip_idle_cores && !ctx.cpu().is_core_running(core).unwrap_or(true) {
@@ -290,11 +295,13 @@ impl KernelModule for PollingModule {
             self.poll_core(ctx, core, &mut observed);
             for &(plane, state) in &observed {
                 self.stats.borrow_mut().observations += 1;
+                observations += 1;
                 // Algorithm 3 line 6: membership in the (guard-widened)
                 // unsafe set.
                 if self.classify_guarded(state.freq, state.offset_mv) == StateClass::Safe {
                     continue;
                 }
+                detections += 1;
                 {
                     let mut s = self.stats.borrow_mut();
                     s.detections += 1;
@@ -414,7 +421,21 @@ impl KernelModule for PollingModule {
             }
         }
         self.observed = observed;
+        // A tick that detected nothing wrote no restore: the next one
+        // reads the same registers and, unless something else changes
+        // them, sees the same values.
+        self.quiet = (detections == 0).then_some(observations);
         Some(self.cfg.period)
+    }
+
+    fn fold_quiet_ticks(&mut self, ticks: u64) -> bool {
+        let Some(observations) = self.quiet else {
+            return false;
+        };
+        let mut s = self.stats.borrow_mut();
+        s.ticks += ticks;
+        s.observations += ticks * observations;
+        true
     }
 }
 

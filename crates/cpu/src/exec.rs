@@ -336,6 +336,45 @@ impl ExecutionEngine {
         }
     }
 
+    /// Accounts `batches` further batches of `class` at `(f, rails)`
+    /// without running them, where running them would change nothing
+    /// but the table hit/fallback counter: no crash, no fault and no
+    /// random draw. That holds where the fault probability is exactly
+    /// zero, the first early exit of `sample_binomial` for any batch
+    /// size (its below-resolution exit sits behind a branch that
+    /// depends on the size). Returns `false`, accounting nothing,
+    /// elsewhere; `batches == 0` only asks.
+    #[must_use]
+    pub fn repeat_quiet_batches(
+        &self,
+        class: InstrClass,
+        f: FreqMhz,
+        rails: Rails,
+        batches: u64,
+    ) -> bool {
+        let v_mv = rails.for_class(class);
+        let (counter, state, fault_p) = match self.table.as_ref().and_then(|t| t.entry(f, v_mv)) {
+            Some(entry) => {
+                let cached = entry.classes[class_index(class)];
+                (&self.table_hits, cached.state, cached.fault_p)
+            }
+            None => {
+                let slack = self.class_slack_ps(class, f, v_mv);
+                let fm = &self.fault_model;
+                (
+                    &self.table_fallbacks,
+                    fm.classify(slack),
+                    fm.fault_probability(slack),
+                )
+            }
+        };
+        if state == TimingState::Crash || fault_p.is_nan() || fault_p > 0.0 {
+            return false;
+        }
+        counter.set(counter.get() + batches);
+        true
+    }
+
     /// Runs a batch with both planes at `v_mv` (see
     /// [`run_batch_on_rails`](Self::run_batch_on_rails)).
     #[must_use]
@@ -498,6 +537,34 @@ mod tests {
                 assert_eq!(out, BatchOutcome::Retired { faults: 0 }, "{class:?} at {f}");
             }
         }
+    }
+
+    #[test]
+    fn quiet_batches_are_counted_only_at_zero_fault_probability() {
+        let e = engine();
+        let spec = CpuModel::CometLake.spec();
+        let f = spec.base_freq;
+        let nominal = spec.nominal_voltage_mv(f);
+        let rails = Rails::uniform(nominal);
+        assert!(e.repeat_quiet_batches(InstrClass::Imul, f, rails, 0));
+        assert!(e.repeat_quiet_batches(InstrClass::Imul, f, rails, 5));
+        assert_eq!(e.slack_table_fallbacks(), 5);
+        // A batch run there retires with no fault and draws nothing.
+        let mut r = rng();
+        let mut untouched = r.clone();
+        let out = e.run_batch_on_rails(InstrClass::Imul, 1_000_000, f, rails, &mut r);
+        assert_eq!(out, BatchOutcome::Retired { faults: 0 });
+        assert_eq!(r.next_u64(), untouched.next_u64());
+        // Where a batch would sample faults, nothing is counted.
+        let deep = (1..400)
+            .map(|mv| nominal - f64::from(mv))
+            .find(|&v| {
+                let slack = e.class_slack_ps(InstrClass::Imul, f, v);
+                e.fault_model().fault_probability(slack) > 0.0
+            })
+            .expect("a voltage with a fault probability");
+        assert!(!e.repeat_quiet_batches(InstrClass::Imul, f, Rails::uniform(deep), 5));
+        assert_eq!(e.slack_table_fallbacks(), 6);
     }
 
     #[test]

@@ -452,6 +452,20 @@ impl CpuPackage {
         self.core_vr.holds_until(now)
     }
 
+    /// How long both timing rails keep their voltages at `now`, absent a
+    /// retarget: the earlier of the two rails' holds, `None` when both
+    /// sit at their targets.
+    #[must_use]
+    pub fn rails_hold_until(&self, now: SimTime) -> Option<SimTime> {
+        match (
+            self.core_vr.holds_until(now),
+            self.cache_vr.holds_until(now),
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// The actual cache-plane rail voltage at `now`, in mV.
     #[must_use]
     pub fn cache_voltage_mv(&self, now: SimTime) -> f64 {
@@ -730,6 +744,24 @@ impl CpuPackage {
         }
     }
 
+    /// Counts `reads` further `rdmsr`s on `core` without performing
+    /// them, for reads that would repeat one just made (a read has no
+    /// side effect but its count); `reads == 0` only asks. Returns
+    /// `false`, counting nothing, for a bad core or while per-access
+    /// MSR events are on, since each read would then emit its own
+    /// time-stamped event.
+    #[must_use]
+    pub fn repeat_reads(&self, core: CoreId, reads: u64) -> bool {
+        let Some(c) = self.hot.get(core.0) else {
+            return false;
+        };
+        if self.telemetry.msr_events_enabled() {
+            return false;
+        }
+        c.rdmsr.set(c.rdmsr.get() + reads);
+        true
+    }
+
     /// `wrmsr` from `core`, with full side effects (mailbox → VR,
     /// `PERF_CTL` → frequency) and the microcode intercept chain.
     ///
@@ -946,6 +978,32 @@ impl CpuPackage {
         }
     }
 
+    /// Accounts `batches` further [`run_batch`](Self::run_batch)es of
+    /// `class` on `core` at `now` without running them, where running
+    /// them would retire with no fault, draw no random number and change
+    /// nothing but the slack-table counters: a live package, a running
+    /// core and rails above the crash floor, at a zero fault probability
+    /// (see `ExecutionEngine::repeat_quiet_batches`). Returns `false`,
+    /// accounting nothing, elsewhere; `batches == 0` only asks.
+    #[must_use]
+    pub fn repeat_quiet_batches(
+        &self,
+        now: SimTime,
+        core: CoreId,
+        class: InstrClass,
+        batches: u64,
+    ) -> bool {
+        let (Ok(true), Ok(f)) = (self.is_core_running(core), self.core_freq(core)) else {
+            return false;
+        };
+        let rails = self.rails(now);
+        let floor = self.spec.absolute_min_voltage_mv();
+        !self.crashed
+            && rails.core_mv >= floor
+            && rails.cache_mv >= floor
+            && self.engine.repeat_quiet_batches(class, f, rails, batches)
+    }
+
     /// Runs a batch of `class` instructions on `core`. A crash latches.
     ///
     /// # Errors
@@ -1036,6 +1094,33 @@ mod tests {
         let after = p.core_voltage_mv(settled(&p));
         // −100 mV truncates to −102 units = −99.609375 mV applied.
         assert!((after - (nominal - 99.609375)).abs() < 0.1, "after={after}");
+    }
+
+    #[test]
+    fn repeated_reads_are_counted_unless_each_read_emits_an_event() {
+        let p = pkg();
+        assert!(p.repeat_reads(CoreId(1), 3));
+        assert!(!p.repeat_reads(CoreId(99), 1));
+        p.telemetry().enable_msr_events(true);
+        assert!(!p.repeat_reads(CoreId(1), 5));
+        p.publish_hot_counters();
+        p.telemetry().with(|reg| {
+            assert_eq!(reg.counter(&MetricKey::per_core("msr", "rdmsr", 1)), 3);
+        });
+    }
+
+    #[test]
+    fn rails_hold_until_a_ramp_and_for_good_once_settled() {
+        let mut p = pkg();
+        let t = now() + SimDuration::from_micros(1);
+        assert_eq!(p.rails_hold_until(t), None);
+        let req = OcRequest::write_offset(-100, Plane::Core).encode();
+        p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, req).unwrap();
+        let hold = p.rails_hold_until(t).expect("a ramp is pending");
+        assert!(hold > t);
+        assert_eq!(p.rails(hold), p.rails(t));
+        assert_ne!(p.rails(hold + SimDuration::from_micros(1)), p.rails(t));
+        assert_eq!(p.rails_hold_until(settled(&p)), None);
     }
 
     #[test]

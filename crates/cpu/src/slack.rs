@@ -14,15 +14,17 @@
 //! cache nominal curves.
 //!
 //! [`SlackTable`] lays that grid out once per process per model and
-//! evaluates each `(frequency, plane)` row of it the first time a lookup
-//! hits it, turning the batch hot path into one indexed load from a
-//! dense row. Most processes read a small part of the grid (a Table 2
-//! run at one frequency touches 2 of Comet Lake's 92 rows), so nothing
-//! is computed before it is read. **The table is a cache, never a
-//! semantic change**: every stored value is produced by the *same*
-//! helpers the analytic path goes through, keyed by the exact bit
-//! pattern of the voltage, so a hit returns bit-identical
-//! slack/probability values and consumes the RNG stream identically.
+//! evaluates each block of 64 offset steps of a `(frequency, plane)` row
+//! the first time a lookup hits it, turning the batch hot path into one
+//! indexed load from a dense block. Most processes read a small part of
+//! the grid (a Table 2 run at one frequency reads the nominal point of
+//! 2 of Comet Lake's 92 rows, so it builds 2 of its 828 blocks, 2
+//! entries in all), so nothing is computed or kept before it is read.
+//! **The table is a cache, never a semantic change**: every stored
+//! value is produced by the *same* helpers the analytic path goes
+//! through, keyed by the exact bit pattern of the voltage, so a hit
+//! returns bit-identical slack/probability values and consumes the RNG
+//! stream identically.
 //! Off-grid queries (mid-slew rails, unit-varied specs, cross-frequency
 //! demand) miss the table and fall back to the analytic path —
 //! correctness never depends on a hit.
@@ -52,6 +54,13 @@ pub const MIN_OFFSET_UNITS: i16 = -512;
 
 /// Offset steps per `(frequency, plane)` curve: `MIN_OFFSET_UNITS..=0`.
 const OFFSET_SPAN: usize = -(MIN_OFFSET_UNITS as isize) as usize + 1;
+
+/// Offset steps per lazily built block of a row; the last block of a
+/// row holds the remainder (the nominal step alone).
+const BLOCK: usize = 64;
+
+/// Blocks per `(frequency, plane)` row.
+const BLOCKS_PER_ROW: usize = OFFSET_SPAN.div_ceil(BLOCK);
 
 /// Voltage planes each grid frequency carries (core, cache).
 const PLANES: usize = 2;
@@ -105,10 +114,11 @@ pub fn class_index(class: InstrClass) -> usize {
 /// replaces cost as much as the analytic math it was saving (SipHash
 /// over 12-byte keys, ~70 ns); the indexed load is a few nanoseconds.
 ///
-/// Each `(frequency, plane)` row of 513 offset steps is built on the
-/// first hit that lands in it and kept for the life of the table; a run
-/// at one frequency builds two rows, not the whole grid. Concurrent
-/// first touches of a row build it once.
+/// Each `(frequency, plane)` row of 513 offset steps is split into
+/// blocks of 64; a block is built on the first hit that lands in it and
+/// kept for the life of the table. A run that stays at one operating
+/// point builds one block per plane it reads, not the whole grid or
+/// whole rows. Concurrent first touches of a block build it once.
 #[derive(Debug)]
 pub struct SlackTable {
     /// Sorted table frequencies, in MHz.
@@ -117,14 +127,15 @@ pub struct SlackTable {
     /// curve value), indexed `freq_idx * PLANES + plane`. Used to
     /// derive the offset-unit index from a query voltage.
     bases: Vec<f64>,
-    /// The analytic engine's inputs, from which a row is built.
+    /// The analytic engine's inputs, from which a block is built.
     mul: MultiplierUnit,
     fault_model: FaultModel,
     t_setup_ps: f64,
     t_eps_ps: f64,
-    /// Cached grid values, one row of `OFFSET_SPAN` entries per
-    /// `(frequency, plane)`, parallel to `bases`; empty until first hit.
-    rows: Box<[OnceLock<Box<[GridEntry]>>]>,
+    /// Cached grid values: `BLOCKS_PER_ROW` blocks per `(frequency,
+    /// plane)` row, rows parallel to `bases`, indexed `row *
+    /// BLOCKS_PER_ROW + step / BLOCK`; each empty until its first hit.
+    blocks: Box<[OnceLock<Box<[GridEntry]>>]>,
     build_ns: u64,
 }
 
@@ -144,7 +155,7 @@ impl SlackTable {
     /// The grid is every table frequency × every mailbox offset step in
     /// `[MIN_OFFSET_UNITS, 0]`, applied to both the core and the cache
     /// nominal curves — the exact voltages the regulator targets in
-    /// `retarget_rail`. Rows are evaluated on first hit (see
+    /// `retarget_rail`. Blocks are evaluated on first hit (see
     /// [`SlackTable::entry`]).
     #[must_use]
     pub fn build(spec: &CpuSpec) -> Self {
@@ -156,7 +167,9 @@ impl SlackTable {
             .iter()
             .flat_map(|f| [spec.nominal_voltage_mv(f), spec.nominal_cache_voltage_mv(f)])
             .collect();
-        let rows = bases.iter().map(|_| OnceLock::new()).collect();
+        let blocks = (0..bases.len() * BLOCKS_PER_ROW)
+            .map(|_| OnceLock::new())
+            .collect();
         let mul = spec.multiplier();
         let build_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         SlackTable {
@@ -166,36 +179,39 @@ impl SlackTable {
             fault_model: spec.fault_model(),
             t_setup_ps: spec.t_setup_ps,
             t_eps_ps: spec.t_eps_ps,
-            rows,
+            blocks,
             build_ns,
         }
     }
 
-    /// The `(frequency, plane)` row `row`, evaluated on first use.
+    /// Block `block` of the grid, evaluated on first use.
     #[inline]
-    fn row(&self, row: usize) -> &[GridEntry] {
-        match self.rows[row].get() {
+    fn block(&self, block: usize) -> &[GridEntry] {
+        match self.blocks[block].get() {
             Some(entries) => entries,
-            None => self.build_row(row),
+            None => self.build_block(block),
         }
     }
 
-    /// Evaluates row `row` once; a concurrent caller waits for it. Kept
-    /// out of line so the lookup stays small where it is inlined.
+    /// Evaluates block `block` once; a concurrent caller waits for it.
+    /// Kept out of line so the lookup stays small where it is inlined.
     #[cold]
     #[inline(never)]
-    fn build_row(&self, row: usize) -> &[GridEntry] {
-        self.rows[row].get_or_init(|| {
+    fn build_block(&self, block: usize) -> &[GridEntry] {
+        self.blocks[block].get_or_init(|| {
             let engine = ExecutionEngine::new(
                 self.mul.clone(),
                 self.fault_model,
                 self.t_setup_ps,
                 self.t_eps_ps,
             );
+            let row = block / BLOCKS_PER_ROW;
             let budget = engine.budget(FreqMhz(self.freqs[row / PLANES]));
             let base = self.bases[row];
-            (MIN_OFFSET_UNITS..=0)
-                .map(|units| {
+            let first = (block % BLOCKS_PER_ROW) * BLOCK;
+            (first..OFFSET_SPAN.min(first + BLOCK))
+                .map(|step| {
+                    let units = i32::from(MIN_OFFSET_UNITS) + step as i32;
                     Self::grid_entry(&engine, &budget, grid_voltage(base, f64::from(units)))
                 })
                 .collect()
@@ -233,7 +249,7 @@ impl SlackTable {
     /// Rounding error in the derivation can only ever land on the
     /// *adjacent* step, whose grid bits then differ — so a wrong index
     /// degrades to a miss (analytic fallback), never a wrong hit. Only a
-    /// hit touches the row, so a miss never builds one.
+    /// hit touches its block, so a miss never builds one.
     #[inline]
     #[must_use]
     pub fn entry(&self, f: FreqMhz, v_mv: Millivolts) -> Option<&GridEntry> {
@@ -249,27 +265,27 @@ impl SlackTable {
             if grid_voltage(base, units).to_bits() == bits {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 let step = (units - f64::from(MIN_OFFSET_UNITS)) as usize;
-                return Some(&self.row(row)[step]);
+                return Some(&self.block(row * BLOCKS_PER_ROW + step / BLOCK)[step % BLOCK]);
             }
         }
         None
     }
 
     /// Number of addressable `(frequency, voltage)` grid points, built
-    /// or not (rows are evaluated on first hit).
+    /// or not (blocks are evaluated on first hit).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len() * OFFSET_SPAN
+        self.bases.len() * OFFSET_SPAN
     }
 
     /// Whether the grid is empty (never true for a real spec).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.bases.is_empty()
     }
 
     /// Wall-clock nanoseconds [`SlackTable::build`] took: the skeleton
-    /// only, not the rows later built on first hit. Telemetry-only: this
+    /// only, not the blocks later built on first hit. Telemetry-only: this
     /// is the single host-dependent value the table carries, and it
     /// never feeds back into simulation results.
     #[must_use]
@@ -277,10 +293,10 @@ impl SlackTable {
         self.build_ns
     }
 
-    /// How many rows have been built so far.
+    /// How many blocks have been built so far.
     #[cfg(test)]
-    fn rows_built(&self) -> usize {
-        self.rows.iter().filter(|r| r.get().is_some()).count()
+    fn blocks_built(&self) -> usize {
+        self.blocks.iter().filter(|b| b.get().is_some()).count()
     }
 }
 
@@ -382,36 +398,51 @@ mod tests {
         (spec, table, fi * PLANES, fi * PLANES + 1)
     }
 
-    #[test]
-    fn a_fresh_table_has_built_no_rows() {
-        let (_, table, _, _) = fresh_base_rows();
-        assert_eq!(table.rows_built(), 0);
-        assert_eq!(table.len(), 46 * PLANES * OFFSET_SPAN);
+    /// The block holding `units` on `row`.
+    fn block_of(row: usize, units: i16) -> usize {
+        row * BLOCKS_PER_ROW + (units - MIN_OFFSET_UNITS) as usize / BLOCK
     }
 
     #[test]
-    fn a_core_curve_hit_builds_exactly_its_row() {
+    fn a_fresh_table_has_built_no_blocks() {
+        let (_, table, _, _) = fresh_base_rows();
+        assert_eq!(table.blocks_built(), 0);
+        assert_eq!(table.len(), 46 * PLANES * OFFSET_SPAN);
+        assert_eq!(table.blocks.len(), 46 * PLANES * 9);
+    }
+
+    #[test]
+    fn a_core_curve_hit_builds_exactly_its_block() {
         let (spec, table, core_row, _) = fresh_base_rows();
         let f = spec.base_freq;
-        let v = spec.nominal_voltage_mv(f);
-        assert!(table.entry(f, v).is_some());
-        assert_eq!(table.rows_built(), 1);
-        assert!(table.rows[core_row].get().is_some());
-        // A second hit in the same row builds nothing more.
-        let deepest = v + f64::from(MIN_OFFSET_UNITS) * 1000.0 / 1024.0;
-        assert!(table.entry(f, deepest).is_some());
-        assert_eq!(table.rows_built(), 1);
+        let at = |units: i16| spec.nominal_voltage_mv(f) + f64::from(units) * 1000.0 / 1024.0;
+        assert!(table.entry(f, at(-100)).is_some());
+        assert_eq!(table.blocks_built(), 1);
+        assert!(table.blocks[block_of(core_row, -100)].get().is_some());
+        // A second hit in the same block builds nothing more; one in
+        // another block of the row builds that block alone.
+        assert_eq!(block_of(core_row, -90), block_of(core_row, -100));
+        assert!(table.entry(f, at(-90)).is_some());
+        assert_eq!(table.blocks_built(), 1);
+        assert!(table.entry(f, at(0)).is_some());
+        assert_eq!(table.blocks_built(), 2);
+        assert_eq!(
+            table.blocks[block_of(core_row, 0)].get().map(|b| b.len()),
+            Some(1)
+        );
+        assert!(table.entry(f, at(MIN_OFFSET_UNITS)).is_some());
+        assert_eq!(table.blocks_built(), 3);
     }
 
     #[test]
-    fn a_cache_curve_hit_leaves_the_core_row_unbuilt() {
+    fn a_cache_curve_hit_leaves_the_core_blocks_unbuilt() {
         let (spec, table, core_row, cache_row) = fresh_base_rows();
         let f = spec.base_freq;
         let v = spec.nominal_cache_voltage_mv(f) - 100.0 * 1000.0 / 1024.0;
         assert!(table.entry(f, v).is_some());
-        assert_eq!(table.rows_built(), 1);
-        assert!(table.rows[cache_row].get().is_some());
-        assert!(table.rows[core_row].get().is_none());
+        assert_eq!(table.blocks_built(), 1);
+        assert!(table.blocks[block_of(cache_row, -100)].get().is_some());
+        assert!(table.blocks[block_of(core_row, -100)].get().is_none());
     }
 
     #[test]
@@ -424,7 +455,7 @@ mod tests {
         assert!(table.entry(f, v + 1.0).is_none());
         assert!(table.entry(f, v - 600.0).is_none());
         assert!(table.entry(FreqMhz(1_850), v).is_none());
-        assert_eq!(table.rows_built(), 0);
+        assert_eq!(table.blocks_built(), 0);
     }
 
     #[test]

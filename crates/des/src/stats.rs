@@ -178,10 +178,16 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `count` observations of the same value, exactly as
+    /// `count` calls of [`record`](Self::record) would.
+    pub fn record_n(&mut self, value: f64, count: u64) {
         let n = self.bins.len();
         let frac = (value - self.lo) / (self.hi - self.lo);
         let idx = ((frac * n as f64).floor() as i64).clamp(0, n as i64 - 1) as usize;
-        self.bins[idx] += 1;
+        self.bins[idx] += count;
     }
 
     /// Bin counts.
@@ -288,6 +294,18 @@ mod tests {
         assert_eq!(h.total(), 4);
         let (lo, hi) = h.bin_range(1);
         assert!((lo - 2.0).abs() < 1e-12 && (hi - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_records() {
+        let mut once = Histogram::new(0.0, 10.0, 5);
+        let mut each = Histogram::new(0.0, 10.0, 5);
+        for (v, n) in [(3.3, 7), (-1.0, 2), (42.0, 1), (5.0, 0)] {
+            once.record_n(v, n);
+            (0..n).for_each(|_| each.record(v));
+        }
+        assert_eq!(once, each);
+        assert_eq!(once.bins(), &[2, 7, 0, 0, 1]);
     }
 
     #[test]

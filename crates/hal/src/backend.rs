@@ -83,6 +83,17 @@ pub trait MachineBackend: MsrBackend + DvfsBackend {
     /// Mutable access to the simulated package (the "privileged
     /// software" escape hatch attacks use).
     fn cpu_mut(&mut self) -> &mut CpuPackage;
+
+    /// Accounts `reads` further reads on `core`, each repeating the
+    /// last one the kernel issued there (same register, same value),
+    /// without issuing them; `reads == 0` only asks. Returns `false`,
+    /// accounting nothing, where every access must really be issued:
+    /// the default, so a backend that logs or checks each access (the
+    /// recording and replaying backends) sees every one.
+    fn repeat_reads(&mut self, core: CoreId, reads: u64) -> bool {
+        let _ = (core, reads);
+        false
+    }
 }
 
 /// The shared sim-family scaling driver: quantize to the hardware

@@ -95,6 +95,10 @@ impl MachineBackend for SimBackend {
     fn cpu_mut(&mut self) -> &mut CpuPackage {
         &mut self.cpu
     }
+
+    fn repeat_reads(&mut self, core: CoreId, reads: u64) -> bool {
+        self.cpu.repeat_reads(core, reads)
+    }
 }
 
 #[cfg(test)]

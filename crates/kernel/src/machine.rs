@@ -29,7 +29,7 @@ use plugvolt_hal::backend::{MachineBackend, MsrBackend};
 use plugvolt_hal::sim::SimBackend;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::WriteOutcome;
-use plugvolt_telemetry::{HistogramSpec, MetricKey, Sink, Tracer};
+use plugvolt_telemetry::{HistogramSpec, MetricKey, Sink, SpanMark, Tracer};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -78,6 +78,10 @@ struct CoreAccount {
     /// The microcode-flow cost of one MSR access, memoized with the
     /// core frequency it was computed at.
     flow_cost: Option<(FreqMhz, SimDuration)>,
+    /// Kernel-context `rdmsr`s and `wrmsr`s issued on this core since
+    /// boot.
+    reads: u64,
+    writes: u64,
     /// `[stolen, msr_cost]` in ps at the last publish, so repeated
     /// publishes add only deltas.
     flushed: [u64; 2],
@@ -126,7 +130,7 @@ impl ModuleCtx<'_> {
     ///
     /// Propagates [`PackageError`].
     pub fn rdmsr(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
-        self.account_access(core, IPI_COST);
+        self.account_access(core, IPI_COST, false);
         self.backend
             .rdmsr(self.now, core, msr)
             .map_err(PackageError::from)
@@ -143,7 +147,7 @@ impl ModuleCtx<'_> {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
-        self.account_access(core, IPI_COST);
+        self.account_access(core, IPI_COST, true);
         self.backend
             .wrmsr(self.now, core, msr, value)
             .map_err(PackageError::from)
@@ -157,7 +161,7 @@ impl ModuleCtx<'_> {
     ///
     /// Propagates [`PackageError`].
     pub fn rdmsr_local(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
-        self.account_access(core, SimDuration::ZERO);
+        self.account_access(core, SimDuration::ZERO, false);
         self.backend
             .rdmsr(self.now, core, msr)
             .map_err(PackageError::from)
@@ -174,7 +178,7 @@ impl ModuleCtx<'_> {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
-        self.account_access(core, SimDuration::ZERO);
+        self.account_access(core, SimDuration::ZERO, true);
         self.backend
             .wrmsr(self.now, core, msr, value)
             .map_err(PackageError::from)
@@ -185,7 +189,7 @@ impl ModuleCtx<'_> {
     /// and as MSR access cost. The flow cost is recomputed only when
     /// the core's frequency changed since the last access, so a
     /// `PERF_CTL` write mid-tick is costed exactly.
-    fn account_access(&mut self, core: CoreId, ipi: SimDuration) {
+    fn account_access(&mut self, core: CoreId, ipi: SimDuration, write: bool) {
         let Some(acct) = self.cores.get_mut(core.0) else {
             return;
         };
@@ -202,6 +206,11 @@ impl ModuleCtx<'_> {
         let cost = ipi + flow;
         acct.msr_cost += cost;
         acct.stolen += cost;
+        if write {
+            acct.writes += 1;
+        } else {
+            acct.reads += 1;
+        }
         self.tracer.record_span("msr/access", cost.as_picos());
     }
 
@@ -236,6 +245,20 @@ pub trait KernelModule {
     /// Called at unload.
     fn exit(&mut self, ctx: &mut ModuleCtx<'_>) {
         let _ = ctx;
+    }
+
+    /// Reports whether the `on_timer` that just ran was *quiet* — it
+    /// changed nothing it reads, so with nothing else changing, each
+    /// next firing would read the same values, make the same calls and
+    /// return the same delay — and, if so, accounts `ticks` such
+    /// firings in the module's own state as if they had run;
+    /// `ticks == 0` only asks. The machine then accounts what those
+    /// firings cost the kernel and the package (see
+    /// [`Machine::run_workload`]). The default is never quiet: every
+    /// firing runs.
+    fn fold_quiet_ticks(&mut self, ticks: u64) -> bool {
+        let _ = ticks;
+        false
     }
 }
 
@@ -282,6 +305,39 @@ pub struct WorkloadRun {
     pub stolen: SimDuration,
 }
 
+/// What a timer firing inside [`Machine::run_workload`] starts from,
+/// taken just before it so the firing's own effects can be repeated.
+/// Kept on the machine to reuse its storage.
+#[derive(Debug, Default)]
+struct TickMark {
+    /// `Machine::firings` before the firing.
+    firings: u64,
+    cores: Vec<CoreAccount>,
+    spans: SpanMark,
+}
+
+/// The fixed inputs of one [`Machine::run_workload`] call.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    core: CoreId,
+    class: InstrClass,
+    iters: u64,
+    started: SimTime,
+    /// The core's stolen time when the run started.
+    stolen_before: SimDuration,
+}
+
+/// Where the per-tick loop of [`Machine::run_workload`] stands after
+/// `ticks` folded firings.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    ticks: u64,
+    /// Batches the loop would have run between them.
+    batches: u64,
+    now: SimTime,
+    remaining: u64,
+}
+
 /// A CPU package under a minimal kernel, on a simulated clock.
 ///
 /// # Examples
@@ -301,6 +357,10 @@ pub struct Machine {
     modules: Vec<ModuleSlot>,
     timers: BinaryHeap<PendingTimer>,
     timer_seq: u64,
+    /// Timer firings since boot, and the module of the latest.
+    firings: u64,
+    last_fired: usize,
+    mark: TickMark,
     cores: Vec<CoreAccount>,
     /// `kernel/timer_iteration_us` observations not yet drained into
     /// the sink (at publish, on a sink swap, and on drop).
@@ -350,6 +410,9 @@ impl Machine {
             modules: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
+            firings: 0,
+            last_fired: 0,
+            mark: TickMark::default(),
             cores: vec![CoreAccount::default(); cores],
             timer_iterations: Histogram::new(spec.lo, spec.hi, spec.bins),
             rng: SimRng::from_seed_label(seed, "machine"),
@@ -619,6 +682,8 @@ impl Machine {
             }
             self.now = timer.at;
             tracer.set_sim_now(self.now);
+            self.firings += 1;
+            self.last_fired = timer.module_idx;
             let span = tracer.span("kernel/timer");
             let steal_before = self.total_stolen();
             if let Some(next) =
@@ -647,6 +712,19 @@ impl Machine {
     /// no module work is stealing it. Returns the retired/fault/steal
     /// accounting — the primitive behind the SPEC-style overhead runs.
     ///
+    /// A run of *quiet* timer firings is folded into one step: after a
+    /// firing whose module reports it quiet
+    /// ([`KernelModule::fold_quiet_ticks`]), the next firings of that
+    /// timer would repeat it exactly for as long as nothing it reads can
+    /// change. The machine replays only this loop's batch slicing up to
+    /// the first instant where something could — another timer, the
+    /// rails leaving their hold, or the end of the run (nothing else
+    /// writes an MSR or changes a P-state inside a run) — and charges
+    /// the folded firings' cost once, multiplied. That holds only where
+    /// every batch in between retires without a random draw and every
+    /// repetition can be accounted without being issued; elsewhere each
+    /// firing runs. The result is the same as firing each timer.
+    ///
     /// # Errors
     ///
     /// Propagates a package crash.
@@ -658,6 +736,13 @@ impl Machine {
     ) -> Result<WorkloadRun, MachineError> {
         let started = self.now;
         let stolen_before = self.stolen_time(core);
+        let run = Run {
+            core,
+            class,
+            iters,
+            started,
+            stolen_before,
+        };
         let mut remaining = iters;
         let mut faults = 0u64;
         loop {
@@ -694,15 +779,15 @@ impl Machine {
             match self.next_timer_at() {
                 Some(t) if t < self.now + full => {
                     // Run the part of the batch that fits before the timer.
-                    let slice = t.saturating_duration_since(self.now);
-                    let cycles = slice.cycles_at(freq.mhz());
-                    let n = ((cycles as f64 / class.cpi()).floor() as u64).min(remaining);
+                    let n = slice_before(self.now, t, freq, class, remaining);
                     if n > 0 {
                         let now = self.now;
                         faults += self.backend.cpu_mut().run_batch(now, core, class, n)?;
                         remaining -= n;
                     }
+                    self.mark_tick();
                     self.advance_to(t); // fires the timer, accrues steal
+                    remaining = self.fold_after_tick(run, freq, remaining);
                 }
                 _ => {
                     let now = self.now;
@@ -723,6 +808,169 @@ impl Machine {
             stolen,
         })
     }
+
+    /// Records what the next timer firing starts from.
+    fn mark_tick(&mut self) {
+        let mark = &mut self.mark;
+        mark.firings = self.firings;
+        mark.cores.clear();
+        mark.cores.extend_from_slice(&self.cores);
+        self.backend
+            .cpu()
+            .telemetry()
+            .tracer()
+            .mark(&mut mark.spans);
+    }
+
+    /// After the firing recorded by [`mark_tick`](Self::mark_tick),
+    /// folds the following firings of the same timer for as long as
+    /// they repeat it exactly (see [`run_workload`](Self::run_workload)),
+    /// returning the run's remaining instructions. `freq` is the core's
+    /// frequency, which nothing inside the fold changes.
+    fn fold_after_tick(&mut self, run: Run, freq: FreqMhz, remaining: u64) -> u64 {
+        let Run {
+            core,
+            class,
+            iters,
+            started,
+            stolen_before,
+        } = run;
+        // Exactly one firing, which re-armed its timer and was quiet.
+        let m = self.last_fired;
+        let Some(next) = self.timers.peek() else {
+            return remaining;
+        };
+        let (next_at, next_seq) = (next.at, next.seq);
+        if self.firings != self.mark.firings + 1
+            || next.module_idx != m
+            || next_seq + 1 != self.timer_seq
+        {
+            return remaining;
+        }
+        let module = self.modules[m].module.as_mut().expect("module re-entered");
+        if !module.fold_quiet_ticks(0) {
+            return remaining;
+        }
+        let ticked = self.cores.iter().zip(&self.mark.cores);
+        if ticked.clone().any(|(now, was)| now.writes != was.writes) {
+            return remaining;
+        }
+        // It wrote nothing: the first instant something it read could
+        // change is another timer or the rails leaving their hold.
+        let cpu = self.backend.cpu();
+        let other = self
+            .timers
+            .iter()
+            .filter(|t| t.seq != next_seq)
+            .map(|t| t.at)
+            .min();
+        let hold = cpu.rails_hold_until(self.now);
+        let foldable = |t: SimTime| other.is_none_or(|o| t < o) && hold.is_none_or(|h| t <= h);
+        if !foldable(next_at) {
+            return remaining;
+        }
+        // Everything it did, and every batch in between, can be
+        // repeated without being redone.
+        if cpu.telemetry().tracer().is_capturing()
+            || !cpu.repeat_quiet_batches(self.now, core, class, 0)
+        {
+            return remaining;
+        }
+        for (c, (now, was)) in ticked.enumerate() {
+            if now.reads != was.reads && !self.backend.repeat_reads(CoreId(c), 0) {
+                return remaining;
+            }
+        }
+        let cpu = self.backend.cpu();
+        let period = next_at.saturating_duration_since(self.now);
+        let steal = self.cores[core.0].stolen - self.mark.cores[core.0].stolen;
+        let engine = cpu.engine();
+
+        // Replay this loop from the top, from one firing to the next,
+        // with the timer and the steal it accrues known in advance.
+        let mut fold = Fold {
+            ticks: 0,
+            batches: 0,
+            now: self.now,
+            remaining,
+        };
+        let mut accrued = self.stolen_time(core).saturating_sub(stolen_before);
+        let mut tick = next_at;
+        while foldable(tick) {
+            let done = iters - fold.remaining;
+            let target = started + engine.batch_duration(class, done, freq) + accrued;
+            let mut now = fold.now;
+            if target > now {
+                if tick <= target {
+                    break; // the catch-up fires the timer
+                }
+                now = target;
+            }
+            if fold.remaining == 0
+                || tick >= now + engine.batch_duration(class, fold.remaining, freq)
+            {
+                break; // the rest of the run fits before the timer
+            }
+            let n = slice_before(now, tick, freq, class, fold.remaining);
+            if n > 0 {
+                fold.batches += 1;
+                fold.remaining -= n;
+            }
+            fold.now = tick;
+            fold.ticks += 1;
+            accrued += steal;
+            tick += period;
+        }
+        if fold.ticks > 0 {
+            self.commit_fold(fold, core, class, period);
+        }
+        fold.remaining
+    }
+
+    /// Applies `fold`: everything its firings and batches would have
+    /// done, each the latest firing's or batch's effect times the count.
+    fn commit_fold(&mut self, fold: Fold, core: CoreId, class: InstrClass, period: SimDuration) {
+        let k = fold.ticks;
+        let mut iteration = SimDuration::ZERO;
+        for (c, (acct, was)) in self.cores.iter_mut().zip(&self.mark.cores).enumerate() {
+            let stolen = acct.stolen - was.stolen;
+            iteration += stolen;
+            acct.stolen += stolen * k;
+            acct.msr_cost += (acct.msr_cost - was.msr_cost) * k;
+            let reads = acct.reads - was.reads;
+            if reads > 0 {
+                acct.reads += reads * k;
+                let counted = self.backend.repeat_reads(CoreId(c), reads * k);
+                assert!(counted, "backend refused reads it accepted");
+            }
+        }
+        let cpu = self.backend.cpu();
+        let counted = cpu.repeat_quiet_batches(self.now, core, class, fold.batches);
+        assert!(counted, "package refused batches it accepted");
+        let tracer = cpu.telemetry().tracer().clone();
+        tracer.repeat_since(&self.mark.spans, k);
+        self.timer_iterations
+            .record_n(iteration.as_picos() as f64 / 1e6, k);
+        let m = self.last_fired;
+        let module = self.modules[m].module.as_mut().expect("module re-entered");
+        module.fold_quiet_ticks(k);
+        self.firings += k;
+        self.timers.pop();
+        self.timer_seq += k;
+        self.timers.push(PendingTimer {
+            at: fold.now + period,
+            seq: self.timer_seq - 1,
+            module_idx: m,
+        });
+        self.now = fold.now;
+        tracer.set_sim_now(self.now);
+    }
+}
+
+/// How many `class` instructions at `freq` fit between `now` and `t`.
+fn slice_before(now: SimTime, t: SimTime, freq: FreqMhz, class: InstrClass, remaining: u64) -> u64 {
+    let cycles = t.saturating_duration_since(now).cycles_at(freq.mhz());
+    ((cycles as f64 / class.cpi()).floor() as u64).min(remaining)
 }
 
 impl Drop for Machine {

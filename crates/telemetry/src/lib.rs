@@ -56,7 +56,7 @@ pub use keys::{KeyDecl, KeyKind, KeyScope, SpanDecl, REGISTERED_KEYS, REGISTERED
 pub use profile::{TelemetryProfile, SCHEMA_VERSION};
 pub use registry::{HistogramSpec, MetricKey, Registry, Sink};
 pub use span::{
-    SpanEvent, SpanGuard, SpanProfile, SpanProfileRow, SpanRow, SpanSnapshot, Tracer,
+    SpanEvent, SpanGuard, SpanMark, SpanProfile, SpanProfileRow, SpanRow, SpanSnapshot, Tracer,
     SPAN_SCHEMA_VERSION,
 };
 pub use stream::{CounterDelta, StreamCursor, StreamFrame, STREAM_SCHEMA_VERSION};

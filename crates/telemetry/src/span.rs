@@ -124,6 +124,18 @@ struct TracerInner {
     dropped: Cell<u64>,
 }
 
+/// The sim-channel totals of a [`Tracer`] at one instant, taken by
+/// [`Tracer::mark`] so that [`Tracer::repeat_since`] can replay what
+/// was recorded after it. Reusable: marking again refills the same
+/// storage.
+#[derive(Debug, Default)]
+pub struct SpanMark {
+    /// `(count, total_ps, self_ps)` of every node at the mark.
+    nodes: Vec<(u64, u64, u64)>,
+    /// `(charged_ps, child_total_ps)` of the innermost open span.
+    top: Option<(u64, u64)>,
+}
+
 /// A cheaply cloneable handle to one span tree. Every clone of a
 /// [`crate::Sink`] shares one tracer, exactly like the metric registry.
 #[derive(Debug, Clone)]
@@ -231,6 +243,62 @@ impl Tracer {
             n.self_ps += sim_ps;
         }
         self.capture_event(label, depth, self.inner.sim_now_ps.get(), sim_ps);
+    }
+
+    /// Records the sim channel's totals into `mark` (nothing while the
+    /// tracer is disabled).
+    pub fn mark(&self, mark: &mut SpanMark) {
+        mark.nodes.clear();
+        mark.top = None;
+        if !self.is_enabled() {
+            return;
+        }
+        let nodes = self.inner.nodes.borrow();
+        mark.nodes
+            .extend(nodes.iter().map(|n| (n.count, n.total_ps, n.self_ps)));
+        mark.top = self
+            .inner
+            .stack
+            .borrow()
+            .last()
+            .map(|a| (a.charged_ps, a.child_total_ps));
+    }
+
+    /// Records `times` more repetitions of everything the sim channel
+    /// recorded since `mark`, as if the same calls had been made again
+    /// that often inside the same open span: every node's count and sim
+    /// totals, and what the innermost open span was charged, grow by
+    /// `times` × their growth since the mark. The recorded stretch must
+    /// close every span it opens and leave the sim clock where it found
+    /// it, as one timer firing does. The wall channel is left alone (a
+    /// repetition that never ran took no host time), and so is the
+    /// capture buffer: a caller that needs every occurrence captured
+    /// with its own timestamp must not repeat (see
+    /// [`Tracer::is_capturing`]).
+    pub fn repeat_since(&self, mark: &SpanMark, times: u64) {
+        if !self.is_enabled() || times == 0 {
+            return;
+        }
+        let mut nodes = self.inner.nodes.borrow_mut();
+        for (i, n) in nodes.iter_mut().enumerate() {
+            let (count, total_ps, self_ps) = mark.nodes.get(i).copied().unwrap_or_default();
+            n.count += (n.count - count) * times;
+            n.total_ps += (n.total_ps - total_ps) * times;
+            n.self_ps += (n.self_ps - self_ps) * times;
+        }
+        if let (Some((charged_ps, child_total_ps)), Some(top)) =
+            (mark.top, self.inner.stack.borrow_mut().last_mut())
+        {
+            top.charged_ps += (top.charged_ps - charged_ps) * times;
+            top.child_total_ps += (top.child_total_ps - child_total_ps) * times;
+        }
+    }
+
+    /// Whether this tracer records each span occurrence into its capture
+    /// buffer (see [`Tracer::enable_capture`]).
+    #[must_use]
+    pub fn is_capturing(&self) -> bool {
+        self.is_enabled() && self.inner.capture_capacity.get() > 0
     }
 
     /// Turns the bounded capture buffer on (`capacity > 0`) or off.
@@ -612,6 +680,59 @@ mod tests {
         assert_eq!(work.total_ps, 106);
         let sub = rows.iter().find(|r| r.path == "work;sub").expect("child");
         assert_eq!(sub.total_ps, 6);
+    }
+
+    /// One timer firing's worth of spans at an unmoved clock, inside an
+    /// open outer span.
+    fn tick(t: &Tracer) {
+        let _timer = t.span("timer");
+        {
+            let _poll = t.span("poll");
+            t.record_span("access", 11);
+            t.record_span("access", 11);
+        }
+        t.record_span("schedule", 0);
+    }
+
+    #[test]
+    fn repeat_since_equals_making_the_calls_again() {
+        let run = |repeat: bool| {
+            let t = enabled_tracer();
+            t.set_sim_now(SimTime::ZERO);
+            {
+                let _outer = t.span("outer");
+                tick(&t); // the first firing builds the nodes
+                let mut mark = SpanMark::default();
+                t.mark(&mut mark);
+                tick(&t);
+                if repeat {
+                    t.repeat_since(&mark, 4);
+                } else {
+                    (0..4).for_each(|_| tick(&t));
+                }
+                t.set_sim_now(SimTime::ZERO + SimDuration::from_picos(1_000));
+            }
+            SpanProfile::from_tracer(&t, "unit")
+        };
+        let repeated = run(true);
+        assert_eq!(repeated, run(false));
+        let outer = repeated.spans.iter().find(|r| r.path == "outer");
+        // 1 000 ps of clock plus 6 firings × 22 ps charged.
+        assert_eq!(outer.map(|r| r.total_ps), Some(1_132));
+    }
+
+    #[test]
+    fn a_disabled_tracer_repeats_nothing() {
+        let t = Tracer::new();
+        let mut mark = SpanMark::default();
+        t.mark(&mut mark);
+        tick(&t);
+        t.repeat_since(&mark, 9);
+        assert!(t.rows().is_empty());
+        assert!(!t.is_capturing());
+        t.set_enabled(true);
+        t.enable_capture(4);
+        assert!(t.is_capturing());
     }
 
     #[test]
