@@ -12,15 +12,16 @@
 #   5. hygiene             no build artifacts tracked by git
 #   6. build               cargo build --release (whole workspace)
 #   7. host backend        cargo build --release -p plugvolt-hal
-#   8. tests               cargo test -q (tier-1 suite + all members)
-#   9. perfbench self-test cargo test on perfbench/ (the registered
+#   8. rustdoc             cargo doc --no-deps --workspace, warnings denied
+#   9. tests               cargo test -q (tier-1 suite + all members)
+#  10. perfbench self-test cargo test on perfbench/ (the registered
 #                          benchmark's rebuilt entry points == library)
-#  10. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
-#  11. soak gate           plugvolt-cli soak --smoke + corpus replay
-#  12. trace replay gate   committed MSR transcript replayed through the
+#  11. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
+#  12. soak gate           plugvolt-cli soak --smoke + corpus replay
+#  13. trace replay gate   committed MSR transcript replayed through the
 #                          HAL replay backend (tape-clean + oracles +
 #                          sim-differential byte identity)
-#  13. golden gate         results/ regenerate bit-for-bit vs golden.manifest
+#  14. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,6 +80,11 @@ step "host backend builds (plugvolt-hal)"
 # so a cfg regression can never hide behind the workspace build, and so
 # the gate is self-describing in the CI log.
 cargo build --release -p plugvolt-hal
+
+step "cargo doc --no-deps --workspace (warnings denied)"
+# A broken intra-doc link (say, to an item a deletion removed, or from
+# public docs to a private item) fails here instead of rotting quietly.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 step "cargo test -q"
 cargo test -q --workspace

@@ -97,15 +97,6 @@ impl SymbolIndex {
         &self.fns[id.0 as usize]
     }
 
-    /// Ids of every function whose name matches `pred`.
-    pub fn fns_matching(&self, pred: impl Fn(&str) -> bool) -> Vec<FnId> {
-        self.fns
-            .iter()
-            .filter(|f| pred(&f.name))
-            .map(|f| f.id)
-            .collect()
-    }
-
     /// The innermost function containing `line` of `path`, if any.
     /// Innermost = the matching span with the latest start line.
     #[must_use]

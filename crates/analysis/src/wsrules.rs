@@ -11,7 +11,7 @@
 
 use crate::findings::Severity;
 use crate::index::FnId;
-use crate::rules::{is_sim_crate, RuleMeta, SIM_CRATES};
+use crate::rules::{is_sim_crate, RuleMeta};
 use crate::source::{FileRole, SourceFile};
 use crate::workspace::{brace_block_span, call_string_literals, emit_ws, Workspace, WorkspaceRule};
 use crate::Finding;
@@ -872,12 +872,4 @@ impl WorkspaceRule for HotPathReachability {
             }
         }
     }
-}
-
-/// Crates the parallel-merge rule scopes to, for docs/tests.
-#[must_use]
-pub fn parallel_rule_crates() -> Vec<&'static str> {
-    let mut v = SIM_CRATES.to_vec();
-    v.push("bench");
-    v
 }

@@ -380,21 +380,6 @@ impl CampaignSchedule {
         s
     }
 
-    /// Shrink move: the schedule keeping only events whose index is
-    /// outside `lo..hi` (one delta-debugging chunk deletion).
-    #[must_use]
-    pub fn without_range(&self, lo: usize, hi: usize) -> CampaignSchedule {
-        let mut s = self.clone();
-        s.events = self
-            .events
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i < lo || *i >= hi)
-            .map(|(_, e)| *e)
-            .collect();
-        s
-    }
-
     /// Shrink move: every offset halved toward 0 and every frequency
     /// moved halfway back toward the table minimum.
     #[must_use]
@@ -487,7 +472,6 @@ mod tests {
         let spec = CpuModel::SkyLake.spec();
         let s = CampaignSchedule::generate(AttackFamily::VoltJockey, &spec, &mut rng("s"));
         assert_eq!(s.without_event(0).len(), s.len() - 1);
-        assert_eq!(s.without_range(0, s.len()).len(), 0);
         let halved = s.with_halved_ramps(spec.freq_table.min().mhz());
         for (a, b) in s.events.iter().zip(&halved.events) {
             if let (

@@ -68,8 +68,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::process::ExitCode;
 
-/// Typed errors for the newer CLI flags (`--trace-out`, `--flame-out`,
-/// `--stream`, `--backend`) — structured variants instead of ad-hoc
+/// Typed errors for CLI flags — structured variants instead of ad-hoc
 /// `format!` strings, so callers and tests can match on the failure.
 #[derive(Debug)]
 enum CliError {
@@ -148,24 +147,19 @@ fn main() -> ExitCode {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
-    let opt = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let flag = |name: &str| args.iter().any(|a| a == name);
 
     match cmd {
         "characterize" => {
-            let model = parse_model(&opt("--model").ok_or("--model required")?)?;
-            let out = opt("--out").ok_or("--out required")?;
-            let seed = opt("--seed").map_or(Ok(2024), |s| s.parse::<u64>())?;
+            let model = parse_model(&value_of(&args, "--model")?.ok_or("--model required")?)?;
+            let out = value_of(&args, "--out")?.ok_or("--out required")?;
+            let seed = value_of(&args, "--seed")?.map_or(Ok(2024), |s| s.parse::<u64>())?;
             let cfg = if flag("--coarse") {
                 SweepConfig::coarse()
             } else {
                 SweepConfig::default()
             };
-            let workers = opt("--workers").map_or(Ok(1), |s| s.parse::<usize>())?;
+            let workers = value_of(&args, "--workers")?.map_or(Ok(1), |s| s.parse::<usize>())?;
             let scn = Scenario::with_seed(seed);
             eprintln!(
                 "sweeping {model} ({} resolution, {workers} worker{})…",
@@ -183,7 +177,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "inspect" => {
-            let map = load_map(&opt("--map").ok_or("--map required")?)?;
+            let map = load_map(&value_of(&args, "--map")?.ok_or("--map required")?)?;
             println!(
                 "characterization of {} (microcode {:#x}), sweep floor {} mV",
                 map.cpu_name(),
@@ -202,8 +196,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "maximal" => {
-            let map = load_map(&opt("--map").ok_or("--map required")?)?;
-            let margin = opt("--margin").map_or(Ok(5), |s| s.parse::<i32>())?;
+            let map = load_map(&value_of(&args, "--map")?.ok_or("--map required")?)?;
+            let margin = value_of(&args, "--margin")?.map_or(Ok(5), |s| s.parse::<i32>())?;
             match MaximalSafeState::from_map(&map, margin) {
                 Some(mss) => {
                     println!(
@@ -217,10 +211,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "attack" => {
-            let model = parse_model(&opt("--model").ok_or("--model required")?)?;
+            let model = parse_model(&value_of(&args, "--model")?.ok_or("--model required")?)?;
             let scn = Scenario::with_seed(42);
             let mut machine = scn.machine(model);
-            let deployment = match opt("--deploy").as_deref() {
+            let deployment = match value_of(&args, "--deploy")?.as_deref() {
                 None => Deployment::None,
                 Some("polling") => Deployment::PollingModule(PollConfig::default()),
                 Some("microcode") => Deployment::Microcode {
@@ -232,7 +226,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 Some(other) => return Err(format!("unknown deployment '{other}'").into()),
             };
             if !matches!(deployment, Deployment::None) {
-                let map = load_map(&opt("--map").ok_or("--map required with --deploy")?)?;
+                let map =
+                    load_map(&value_of(&args, "--map")?.ok_or("--map required with --deploy")?)?;
                 scn.deploy(&mut machine, &map, deployment.clone())?;
                 eprintln!("deployed {}", deployment.label());
             }
@@ -246,8 +241,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "energy" => {
-            let model = parse_model(&opt("--model").ok_or("--model required")?)?;
-            let map = load_map(&opt("--map").ok_or("--map required")?)?;
+            let model = parse_model(&value_of(&args, "--model")?.ok_or("--model required")?)?;
+            let map = load_map(&value_of(&args, "--map")?.ok_or("--map required")?)?;
             let rows = energy_ablation(&Scenario::new(), model, &map)?;
             println!("{}", serde_json::to_string_pretty(&rows)?);
             Ok(())
@@ -277,21 +272,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 plugvolt_bench::soak::SoakConfig::default()
             };
-            if let Some(n) = opt("--campaigns") {
+            if let Some(n) = value_of(&args, "--campaigns")? {
                 cfg.campaigns = n.parse::<u32>()?;
             }
-            if let Some(n) = opt("--workers") {
+            if let Some(n) = value_of(&args, "--workers")? {
                 cfg.workers = n.parse::<usize>()?;
             }
-            if let Some(m) = opt("--model") {
+            if let Some(m) = value_of(&args, "--model")? {
                 cfg.model = parse_model(&m)?;
             }
             if flag("--no-self-test") {
                 cfg.self_test = false;
             }
-            let seed =
-                opt("--seed").map_or(Ok(plugvolt_bench::scenario::SEED), |s| parse_seed(&s))?;
-            let corpus = opt("--corpus");
+            let seed = value_of(&args, "--seed")?
+                .map_or(Ok(plugvolt_bench::scenario::SEED), |s| parse_seed(&s))?;
+            let corpus = value_of(&args, "--corpus")?;
             let stream_path = value_of(&args, "--stream")?;
             let mut scn = Scenario::with_seed(seed);
             let stream_sink = stream_path.as_ref().map(|_| Sink::new());
@@ -346,7 +341,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 _ => plugvolt_bench::soak::run_soak(&scn, &cfg, corpus_dir)?,
             };
             let json = report.to_json();
-            match opt("--out") {
+            match value_of(&args, "--out")? {
                 Some(path) => {
                     std::fs::write(&path, &json)?;
                     eprintln!("report written to {path}");
@@ -402,7 +397,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "telemetry" => {
-            let path = opt("--profile").ok_or("--profile required")?;
+            let path = value_of(&args, "--profile")?.ok_or("--profile required")?;
             let profile: TelemetryProfile = serde_json::from_str(&std::fs::read_to_string(&path)?)?;
             if profile.schema_version != SCHEMA_VERSION {
                 eprintln!(
@@ -411,7 +406,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             print!("{}", profile.render_table());
-            if let Some(vcd_path) = opt("--vcd") {
+            if let Some(vcd_path) = value_of(&args, "--vcd")? {
                 std::fs::write(&vcd_path, events_to_vcd(&profile.events))?;
                 eprintln!(
                     "{} events rendered to waveform {vcd_path}",

@@ -34,8 +34,8 @@
 //! ```
 
 use plugvolt::characterize::CharacterizationRun;
-use plugvolt_bench::experiments::{self, quick_map};
-use plugvolt_bench::scenario::Scenario;
+use plugvolt_bench::experiments;
+use plugvolt_bench::scenario::{quick_map, Scenario};
 use plugvolt_bench::text::TextTable;
 use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;

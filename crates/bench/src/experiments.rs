@@ -31,7 +31,6 @@ use plugvolt_msr::addr::Msr;
 use plugvolt_msr::oc_mailbox::{OcRequest, Plane};
 use plugvolt_telemetry::{HistogramSpec, MetricKey};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 pub use crate::scenario::SEED;
 
@@ -932,17 +931,10 @@ pub fn attestation_matrix(
     Ok(rows)
 }
 
-/// A quick analytic map for experiments that do not need the empirical
-/// sweep, served from the process-wide memoized store (computed at most
-/// once per model per process; see [`crate::scenario::quick_map`]).
-#[must_use]
-pub fn quick_map(model: CpuModel) -> Arc<CharacterizationMap> {
-    crate::scenario::quick_map(model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::quick_map;
 
     #[test]
     fn fig1_series_shows_the_three_regions() {

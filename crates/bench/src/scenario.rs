@@ -28,7 +28,7 @@
 //! - **Characterization** — [`Scenario::characterize`] is the one S1
 //!   sweep engine: each frequency column runs
 //!   [`plugvolt::characterize::sweep_column`] on its own machine booted
-//!   from a labelled seed, and the columns spread over [`run_cells`], the
+//!   from a labelled seed, and the columns spread over `run_cells`, the
 //!   workspace's one worker pool.
 //!
 //! The construction discipline is enforced by the `plugvolt-lint` rule
@@ -204,7 +204,7 @@ impl Scenario {
     /// Runs the S1 characterization sweep rooted at the session seed:
     /// one column per frequency of [`sweep_frequencies`], each on a
     /// fresh machine from [`Scenario::machine_for`] labelled
-    /// [`shard_label`], spread over `workers` threads by [`run_cells`].
+    /// [`shard_label`], spread over `workers` threads by `run_cells`.
     /// Records merge in frequency order, so the run is byte-identical
     /// for any worker count. With a sink attached the columns run
     /// sequentially on the caller thread and every column machine

@@ -66,3 +66,35 @@ fn loading_refuses_a_positive_sweep_floor() {
         "stderr: {stderr}"
     );
 }
+
+#[test]
+fn a_value_flag_without_its_value_is_refused() {
+    // A value flag must not take the next flag as its value (the map
+    // would land in a file named `--coarse`), nor silently fall back to
+    // its default when nothing follows it (a bare `--seed`).
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("missing-value");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create work dir");
+    for (args, flag) in [
+        (
+            &["characterize", "--model", "comet-lake", "--out", "--coarse"][..],
+            "--out",
+        ),
+        (&["soak", "--smoke", "--seed"][..], "--seed"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_plugvolt-cli"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run plugvolt-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{flag} requires a value (none given, or the next token is a flag)"
+            )),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+    assert!(!dir.join("--coarse").exists(), "no map may be written");
+}

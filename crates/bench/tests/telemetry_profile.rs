@@ -2,8 +2,8 @@
 //! run would write is deterministic, and the §5 deployment levels show
 //! the expected exposure windows.
 
-use plugvolt_bench::experiments::{defense_matrix, deployment_levels, quick_map};
-use plugvolt_bench::scenario::Scenario;
+use plugvolt_bench::experiments::{defense_matrix, deployment_levels};
+use plugvolt_bench::scenario::{quick_map, Scenario};
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_telemetry::{MetricKey, Sink, TelemetryEvent, TelemetryProfile};
 use plugvolt_workloads::overhead::{run_table2_with, OverheadConfig};

@@ -17,9 +17,7 @@
 //! - [`multiplier`] — the `imul` datapath model used by the paper's
 //!   EXECUTE thread, with operand-dependent depth;
 //! - [`fault`] — the stochastic fault band and Plundervolt-style bit-flip
-//!   sampling;
-//! - [`netlist`] — exact gate-level ground truth (generated adders and
-//!   multipliers) validating the analytic models.
+//!   sampling.
 //!
 //! # Examples
 //!
@@ -49,7 +47,6 @@
 pub mod delay;
 pub mod fault;
 pub mod multiplier;
-pub mod netlist;
 pub mod timing;
 
 /// Convenient glob-import of the commonly used names.

@@ -108,12 +108,6 @@ impl MultiplierUnit {
         }
     }
 
-    /// The per-gate delay model.
-    #[must_use]
-    pub fn gate_model(&self) -> AlphaPowerModel {
-        self.gate
-    }
-
     /// Significant width of the product of `a` and `b`: how much of the
     /// reduction tree the operands exercise (1..=64 levels of result bits).
     #[must_use]

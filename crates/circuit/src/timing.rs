@@ -100,12 +100,6 @@ impl TimingBudget {
     pub fn slack_ps(&self, path_ps: Picoseconds) -> Picoseconds {
         self.available_ps() - path_ps
     }
-
-    /// Whether Eq. 1 holds for a path of `path_ps`.
-    #[must_use]
-    pub fn is_safe(&self, path_ps: Picoseconds) -> bool {
-        self.slack_ps(path_ps) >= 0.0
-    }
 }
 
 /// A classified timing state, the paper's safe/unsafe dichotomy plus the
@@ -133,12 +127,6 @@ impl TimingState {
             TimingState::Unsafe
         }
     }
-
-    /// Whether this state can produce incorrect architectural results.
-    #[must_use]
-    pub fn can_fault(self) -> bool {
-        matches!(self, TimingState::Unsafe)
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +151,12 @@ mod tests {
     fn available_clamps_at_zero() {
         let b = TimingBudget::new(10.0, 30.0, 10.0);
         assert_eq!(b.available_ps(), 0.0);
-        assert!(!b.is_safe(1.0));
     }
 
     #[test]
     fn slack_sign_matches_eq1() {
         let b = TimingBudget::new(1_000.0, 35.0, 15.0);
-        assert!(b.is_safe(950.0)); // exactly meets the deadline
-        assert!(!b.is_safe(950.1));
+        assert_eq!(b.slack_ps(950.0), 0.0); // exactly meets the deadline
         assert!(b.slack_ps(900.0) > 0.0);
         assert!(b.slack_ps(1_000.0) < 0.0);
     }
@@ -187,13 +173,6 @@ mod tests {
             TimingState::classify(f64::NEG_INFINITY, 100.0),
             TimingState::Crash
         );
-    }
-
-    #[test]
-    fn only_unsafe_faults() {
-        assert!(!TimingState::Safe.can_fault());
-        assert!(TimingState::Unsafe.can_fault());
-        assert!(!TimingState::Crash.can_fault());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! safe, the rail recovers within the VR constants" — which is exactly
 //! what [`ExposureAccountant::worst_overhang`] measures.
 
-use crate::deploy::Deployment;
 use crate::poll::PollConfig;
 use plugvolt_cpu::package::MAILBOX_SETTLE;
 use plugvolt_des::time::{SimDuration, SimTime};
@@ -51,24 +50,6 @@ impl ExposureBound {
         ExposureBound {
             detection: cfg.period + ORACLE_SLOP,
             recovery: MAILBOX_SETTLE + SLEW_ALLOWANCE + ORACLE_SLOP,
-        }
-    }
-
-    /// The bound for a deployment level, if it promises one. `None` for
-    /// the undefended baseline; the synchronous levels (microcode,
-    /// hardware clamp, OCM disable) never admit an unsafe configured
-    /// state at all, so their detection bound is zero.
-    #[must_use]
-    pub fn for_deployment(deployment: &Deployment) -> Option<ExposureBound> {
-        match deployment {
-            Deployment::None => None,
-            Deployment::PollingModule(cfg) => Some(ExposureBound::for_polling(cfg)),
-            Deployment::OcmDisable
-            | Deployment::Microcode { .. }
-            | Deployment::HardwareMsr { .. } => Some(ExposureBound {
-                detection: SimDuration::ZERO,
-                recovery: SimDuration::ZERO,
-            }),
         }
     }
 }
@@ -243,11 +224,6 @@ mod tests {
         let b = ExposureBound::for_polling(&cfg);
         assert_eq!(b.detection, cfg.period + ORACLE_SLOP);
         assert!(b.recovery >= MAILBOX_SETTLE);
-        let none = ExposureBound::for_deployment(&Deployment::None);
-        assert!(none.is_none());
-        let hw = ExposureBound::for_deployment(&Deployment::HardwareMsr { margin_mv: 5 })
-            .expect("bounded");
-        assert_eq!(hw.detection, SimDuration::ZERO);
     }
 
     #[test]

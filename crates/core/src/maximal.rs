@@ -7,7 +7,6 @@
 //! can enforce without consulting the full per-frequency map.
 
 use crate::charmap::CharacterizationMap;
-use plugvolt_cpu::microcode::MicrocodeUpdate;
 use plugvolt_msr::offset_limit::VoltageOffsetLimit;
 use serde::{Deserialize, Serialize};
 
@@ -39,22 +38,10 @@ impl MaximalSafeState {
         })
     }
 
-    /// Builds the Sec. 5.1 microcode update enforcing this bound.
-    #[must_use]
-    pub fn microcode_update(&self, revision: u32) -> MicrocodeUpdate {
-        MicrocodeUpdate::maximal_safe_state(revision, self.offset_mv)
-    }
-
     /// Builds the Sec. 5.2 hardware clamp enforcing this bound.
     #[must_use]
     pub fn offset_limit(&self) -> VoltageOffsetLimit {
         VoltageOffsetLimit::new(self.offset_mv)
-    }
-
-    /// Whether a requested offset is within the certified safe region.
-    #[must_use]
-    pub fn permits(&self, offset_mv: i32) -> bool {
-        offset_mv >= self.offset_mv
     }
 }
 
@@ -101,15 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn permits_is_a_half_line() {
-        let mss = MaximalSafeState::from_map(&map(), 0).unwrap();
-        assert!(mss.permits(0));
-        assert!(mss.permits(-129));
-        assert!(!mss.permits(-130));
-        assert!(!mss.permits(-300));
-    }
-
-    #[test]
     fn artifacts_enforce_the_same_bound() {
         let mss = MaximalSafeState::from_map(&map(), 4).unwrap(); // −125
         assert_eq!(mss.offset_mv, -125);
@@ -118,14 +96,6 @@ mod tests {
             .offset_limit()
             .clamp(OcRequest::write_offset(-250, Plane::Core));
         assert_eq!(clamped.offset_mv(), -125);
-        // The microcode update carries the same bound.
-        let update = mss.microcode_update(0xf5);
-        match update.kind {
-            plugvolt_cpu::microcode::PatchKind::WriteIgnoreUnsafeMailbox { max_offset_mv } => {
-                assert_eq!(max_offset_mv, -125);
-            }
-            other => panic!("unexpected patch {other:?}"),
-        }
     }
 
     #[test]

@@ -19,14 +19,6 @@ pub enum StateClass {
     Crash,
 }
 
-impl StateClass {
-    /// Whether a system in this state needs countermeasure intervention.
-    #[must_use]
-    pub fn needs_intervention(self) -> bool {
-        !matches!(self, StateClass::Safe)
-    }
-}
-
 impl fmt::Display for StateClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -58,13 +50,6 @@ impl fmt::Display for SystemState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intervention_policy() {
-        assert!(!StateClass::Safe.needs_intervention());
-        assert!(StateClass::Unsafe.needs_intervention());
-        assert!(StateClass::Crash.needs_intervention());
-    }
 
     #[test]
     fn display() {

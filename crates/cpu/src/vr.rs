@@ -128,12 +128,6 @@ impl VoltageRegulator {
         let ramp_us = swing / self.slew_mv_per_us;
         self.ramp_begins + SimDuration::from_picos((ramp_us * 1e6).ceil() as u64)
     }
-
-    /// Whether the rail is at its target at `now`.
-    #[must_use]
-    pub fn is_settled(&self, now: SimTime) -> bool {
-        now >= self.settles_at()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +147,6 @@ mod tests {
         let v = vr();
         assert_eq!(v.voltage_mv(SimTime::ZERO), 1_000.0);
         assert_eq!(v.voltage_mv(SimTime::ZERO + us(1_000)), 1_000.0);
-        assert!(v.is_settled(SimTime::ZERO));
     }
 
     #[test]
@@ -172,8 +165,6 @@ mod tests {
         // 100 mV at 10 mV/µs = 10 µs of ramp + 8 µs settle.
         assert!((v.voltage_mv(SimTime::ZERO + us(18)) - 900.0).abs() < 1e-9);
         assert_eq!(v.settles_at(), SimTime::ZERO + us(18));
-        assert!(v.is_settled(SimTime::ZERO + us(18)));
-        assert!(!v.is_settled(SimTime::ZERO + us(17)));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! The reproduction replaces the paper's physical Intel test benches with a
 //! software model; every layer of that model (voltage regulator transients,
-//! kernel scheduler slices, MSR polling timers, attack campaigns) runs on
-//! the primitives defined here:
+//! MSR polling timers, attack campaigns) runs on the primitives defined
+//! here:
 //!
 //! - [`time`] — picosecond-resolution [`time::SimTime`] / [`time::SimDuration`];
 //! - [`rng`] — labelled deterministic random streams;

@@ -43,12 +43,6 @@ impl SimBackend {
     pub fn from_package(cpu: CpuPackage) -> Self {
         Self { cpu }
     }
-
-    /// Unwraps the backend back into its package.
-    #[must_use]
-    pub fn into_package(self) -> CpuPackage {
-        self.cpu
-    }
 }
 
 impl MsrBackend for SimBackend {

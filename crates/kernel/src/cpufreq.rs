@@ -118,27 +118,6 @@ impl CpuFreq {
         Self::drive(machine, core, f)
     }
 
-    /// Narrows `core`'s min/max bounds (clamped to the hardware table)
-    /// and re-applies the governor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine errors.
-    pub fn set_bounds(
-        &mut self,
-        machine: &mut Machine,
-        core: CoreId,
-        min: FreqMhz,
-        max: FreqMhz,
-    ) -> Result<FreqMhz, MachineError> {
-        let table = machine.cpu().spec().freq_table.clone();
-        let policy = &mut self.policies[core.0];
-        policy.min = table.quantize(min);
-        policy.max = table.quantize(max);
-        let f = policy.requested_freq();
-        Self::drive(machine, core, f)
-    }
-
     /// The scaling driver: the backend's DVFS surface, which quantizes
     /// to the hardware table and writes the ratio request to
     /// `IA32_PERF_CTL` (on the sim family — see
@@ -189,17 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn userspace_clamps_to_bounds() {
-        let (mut m, mut cf) = setup();
-        cf.set_bounds(&mut m, CoreId(0), FreqMhz(1_000), FreqMhz(2_000))
-            .unwrap();
-        let f = cf
-            .set_governor(&mut m, CoreId(0), Governor::Userspace(FreqMhz(3_600)))
-            .unwrap();
-        assert_eq!(f, FreqMhz(2_000));
-    }
-
-    #[test]
     fn ondemand_interpolates() {
         let p = Policy {
             governor: Governor::Ondemand { load_pct: 50 },
@@ -226,15 +194,5 @@ mod tests {
             Governor::Userspace(FreqMhz(2_000)).to_string(),
             "userspace(2 GHz)"
         );
-    }
-
-    #[test]
-    fn bounds_quantize_to_table() {
-        let (mut m, mut cf) = setup();
-        cf.set_bounds(&mut m, CoreId(0), FreqMhz(1_033), FreqMhz(2_977))
-            .unwrap();
-        let p = cf.policy(CoreId(0));
-        assert_eq!(p.min, FreqMhz(1_000));
-        assert_eq!(p.max, FreqMhz(3_000));
     }
 }

@@ -2,27 +2,13 @@
 //!
 //! The paper's Algorithm 2 sets test frequencies with the `cpupower`
 //! Linux utility (`CPU_POWER(test_frequency)`). This module is that
-//! command-line surface over [`crate::cpufreq`]: frequency-set,
-//! frequency-info, and the all-cores convenience the DVFS thread uses.
+//! command-line surface over [`crate::cpufreq`]: frequency-set and the
+//! all-cores convenience the DVFS thread uses.
 
 use crate::cpufreq::{CpuFreq, Governor};
 use crate::machine::{Machine, MachineError};
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::freq::FreqMhz;
-use serde::{Deserialize, Serialize};
-
-/// Output of `cpupower frequency-info`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FrequencyInfo {
-    /// Hardware limits (table min/max).
-    pub hw_min: FreqMhz,
-    /// Hardware limits (table min/max).
-    pub hw_max: FreqMhz,
-    /// Frequency the core currently runs at.
-    pub current: FreqMhz,
-    /// The governor in charge.
-    pub governor: Governor,
-}
 
 /// The `cpupower` utility bound to a machine's cpufreq subsystem.
 #[derive(Debug)]
@@ -37,12 +23,6 @@ impl CpuPower {
         CpuPower {
             cpufreq: CpuFreq::new(machine),
         }
-    }
-
-    /// Shared access to the underlying cpufreq state.
-    #[must_use]
-    pub fn cpufreq(&self) -> &CpuFreq {
-        &self.cpufreq
     }
 
     /// `cpupower -c <core> frequency-set -f <freq>`: pins one core to a
@@ -79,25 +59,6 @@ impl CpuPower {
         }
         Ok(applied)
     }
-
-    /// `cpupower -c <core> frequency-info`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine errors.
-    pub fn frequency_info(
-        &self,
-        machine: &Machine,
-        core: CoreId,
-    ) -> Result<FrequencyInfo, MachineError> {
-        let table = &machine.cpu().spec().freq_table;
-        Ok(FrequencyInfo {
-            hw_min: table.min(),
-            hw_max: table.max(),
-            current: machine.cpu().core_freq(core)?,
-            governor: self.cpufreq.policy(core).governor,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -122,18 +83,6 @@ mod tests {
         for c in 0..m.cpu().core_count() {
             assert_eq!(m.cpu().core_freq(CoreId(c)).unwrap(), FreqMhz(1_200));
         }
-    }
-
-    #[test]
-    fn frequency_info_reports_state() {
-        let mut m = Machine::new(CpuModel::KabyLakeR, 3);
-        let mut cp = CpuPower::new(&m);
-        cp.frequency_set(&mut m, CoreId(2), FreqMhz(3_000)).unwrap();
-        let info = cp.frequency_info(&m, CoreId(2)).unwrap();
-        assert_eq!(info.current, FreqMhz(3_000));
-        assert_eq!(info.hw_min, FreqMhz(400));
-        assert_eq!(info.hw_max, FreqMhz(3_400));
-        assert_eq!(info.governor, Governor::Userspace(FreqMhz(3_000)));
     }
 
     #[test]

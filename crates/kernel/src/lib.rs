@@ -13,11 +13,8 @@
 //! - [`cpupower`] — the `cpupower` utility used by Algorithm 2;
 //! - [`msr_dev`] — the userspace `/dev/cpu/*/msr` path with syscall
 //!   costs (what attacks pay);
-//! - [`sched`] — a cooperative time-sliced thread scheduler (concurrent
-//!   victim/adversary/housekeeping activities, like the paper's
-//!   two-thread characterization framework);
-//! - [`sgx`] — enclaves, stepping adversaries, and attestation reports
-//!   carrying the paper's module-load-state proposal.
+//! - [`sgx`] — stepping adversaries, and attestation reports carrying
+//!   the paper's module-load-state proposal.
 //!
 //! # Examples
 //!
@@ -44,16 +41,14 @@ pub mod cpuidle;
 pub mod cpupower;
 pub mod machine;
 pub mod msr_dev;
-pub mod sched;
 pub mod sgx;
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
     pub use crate::cpufreq::{CpuFreq, Governor, Policy};
     pub use crate::cpuidle::{CState, CpuIdle};
-    pub use crate::cpupower::{CpuPower, FrequencyInfo};
+    pub use crate::cpupower::CpuPower;
     pub use crate::machine::{KernelModule, Machine, MachineError, ModuleCtx, WorkloadRun};
     pub use crate::msr_dev::MsrDev;
-    pub use crate::sched::{Scheduler, SimThread, Yield};
-    pub use crate::sgx::{AttestationReport, Enclave, Quote, SteppingCapability};
+    pub use crate::sgx::{AttestationReport, Quote, SteppingCapability};
 }

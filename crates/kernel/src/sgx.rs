@@ -1,4 +1,5 @@
-//! SGX enclave context and remote attestation (threat-model substrate).
+//! SGX remote attestation and the stepping adversary (threat-model
+//! substrate).
 //!
 //! The paper's threat model (Sec. 4.1) hinges on what the SGX attestation
 //! report *attests*:
@@ -146,61 +147,6 @@ impl SteppingCapability {
     }
 }
 
-/// A victim enclave running a sensitive computation.
-///
-/// The enclave body is opaque to the OS; what the adversary controls is
-/// *when* it runs (stepping) and the physical conditions (DVFS). The
-/// generic parameter is the sensitive computation's state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Enclave {
-    name: String,
-    /// Instructions retired inside the enclave so far.
-    steps_retired: u64,
-    /// Whether an in-enclave trap (deflection defense) has fired.
-    trap_fired: bool,
-}
-
-impl Enclave {
-    /// Creates an enclave.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Enclave {
-            name: name.into(),
-            steps_retired: 0,
-            trap_fired: false,
-        }
-    }
-
-    /// The enclave's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Instructions retired so far.
-    #[must_use]
-    pub fn steps_retired(&self) -> u64 {
-        self.steps_retired
-    }
-
-    /// Retires `n` instructions (normal execution).
-    pub fn retire(&mut self, n: u64) {
-        self.steps_retired += n;
-    }
-
-    /// Whether the deflection trap has fired.
-    #[must_use]
-    pub fn trap_fired(&self) -> bool {
-        self.trap_fired
-    }
-
-    /// Fires the deflection trap (a Minefield-style guard detected a
-    /// faulted canary). Once fired, the enclave aborts the computation.
-    pub fn fire_trap(&mut self) {
-        self.trap_fired = true;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,16 +243,5 @@ mod tests {
         assert!(!SteppingCapability::None.defeats_trap_deflection());
         assert!(SteppingCapability::SingleStep.defeats_trap_deflection());
         assert!(SteppingCapability::ZeroStep.defeats_trap_deflection());
-    }
-
-    #[test]
-    fn enclave_trap_lifecycle() {
-        let mut e = Enclave::new("rsa-signer");
-        assert_eq!(e.name(), "rsa-signer");
-        e.retire(100);
-        assert_eq!(e.steps_retired(), 100);
-        assert!(!e.trap_fired());
-        e.fire_trap();
-        assert!(e.trap_fired());
     }
 }

@@ -146,17 +146,6 @@ impl MsrFile {
         self.regs.insert(msr, reset_value);
     }
 
-    /// Removes `msr`; further accesses raise `#GP`.
-    pub fn unimplement(&mut self, msr: Msr) {
-        self.regs.remove(&msr);
-    }
-
-    /// Whether `msr` is implemented.
-    #[must_use]
-    pub fn is_implemented(&self, msr: Msr) -> bool {
-        self.regs.contains_key(&msr)
-    }
-
     /// Registers a write interceptor at the end of the chain, caching
     /// its name in the index. Returns an identifier for
     /// [`remove_interceptor`](Self::remove_interceptor).
@@ -455,7 +444,5 @@ mod tests {
         f.wrmsr(Msr::OC_MAILBOX, 5).unwrap();
         f.implement(Msr::OC_MAILBOX, 0);
         assert_eq!(f.rdmsr(Msr::OC_MAILBOX).unwrap(), 0);
-        f.unimplement(Msr::OC_MAILBOX);
-        assert!(!f.is_implemented(Msr::OC_MAILBOX));
     }
 }

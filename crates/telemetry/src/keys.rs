@@ -238,12 +238,6 @@ pub const REGISTERED_SPANS: &[SpanDecl] = &[
     ),
 ];
 
-/// Whether `(component, name)` is a declared key.
-#[must_use]
-pub fn is_registered(component: &str, name: &str) -> bool {
-    lookup(component, name).is_some()
-}
-
 /// Whether `label` is a declared span label.
 #[must_use]
 pub fn is_registered_span(label: &str) -> bool {
@@ -282,8 +276,8 @@ mod tests {
 
     #[test]
     fn lookup_finds_declared_keys() {
-        assert!(is_registered("msr", "wrmsr"));
-        assert!(!is_registered("msr", "wrmsr_typo"));
+        assert!(lookup("msr", "wrmsr").is_some());
+        assert!(lookup("msr", "wrmsr_typo").is_none());
         let decl = lookup("poll", "detection_latency_us").expect("declared");
         assert_eq!(decl.scope, KeyScope::Both);
         assert_eq!(decl.kind, KeyKind::Histogram);

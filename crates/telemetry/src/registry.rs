@@ -399,12 +399,6 @@ impl Sink {
     pub fn with<R>(&self, f: impl FnOnce(&Registry) -> R) -> R {
         f(&self.inner.borrow())
     }
-
-    /// Whether two sinks share the same registry.
-    #[must_use]
-    pub fn same_registry(&self, other: &Sink) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +505,6 @@ mod tests {
         let other = sink.clone();
         other.incr(MetricKey::global("kernel", "steals"));
         sink.incr(MetricKey::global("kernel", "steals"));
-        assert!(sink.same_registry(&other));
         assert_eq!(
             sink.with(|r| r.counter(&MetricKey::global("kernel", "steals"))),
             2

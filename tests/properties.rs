@@ -12,7 +12,6 @@ use plugvolt::state::StateClass;
 use plugvolt_circuit::delay::{AlphaPowerModel, DelayModel};
 use plugvolt_circuit::fault::{sample_binomial, sample_flip_mask, FaultModel};
 use plugvolt_circuit::multiplier::MultiplierUnit;
-use plugvolt_circuit::netlist::{array_multiplier, ripple_carry_adder};
 use plugvolt_circuit::timing::TimingBudget;
 use plugvolt_cpu::energy::EnergyModel;
 use plugvolt_cpu::exec::{InstrClass, Rails};
@@ -316,28 +315,6 @@ fn flip_masks_are_nonzero_and_in_window() {
         if sig < 64 {
             assert_eq!(mask >> sig, 0, "mask {mask:#x} beyond window {sig}");
         }
-    });
-}
-
-// ---------- gate-level ground truth ----------
-
-#[test]
-fn adder_netlist_equals_integer_add() {
-    cases("adder_netlist", |g| {
-        let x = g.u64_in(0, 255);
-        let y = g.u64_in(0, 255);
-        let add = ripple_carry_adder(8);
-        assert_eq!(add.compute(x, y), x + y);
-    });
-}
-
-#[test]
-fn multiplier_netlist_equals_integer_mul() {
-    cases("multiplier_netlist", |g| {
-        let x = g.u64_in(0, 63);
-        let y = g.u64_in(0, 63);
-        let mul = array_multiplier(6);
-        assert_eq!(mul.compute(x, y), x * y);
     });
 }
 
