@@ -11,16 +11,16 @@
 #   4. lint-wall coverage  every workspace member opts into [workspace.lints]
 #   5. hygiene             no build artifacts tracked by git
 #   6. build               cargo build --release (whole workspace)
-#   7. host backend        cargo build --release -p plugvolt-hal
+#   7. host probe          cargo build --release -p plugvolt-hal
 #   8. rustdoc             cargo doc --no-deps --workspace, warnings denied
 #   9. tests               cargo test -q (tier-1 suite + all members)
 #  10. perfbench self-test cargo test on perfbench/ (the registered
 #                          benchmark's rebuilt entry points == library)
 #  11. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
 #  12. soak gate           plugvolt-cli soak --smoke + corpus replay
-#  13. trace replay gate   committed MSR transcript replayed through the
-#                          HAL replay backend (tape-clean + oracles +
-#                          sim-differential byte identity)
+#  13. trace replay gate   committed MSR transcript's campaign recorded
+#                          again and compared event for event (tape-clean
+#                          + oracles + sim-differential byte identity)
 #  14. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -75,7 +75,7 @@ step "cargo build --release"
 cargo build --release --workspace
 
 step "host backend builds (plugvolt-hal)"
-# The read-only Linux host backend (/dev/cpu/*/msr + sysfs cpufreq) is
+# The read-only Linux host probe (/dev/cpu/*/msr + sysfs cpufreq) is
 # compile-gated on target_os = "linux"; build the HAL crate explicitly
 # so a cfg regression can never hide behind the workspace build, and so
 # the gate is self-describing in the CI log.
@@ -118,12 +118,13 @@ step "plugvolt-cli soak --smoke"
     --out target/soak-report.json
 
 step "plugvolt-cli soak --backend replay (trace fixture)"
-# Replays the committed MSR transcript through the HAL replay backend
-# across all four deployment levels. Fails on any tape divergence,
-# overrun or leftover, on any soak-oracle violation, and unless the
-# replayed run's telemetry profiles and poll stats are byte-identical
-# to a plain sim run — the differential proof that the sim and trace
-# backends sit behind one seam with no behavioral drift.
+# Records the committed MSR transcript's campaign again across all four
+# deployment levels and compares each section with the committed one.
+# Fails on any tape divergence, overrun or leftover, on any soak-oracle
+# violation, and unless the re-recorded run's telemetry profiles and
+# poll stats are byte-identical to a plain sim run — the differential
+# proof that the sim and recording backends sit behind one seam with no
+# behavioral drift.
 ./target/release/plugvolt-cli soak --backend replay \
     --trace results/traces/fixture.trace.jsonl
 

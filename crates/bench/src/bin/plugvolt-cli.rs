@@ -29,15 +29,15 @@
 //! clock is the campaign index, one campaign per simulated
 //! millisecond) and forces the sequential campaign path.
 //!
-//! The `--backend` flag selects the HAL backend behind the machine
-//! seam (`plugvolt_hal`): `sim` (default) runs the in-memory register
-//! file; `--record` records the deterministic fixture campaign to a
-//! pinned-schema JSONL MSR transcript; `--backend replay --trace FILE`
-//! re-executes a transcript on the replay backend and gates on
-//! tape-clean + oracle-pass + sim-differential byte identity;
-//! `--backend host` probes the *read-only* Linux host backend
+//! The `--backend` flag selects what `soak` runs on (`plugvolt_hal`):
+//! `sim` (default) runs the in-memory register file; `--record` records
+//! the deterministic fixture campaign to a pinned-schema JSONL MSR
+//! transcript; `--backend replay --trace FILE`
+//! records the transcript's campaign again, compares it with the tape
+//! and gates on tape-clean + oracle-pass + sim-differential byte
+//! identity; `--backend host` runs the *read-only* Linux host probe
 //! (`/dev/cpu/*/msr` + sysfs cpufreq) and reports polling overhead and
-//! worst-case detection latency — it never writes an MSR.
+//! worst-case detection latency — it has no write path.
 //!
 //! The characterization artifact is plain JSON — the same bytes the
 //! kernel module consumes — so the stages can run on different machines,
@@ -77,6 +77,27 @@ enum CliError {
         /// The flag in question.
         flag: &'static str,
     },
+    /// A flag the subcommand does not accept.
+    UnknownFlag {
+        /// The subcommand.
+        cmd: &'static str,
+        /// The flag in question.
+        flag: String,
+    },
+    /// A flag given more than once.
+    RepeatedFlag {
+        /// The flag in question.
+        flag: String,
+    },
+    /// A flag's value does not parse.
+    BadValue {
+        /// The flag in question.
+        flag: &'static str,
+        /// The value given.
+        value: String,
+        /// Why it does not parse.
+        detail: String,
+    },
     /// A flag only meaningful in combination was passed alone.
     RequiresFlag {
         /// The flag in question.
@@ -102,6 +123,13 @@ impl fmt::Display for CliError {
                     "{flag} requires a value (none given, or the next token is a flag)"
                 )
             }
+            CliError::UnknownFlag { cmd, flag } => write!(f, "{cmd} does not accept {flag}"),
+            CliError::RepeatedFlag { flag } => write!(f, "{flag} given more than once"),
+            CliError::BadValue {
+                flag,
+                value,
+                detail,
+            } => write!(f, "{flag}: invalid value '{value}' ({detail})"),
             CliError::RequiresFlag { flag, requires } => {
                 write!(f, "{flag} only makes sense together with {requires}")
             }
@@ -134,6 +162,63 @@ fn value_of(args: &[String], flag: &'static str) -> Result<Option<String>, CliEr
     }
 }
 
+/// The parsed value of a value-taking flag, or a typed [`CliError`]
+/// naming the flag when the value does not parse.
+fn parsed<T, E: fmt::Display>(
+    args: &[String],
+    flag: &'static str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<Option<T>, CliError> {
+    value_of(args, flag)?
+        .map(|value| {
+            parse(&value).map_err(|e| CliError::BadValue {
+                flag,
+                detail: e.to_string(),
+                value,
+            })
+        })
+        .transpose()
+}
+
+/// The subcommands and the flags each accepts.
+const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
+    ("characterize", "--model --out --seed --coarse --workers"),
+    ("inspect", "--map"),
+    ("maximal", "--map --margin"),
+    ("attack", "--model --map --deploy"),
+    ("energy", "--model --map"),
+    ("telemetry", "--profile --vcd"),
+    ("bench", "--smoke --model --trace-out --flame-out"),
+    (
+        "soak",
+        "--smoke --seed --campaigns --workers --model --corpus --out --stream --no-self-test \
+         --record --backend --trace --reads --period-us",
+    ),
+];
+
+/// Refuses a `--flag` the subcommand does not accept, and any flag
+/// given twice (the first would silently win).
+fn check_flags(args: &[String]) -> Result<(), CliError> {
+    let Some(&(cmd, accepted)) = SUBCOMMAND_FLAGS
+        .iter()
+        .find(|(cmd, _)| args.first().is_some_and(|a| a == cmd))
+    else {
+        return Ok(());
+    };
+    let flags: Vec<&String> = args.iter().filter(|a| a.starts_with("--")).collect();
+    for (i, &flag) in flags.iter().enumerate() {
+        if !accepted.split_whitespace().any(|a| a == flag) {
+            let flag = flag.clone();
+            return Err(CliError::UnknownFlag { cmd, flag });
+        }
+        if flags[..i].contains(&flag) {
+            let flag = flag.clone();
+            return Err(CliError::RepeatedFlag { flag });
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,18 +233,19 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let flag = |name: &str| args.iter().any(|a| a == name);
+    check_flags(&args)?;
 
     match cmd {
         "characterize" => {
             let model = parse_model(&value_of(&args, "--model")?.ok_or("--model required")?)?;
             let out = value_of(&args, "--out")?.ok_or("--out required")?;
-            let seed = value_of(&args, "--seed")?.map_or(Ok(2024), |s| s.parse::<u64>())?;
+            let seed = parsed(&args, "--seed", parse_seed)?.unwrap_or(2024);
             let cfg = if flag("--coarse") {
                 SweepConfig::coarse()
             } else {
                 SweepConfig::default()
             };
-            let workers = value_of(&args, "--workers")?.map_or(Ok(1), |s| s.parse::<usize>())?;
+            let workers = parsed(&args, "--workers", str::parse::<usize>)?.unwrap_or(1);
             let scn = Scenario::with_seed(seed);
             eprintln!(
                 "sweeping {model} ({} resolution, {workers} worker{})…",
@@ -197,7 +283,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         "maximal" => {
             let map = load_map(&value_of(&args, "--map")?.ok_or("--map required")?)?;
-            let margin = value_of(&args, "--margin")?.map_or(Ok(5), |s| s.parse::<i32>())?;
+            let margin = parsed(&args, "--margin", str::parse::<i32>)?.unwrap_or(5);
             match MaximalSafeState::from_map(&map, margin) {
                 Some(mss) => {
                     println!(
@@ -272,11 +358,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 plugvolt_bench::soak::SoakConfig::default()
             };
-            if let Some(n) = value_of(&args, "--campaigns")? {
-                cfg.campaigns = n.parse::<u32>()?;
+            if let Some(n) = parsed(&args, "--campaigns", str::parse::<u32>)? {
+                cfg.campaigns = n;
             }
-            if let Some(n) = value_of(&args, "--workers")? {
-                cfg.workers = n.parse::<usize>()?;
+            if let Some(n) = parsed(&args, "--workers", str::parse::<usize>)? {
+                cfg.workers = n;
             }
             if let Some(m) = value_of(&args, "--model")? {
                 cfg.model = parse_model(&m)?;
@@ -284,8 +370,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             if flag("--no-self-test") {
                 cfg.self_test = false;
             }
-            let seed = value_of(&args, "--seed")?
-                .map_or(Ok(plugvolt_bench::scenario::SEED), |s| parse_seed(&s))?;
+            let seed =
+                parsed(&args, "--seed", parse_seed)?.unwrap_or(plugvolt_bench::scenario::SEED);
             let corpus = value_of(&args, "--corpus")?;
             let stream_path = value_of(&args, "--stream")?;
             let mut scn = Scenario::with_seed(seed);
@@ -436,8 +522,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                  `--trace-out` exports a Chrome trace-event JSON (load in Perfetto);\n\
                  `soak --stream` appends one pinned-schema telemetry frame per campaign;\n\
                  `soak --record` records the fixture campaign's MSR transcript,\n\
-                 `soak --backend replay --trace` re-runs it with differential checks, and\n\
-                 `soak --backend host` probes the read-only Linux MSR/cpufreq backend.\n\
+                 `soak --backend replay --trace` records it again and compares, and\n\
+                 `soak --backend host` runs the read-only Linux MSR/cpufreq probe.\n\
                  \n\
                  lint the workspace sources (determinism & MSR-safety gate):\n\
                  \x20 cargo run -p plugvolt-analysis --bin plugvolt-lint -- --workspace"
@@ -500,10 +586,7 @@ fn parse_seed(s: &str) -> Result<u64, std::num::ParseIntError> {
 /// pinned-schema JSONL to `FILE`. Refuses to write a fixture whose
 /// campaign violates an oracle.
 fn record_command(args: &[String], path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let seed = match value_of(args, "--seed")? {
-        Some(s) => parse_seed(&s)?,
-        None => plugvolt_bench::scenario::SEED,
-    };
+    let seed = parsed(args, "--seed", parse_seed)?.unwrap_or(plugvolt_bench::scenario::SEED);
     let model = match value_of(args, "--model")? {
         Some(m) => parse_model(&m)?,
         None => CpuModel::CometLake,
@@ -523,9 +606,9 @@ fn record_command(args: &[String], path: &str) -> Result<(), Box<dyn std::error:
     Ok(())
 }
 
-/// `soak --backend replay --trace FILE`: re-executes a recorded MSR
-/// transcript on the replay backend and gates on tape-clean sections,
-/// the soak oracles, and byte-identical telemetry vs a plain sim run.
+/// `soak --backend replay --trace FILE`: records a transcript's
+/// campaign again and gates on tape-clean sections, the soak oracles,
+/// and byte-identical telemetry vs a plain sim run.
 fn replay_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = value_of(args, "--trace")?.ok_or(CliError::RequiresFlag {
         flag: "--backend replay",
@@ -541,27 +624,21 @@ fn replay_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// `soak --backend host`: probes the read-only Linux host backend
+/// `soak --backend host`: runs the read-only Linux host probe
 /// (`/dev/cpu/*/msr` + sysfs cpufreq) and reports per-core read
 /// latency plus the worst-case detection latency a software poller at
 /// `--period-us` would see. Never writes an MSR; degrades gracefully
 /// without root (unreadable cores are reported, not fatal).
 #[cfg(target_os = "linux")]
 fn host_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let reads = match value_of(args, "--reads")? {
-        Some(n) => n.parse::<u32>()?,
-        None => 64,
-    };
-    let period_us = match value_of(args, "--period-us")? {
-        Some(n) => n.parse::<f64>()?,
-        None => 100.0,
-    };
+    let reads = parsed(args, "--reads", str::parse::<u32>)?.unwrap_or(64);
+    let period_us = parsed(args, "--period-us", str::parse::<f64>)?.unwrap_or(100.0);
     let report = plugvolt_hal::host::probe_poll_overhead(reads);
     print!("{}", report.render_text(period_us));
     Ok(())
 }
 
-/// Stub on non-Linux targets (the host backend is Linux-only).
+/// Stub on non-Linux targets (the host probe is Linux-only).
 #[cfg(not(target_os = "linux"))]
 fn host_command(_args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Err("--backend host requires Linux (/dev/cpu/*/msr + sysfs cpufreq)".into())

@@ -48,8 +48,9 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let json = args.iter().any(|a| a == "--json");
-    JSON_MODE.store(json, std::sync::atomic::Ordering::Relaxed);
+    let out = Out {
+        json: args.iter().any(|a| a == "--json"),
+    };
     let tpos = args.iter().position(|a| a == "--telemetry");
     let telemetry_path = tpos.and_then(|i| args.get(i + 1)).cloned();
     if tpos.is_some()
@@ -106,11 +107,11 @@ fn main() -> ExitCode {
 
     if run("table1") {
         matched = true;
-        table1();
+        table1(out);
     }
     if run("fig1") {
         matched = true;
-        fig1();
+        fig1(out);
     }
     for (name, model) in [
         ("fig2", CpuModel::SkyLake),
@@ -119,44 +120,44 @@ fn main() -> ExitCode {
     ] {
         if run(name) {
             matched = true;
-            figure(&scn, name, model, full, stream.as_mut());
+            figure(out, &scn, name, model, full, stream.as_mut());
         }
     }
     if run("table2") {
         matched = true;
-        table2(&scn, full);
+        table2(out, &scn, full);
     }
     if run("defense") {
         matched = true;
-        defense(&scn);
+        defense(out, &scn);
     }
     if run("levels") {
         matched = true;
-        levels(&scn);
+        levels(out, &scn);
     }
     if run("stepping") {
         matched = true;
-        stepping(&scn);
+        stepping(out, &scn);
     }
     if run("interval") {
         matched = true;
-        interval(&scn);
+        interval(out, &scn);
     }
     if run("planes") {
         matched = true;
-        planes(&scn);
+        planes(out, &scn);
     }
     if run("energy") {
         matched = true;
-        energy(&scn);
+        energy(out, &scn);
     }
     if run("units") {
         matched = true;
-        units(&scn);
+        units(out, &scn);
     }
     if run("attest") {
         matched = true;
-        attest(&scn);
+        attest(out, &scn);
     }
     if !matched {
         eprintln!("unknown experiment '{cmd}'");
@@ -258,12 +259,6 @@ impl StreamWriter {
     }
 }
 
-static JSON_MODE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-fn json_mode() -> bool {
-    JSON_MODE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Worker count for the parallel experiment matrices. The merged
 /// results are byte-identical for any worker count (pinned by
 /// `tests/determinism.rs`), so using every available core is safe.
@@ -271,26 +266,34 @@ fn matrix_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// In JSON mode, print the serialized payload and skip the table.
-fn emit_json<T: serde::Serialize>(name: &str, payload: &T) -> bool {
-    if !json_mode() {
-        return false;
-    }
-    println!(
-        "{}",
-        serde_json::json!({ "experiment": name, "data": payload })
-    );
-    true
+/// How the experiment printers print: a title line and tables, or
+/// (`--json`) one JSON object per experiment.
+#[derive(Clone, Copy)]
+struct Out {
+    json: bool,
 }
 
-fn banner(title: &str) {
-    if !json_mode() {
-        println!("\n=== {title} ===\n");
+impl Out {
+    /// In JSON mode, print the serialized payload and skip the table.
+    fn emit_json<T: serde::Serialize>(self, name: &str, payload: &T) -> bool {
+        if self.json {
+            println!(
+                "{}",
+                serde_json::json!({ "experiment": name, "data": payload })
+            );
+        }
+        self.json
+    }
+
+    fn banner(self, title: &str) {
+        if !self.json {
+            println!("\n=== {title} ===\n");
+        }
     }
 }
 
-fn table1() {
-    banner("Table 1: MSR 0x150 (overclocking mailbox) bit layout");
+fn table1(out: Out) {
+    out.banner("Table 1: MSR 0x150 (overclocking mailbox) bit layout");
     let mut t = TextTable::new(["bits", "function", "explanation"]);
     t.row(["0-20", "-", "reserved"]);
     t.row([
@@ -324,8 +327,8 @@ fn table1() {
     print!("{}", t.render());
 }
 
-fn fig1() {
-    banner("Figure 1: Eq. 1 interplay under undervolting (Sky Lake @ 3.6 GHz)");
+fn fig1(out: Out) {
+    out.banner("Figure 1: Eq. 1 interplay under undervolting (Sky Lake @ 3.6 GHz)");
     let series = experiments::fig1_series(CpuModel::SkyLake, FreqMhz(3_600), 260);
     let mut t = TextTable::new([
         "offset (mV)",
@@ -347,6 +350,7 @@ fn fig1() {
 }
 
 fn figure(
+    out: Out,
     scn: &Scenario,
     name: &str,
     model: CpuModel,
@@ -354,7 +358,7 @@ fn figure(
     stream: Option<&mut StreamWriter>,
 ) {
     let spec = model.spec();
-    banner(&format!(
+    out.banner(&format!(
         "{}: safe/unsafe characterization of {} ({}, microcode {:#x})",
         name.to_uppercase(),
         spec.codename,
@@ -370,7 +374,7 @@ fn figure(
         None => scn.characterize(model, &cfg, matrix_workers()),
     }
     .expect("sweep completes");
-    if emit_json(name, &run.map) {
+    if out.emit_json(name, &run.map) {
         return;
     }
     let mut t = TextTable::new([
@@ -407,14 +411,14 @@ fn figure(
     }
 }
 
-fn table2(scn: &Scenario, full: bool) {
-    banner("Table 2: polling-countermeasure overhead on SPEC2017-like suite (Comet Lake)");
+fn table2(out: Out, scn: &Scenario, full: bool) {
+    out.banner("Table 2: polling-countermeasure overhead on SPEC2017-like suite (Comet Lake)");
     let cfg = OverheadConfig {
         work_divisor: if full { 1 } else { 20 },
         ..OverheadConfig::default()
     };
     let table = run_table2_with(&cfg, scn.telemetry()).expect("harness completes");
-    if emit_json("table2", &table) {
+    if out.emit_json("table2", &table) {
         return;
     }
     let mut t = TextTable::new([
@@ -447,13 +451,13 @@ fn table2(scn: &Scenario, full: bool) {
     }
 }
 
-fn defense(scn: &Scenario) {
-    banner("Defense matrix (§4.3): every attack vs every deployment (Comet Lake)");
+fn defense(out: Out, scn: &Scenario) {
+    out.banner("Defense matrix (§4.3): every attack vs every deployment (Comet Lake)");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let cells =
         experiments::defense_matrix(scn, model, &map, matrix_workers()).expect("matrix completes");
-    if emit_json("defense", &cells) {
+    if out.emit_json("defense", &cells) {
         return;
     }
     let mut t = TextTable::new([
@@ -477,13 +481,13 @@ fn defense(scn: &Scenario) {
     print!("{}", t.render());
 }
 
-fn levels(scn: &Scenario) {
-    banner("Deployment levels (§5): turnaround / exposure under a -250 mV attack write");
+fn levels(out: Out, scn: &Scenario) {
+    out.banner("Deployment levels (§5): turnaround / exposure under a -250 mV attack write");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::deployment_levels(scn, model, &map, matrix_workers())
         .expect("levels complete");
-    if emit_json("levels", &rows) {
+    if out.emit_json("levels", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -506,12 +510,12 @@ fn levels(scn: &Scenario) {
     print!("{}", t.render());
 }
 
-fn stepping(scn: &Scenario) {
-    banner("Threat model (§4.1): stepping adversaries vs deflection vs polling");
+fn stepping(out: Out, scn: &Scenario) {
+    out.banner("Threat model (§4.1): stepping adversaries vs deflection vs polling");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::stepping_experiment(scn, model, &map).expect("experiment completes");
-    if emit_json("stepping", &rows) {
+    if out.emit_json("stepping", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -536,13 +540,13 @@ fn stepping(scn: &Scenario) {
     print!("{}", t.render());
 }
 
-fn interval(scn: &Scenario) {
-    banner("Ablation: polling period vs overhead vs turnaround (Comet Lake @ f_max)");
+fn interval(out: Out, scn: &Scenario) {
+    out.banner("Ablation: polling period vs overhead vs turnaround (Comet Lake @ f_max)");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows =
         experiments::interval_sweep(scn, model, &map, matrix_workers()).expect("sweep completes");
-    if emit_json("interval", &rows) {
+    if out.emit_json("interval", &rows) {
         return;
     }
     let mut t = TextTable::new(["period", "overhead %", "detect latency", "rail ever moved"]);
@@ -559,12 +563,12 @@ fn interval(scn: &Scenario) {
     println!(" neutralizes the write before the rail moves at all)");
 }
 
-fn planes(scn: &Scenario) {
-    banner("Ablation: voltage planes watched by the polling module (Comet Lake)");
+fn planes(out: Out, scn: &Scenario) {
+    out.banner("Ablation: voltage planes watched by the polling module (Comet Lake)");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::plane_ablation(scn, model, &map).expect("ablation completes");
-    if emit_json("planes", &rows) {
+    if out.emit_json("planes", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -600,12 +604,12 @@ fn planes(scn: &Scenario) {
     println!(" cost of two extra MSR accesses per plane per core per tick)");
 }
 
-fn energy(scn: &Scenario) {
-    banner("Energy: what denying benign undervolting costs (Comet Lake, RAPL)");
+fn energy(out: Out, scn: &Scenario) {
+    out.banner("Energy: what denying benign undervolting costs (Comet Lake, RAPL)");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::energy_ablation(scn, model, &map).expect("ablation completes");
-    if emit_json("energy", &rows) {
+    if out.emit_json("energy", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -630,11 +634,11 @@ fn energy(scn: &Scenario) {
     println!(" runs; Intel's access-control fix forfeits it)");
 }
 
-fn units(scn: &Scenario) {
-    banner("Die-to-die variation: per-unit vs per-generation safe bounds (Comet Lake)");
+fn units(out: Out, scn: &Scenario) {
+    out.banner("Die-to-die variation: per-unit vs per-generation safe bounds (Comet Lake)");
     let study =
         experiments::unit_variation_study(scn, CpuModel::CometLake, 8).expect("study completes");
-    if emit_json("units", &study) {
+    if out.emit_json("units", &study) {
         return;
     }
     let mut t = TextTable::new(["unit", "own maximal safe state (mV)", "onset @ f_max (mV)"]);
@@ -666,12 +670,12 @@ generation-wide bound (worst unit): {} mV",
     println!(" the kernel-module level can use each unit's own map)");
 }
 
-fn attest(scn: &Scenario) {
-    banner("Attestation policies (§4.1)");
+fn attest(out: Out, scn: &Scenario) {
+    out.banner("Attestation policies (§4.1)");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::attestation_matrix(scn, model, &map).expect("matrix completes");
-    if emit_json("attest", &rows) {
+    if out.emit_json("attest", &rows) {
         return;
     }
     let mut t = TextTable::new([

@@ -45,7 +45,7 @@ use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::rng::{derive_seed, SimRng};
 use plugvolt_hal::sim::SimBackend;
-use plugvolt_hal::trace::{RecordingBackend, ReplayBackend, ReplayCursor, TraceRecorder};
+use plugvolt_hal::trace::{RecordingBackend, TraceRecorder};
 use plugvolt_kernel::machine::{Machine, MachineError};
 use plugvolt_telemetry::Sink;
 use std::collections::BTreeMap;
@@ -166,22 +166,6 @@ impl Scenario {
     pub fn machine_recording(&self, model: CpuModel, label: &str, rec: &TraceRecorder) -> Machine {
         let seed = self.seed_for(label);
         let backend = RecordingBackend::new(SimBackend::new(model, seed), rec.clone());
-        self.install(Machine::with_backend(Box::new(backend), seed))
-    }
-
-    /// Boots a labelled auxiliary machine whose backend re-executes
-    /// against a fresh sim store while verifying every MSR access
-    /// against `cursor`'s tape (divergences accumulate on the cursor).
-    /// Seeded identically to [`Scenario::machine_for`].
-    #[must_use]
-    pub fn machine_replaying(
-        &self,
-        model: CpuModel,
-        label: &str,
-        cursor: &ReplayCursor,
-    ) -> Machine {
-        let seed = self.seed_for(label);
-        let backend = ReplayBackend::new(SimBackend::new(model, seed), cursor.clone());
         self.install(Machine::with_backend(Box::new(backend), seed))
     }
 

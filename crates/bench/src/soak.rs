@@ -47,7 +47,7 @@ use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_cpu::package::PackageError;
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_hal::trace::{ReplayCursor, TraceRecorder};
+use plugvolt_hal::trace::TraceRecorder;
 use plugvolt_kernel::cpupower::CpuPower;
 use plugvolt_kernel::machine::{KernelModule, Machine, MachineError, ModuleCtx};
 use plugvolt_kernel::msr_dev::MsrDev;
@@ -407,24 +407,11 @@ pub(crate) struct RunRecord {
     detect_latency_max_us: Option<f64>,
     accountant: ExposureAccountant,
     bound: Option<ExposureBound>,
-    /// Rendered telemetry profile, captured only on [`BootMode`] runs
-    /// that asked for it (the differential sim-vs-replay gate).
+    /// Rendered telemetry profile, captured only on runs that asked
+    /// for it (the differential record-vs-sim gate).
     pub(crate) profile_json: Option<String>,
     /// Final poll statistics of the polling level, same capture gate.
     pub(crate) poll_stats: Option<PollStats>,
-}
-
-/// How [`run_level_mode`] boots the campaign machine: the plain sim
-/// backend, a recording backend appending to a shared transcript, or a
-/// replay backend verifying against one section's tape.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BootMode<'a> {
-    /// Plain sim boot (what every soak campaign uses).
-    Sim,
-    /// Record all backend MSR traffic onto the shared tape.
-    Record(&'a TraceRecorder),
-    /// Re-execute while verifying against the tape section.
-    Replay(&'a ReplayCursor),
 }
 
 /// A deliberately weakened polling module: delegates to the real
@@ -483,23 +470,15 @@ fn run_level(
     level: Level,
     weaken: Option<u32>,
 ) -> Result<RunRecord, SoakError> {
-    run_level_mode(
-        scn,
-        model,
-        map,
-        schedule,
-        level,
-        weaken,
-        BootMode::Sim,
-        false,
-    )
+    run_level_mode(scn, model, map, schedule, level, weaken, None, false)
 }
 
-/// [`run_level`] with an explicit backend boot mode and optional
-/// profile/poll-stats capture. The machine seed is the same for every
-/// mode (all three constructors derive it from [`MACHINE_LABEL`]), so
-/// sim, record and replay runs execute bit-identically — which is what
-/// the differential sim-vs-replay gate asserts.
+/// [`run_level`] with optional recording and profile/poll-stats
+/// capture. With `rec`, the machine's backend appends every MSR access
+/// to that transcript. The machine seed is the same either way (both
+/// constructors derive it from [`MACHINE_LABEL`]), so recorded and
+/// plain runs execute bit-identically — which is what the differential
+/// record-vs-sim gate asserts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_level_mode(
     scn: &Scenario,
@@ -508,13 +487,12 @@ pub(crate) fn run_level_mode(
     schedule: &CampaignSchedule,
     level: Level,
     weaken: Option<u32>,
-    boot: BootMode<'_>,
+    rec: Option<&TraceRecorder>,
     capture: bool,
 ) -> Result<RunRecord, SoakError> {
-    let mut machine = match boot {
-        BootMode::Sim => scn.machine_for(model, MACHINE_LABEL),
-        BootMode::Record(rec) => scn.machine_recording(model, MACHINE_LABEL, rec),
-        BootMode::Replay(cursor) => scn.machine_replaying(model, MACHINE_LABEL, cursor),
+    let mut machine = match rec {
+        None => scn.machine_for(model, MACHINE_LABEL),
+        Some(rec) => scn.machine_recording(model, MACHINE_LABEL, rec),
     };
     let sink = Sink::with_event_capacity(EVENT_CAPACITY);
     // Campaign machines trace spans exactly when the scenario sink does

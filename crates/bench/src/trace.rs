@@ -1,5 +1,6 @@
 //! The MSR-transcript gate: record a soak campaign's MSR traffic to a
-//! pinned-schema JSONL fixture and replay it differentially.
+//! pinned-schema JSONL fixture, and check a committed fixture by
+//! recording its campaign again.
 //!
 //! [`record_fixture`] runs one deterministic campaign (drawn from the
 //! scenario's `trace/fixture/schedule` stream) across all four
@@ -8,13 +9,14 @@
 //! profile and poll stats of each level.
 //!
 //! [`replay_trace`] is self-contained: it reads the model and root
-//! seed from the transcript header, regenerates the same schedule, and
-//! re-runs every section on a *replay* backend that verifies each MSR
-//! access against the tape. The gate then holds three things at once:
+//! seed from the transcript header, records the same campaign again,
+//! and compares each section of the new transcript with the committed
+//! one, position by position. The gate then holds three things at
+//! once:
 //!
-//! 1. **tape-clean** — every section replays with zero divergences, no
+//! 1. **tape-clean** — every section matches with zero divergences, no
 //!    overrun and no leftover tape;
-//! 2. **oracle-pass** — the replayed runs still hold all three soak
+//! 2. **oracle-pass** — the re-recorded runs still hold all three soak
 //!    oracles (zero-faults, exposure, stream-equivalence);
 //! 3. **sim-differential** — a plain sim run of the same campaign
 //!    produces byte-identical telemetry profiles and poll stats.
@@ -23,13 +25,14 @@
 //! every commit; `tests/determinism.rs` pins the record→replay loop.
 
 use crate::scenario::Scenario;
-use crate::soak::{judge, run_level_mode, BootMode, Level, SoakError, Violation, LEVELS};
+use crate::soak::{judge, run_level_mode, RunRecord, SoakError, Violation, LEVELS};
 use plugvolt::poll::PollStats;
 use plugvolt_attacks::schedule::{AttackFamily, CampaignSchedule};
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_hal::error::HalError;
 use plugvolt_hal::trace::{
-    parse_trace, ReplayCursor, TraceHeader, TraceRecorder, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
+    compare_events, parse_trace, TapeDiff, TraceHeader, TraceRecorder, TRACE_SCHEMA,
+    TRACE_SCHEMA_VERSION,
 };
 use std::fmt;
 
@@ -129,8 +132,6 @@ pub struct RecordedFixture {
 /// Campaign failures, serialization failures, or a recorded oracle
 /// violation.
 pub fn record_fixture(scn: &Scenario, model: CpuModel) -> Result<RecordedFixture, TraceGateError> {
-    let map = scn.quick_map(model);
-    let schedule = fixture_schedule(scn, model);
     let rec = TraceRecorder::new(TraceHeader {
         schema: TRACE_SCHEMA.to_string(),
         version: TRACE_SCHEMA_VERSION,
@@ -138,61 +139,46 @@ pub fn record_fixture(scn: &Scenario, model: CpuModel) -> Result<RecordedFixture
         root_seed: scn.root_seed(),
         label: FIXTURE_LABEL.to_string(),
     });
-    let mut runs = Vec::with_capacity(LEVELS.len());
-    let mut captures = Vec::with_capacity(LEVELS.len());
-    for level in LEVELS {
-        rec.begin_section(level.label());
-        let run = run_level_mode(
-            scn,
-            model,
-            &map,
-            &schedule,
-            level,
-            None,
-            BootMode::Record(&rec),
-            true,
-        )?;
-        captures.push(capture_of(level, &run));
-        runs.push(run);
-    }
+    let runs = run_levels(scn, model, Some(&rec))?;
     if let Some(v) = judge(&runs) {
         return Err(TraceGateError::RecordedViolation(v));
     }
     Ok(RecordedFixture {
         jsonl: rec.to_jsonl()?,
-        captures,
+        captures: captures_of(&runs),
     })
 }
 
-fn capture_of(level: Level, run: &crate::soak::RunRecord) -> LevelCapture {
-    LevelCapture {
-        level: level.label(),
-        profile_json: run.profile_json.clone().unwrap_or_default(),
-        poll_stats: run.poll_stats.clone(),
-    }
+/// Runs the fixture campaign once per deployment level, capturing the
+/// observables; with `rec`, each level records into its own section.
+fn run_levels(
+    scn: &Scenario,
+    model: CpuModel,
+    rec: Option<&TraceRecorder>,
+) -> Result<Vec<RunRecord>, SoakError> {
+    let map = scn.quick_map(model);
+    let schedule = fixture_schedule(scn, model);
+    LEVELS
+        .into_iter()
+        .map(|level| {
+            if let Some(rec) = rec {
+                rec.begin_section(level.label());
+            }
+            run_level_mode(scn, model, &map, &schedule, level, None, rec, true)
+        })
+        .collect()
 }
 
-/// Replay verdict of one transcript section.
-#[derive(Debug, Clone)]
-pub struct SectionReplay {
-    /// Section name (a deployment-level label).
-    pub name: String,
-    /// Tape events checked off.
-    pub consumed: usize,
-    /// Mismatches between re-execution and tape.
-    pub divergences: usize,
-    /// Re-execution accesses past the end of the tape.
-    pub overrun: u64,
-    /// Tape events the re-execution never reached.
-    pub leftover: usize,
-}
-
-impl SectionReplay {
-    /// Whether the section replayed exactly.
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.divergences == 0 && self.overrun == 0 && self.leftover == 0
-    }
+fn captures_of(runs: &[RunRecord]) -> Vec<LevelCapture> {
+    LEVELS
+        .into_iter()
+        .zip(runs)
+        .map(|(level, run)| LevelCapture {
+            level: level.label(),
+            profile_json: run.profile_json.clone().unwrap_or_default(),
+            poll_stats: run.poll_stats.clone(),
+        })
+        .collect()
 }
 
 /// The full replay-gate verdict.
@@ -202,18 +188,19 @@ pub struct ReplayReport {
     pub model: CpuModel,
     /// Root seed from the transcript header.
     pub root_seed: u64,
-    /// Per-section tape verdicts, in transcript order.
-    pub sections: Vec<SectionReplay>,
-    /// Oracle verdict of the replayed runs (None = all oracles held).
+    /// Each section's name and how the re-recorded section lines up
+    /// against it, in transcript order.
+    pub sections: Vec<(String, TapeDiff)>,
+    /// Oracle verdict of the re-recorded runs (None = all oracles held).
     pub violation: Option<Violation>,
-    /// Captures of the replayed runs.
+    /// Captures of the re-recorded runs.
     pub replay_captures: Vec<LevelCapture>,
     /// Captures of the plain-sim differential runs.
     pub sim_captures: Vec<LevelCapture>,
 }
 
 impl ReplayReport {
-    /// Whether replay and sim produced byte-identical telemetry
+    /// Whether re-recording and sim produced byte-identical telemetry
     /// profiles and poll stats, level by level.
     #[must_use]
     pub fn profiles_match(&self) -> bool {
@@ -223,7 +210,7 @@ impl ReplayReport {
     /// The full gate: tape-clean, oracle-pass, sim-differential.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.sections.iter().all(SectionReplay::clean)
+        self.sections.iter().all(|(_, diff)| diff.clean())
             && self.violation.is_none()
             && self.profiles_match()
     }
@@ -236,17 +223,17 @@ impl ReplayReport {
             "replaying {} transcript (model {}, seed {:#x})\n",
             FIXTURE_LABEL, self.model, self.root_seed
         ));
-        for s in &self.sections {
+        for (name, diff) in &self.sections {
             out.push_str(&format!(
                 "  section {:<16} {:>5} events  {}\n",
-                s.name,
-                s.consumed,
-                if s.clean() {
+                name,
+                diff.consumed,
+                if diff.clean() {
                     "clean".to_string()
                 } else {
                     format!(
                         "DIVERGED ({} mismatches, {} overrun, {} leftover)",
-                        s.divergences, s.overrun, s.leftover
+                        diff.divergences, diff.overrun, diff.leftover
                     )
                 }
             ));
@@ -272,8 +259,9 @@ impl ReplayReport {
     }
 }
 
-/// Replays a JSONL transcript through the replay backend across all
-/// deployment levels and runs the sim differential. Self-contained:
+/// Checks a JSONL transcript: records the campaign its header names
+/// again across all deployment levels, compares each new section with
+/// the committed one, and runs the sim differential. Self-contained:
 /// everything needed (model, seed, schedule stream) comes from the
 /// transcript header.
 ///
@@ -282,71 +270,40 @@ impl ReplayReport {
 /// Schema errors, section/level mismatches, campaign failures.
 pub fn replay_trace(jsonl: &str) -> Result<ReplayReport, TraceGateError> {
     let (header, sections) = parse_trace(jsonl)?;
-    let scn = Scenario::with_seed(header.root_seed);
-    let model = header.model;
-    let map = scn.quick_map(model);
-    let schedule = fixture_schedule(&scn, model);
-
     if sections.len() != LEVELS.len() {
         return Err(TraceGateError::SectionMismatch {
             expected: format!("{} sections", LEVELS.len()),
             got: format!("{} sections", sections.len()),
         });
     }
-
-    let mut section_reports = Vec::with_capacity(LEVELS.len());
-    let mut replay_captures = Vec::with_capacity(LEVELS.len());
-    let mut sim_captures = Vec::with_capacity(LEVELS.len());
-    let mut runs = Vec::with_capacity(LEVELS.len());
-    for (level, (name, events)) in LEVELS.into_iter().zip(sections) {
-        if name != level.label() {
-            return Err(TraceGateError::SectionMismatch {
-                expected: level.label().to_string(),
-                got: name,
-            });
-        }
-        let tape_len = events.len();
-        let cursor = ReplayCursor::new(events);
-        let run = run_level_mode(
-            &scn,
-            model,
-            &map,
-            &schedule,
-            level,
-            None,
-            BootMode::Replay(&cursor),
-            true,
-        )?;
-        section_reports.push(SectionReplay {
-            name,
-            consumed: cursor.consumed(),
-            divergences: cursor.divergences().len(),
-            overrun: cursor.overrun(),
-            leftover: tape_len - cursor.consumed(),
+    if let Some((level, (name, _))) = LEVELS
+        .into_iter()
+        .zip(&sections)
+        .find(|(level, (name, _))| name.as_str() != level.label())
+    {
+        return Err(TraceGateError::SectionMismatch {
+            expected: level.label().to_string(),
+            got: name.clone(),
         });
-        replay_captures.push(capture_of(level, &run));
-        runs.push(run);
-
-        let sim_run = run_level_mode(
-            &scn,
-            model,
-            &map,
-            &schedule,
-            level,
-            None,
-            BootMode::Sim,
-            true,
-        )?;
-        sim_captures.push(capture_of(level, &sim_run));
     }
 
+    let scn = Scenario::with_seed(header.root_seed);
+    let model = header.model;
+    let rec = TraceRecorder::new(header.clone());
+    let runs = run_levels(&scn, model, Some(&rec))?;
+    let (_, live) = parse_trace(&rec.to_jsonl()?)?;
+    let sim_runs = run_levels(&scn, model, None)?;
     Ok(ReplayReport {
         model,
         root_seed: header.root_seed,
-        sections: section_reports,
+        sections: sections
+            .into_iter()
+            .zip(live)
+            .map(|((name, recorded), (_, live))| (name, compare_events(&recorded, &live)))
+            .collect(),
         violation: judge(&runs),
-        replay_captures,
-        sim_captures,
+        replay_captures: captures_of(&runs),
+        sim_captures: captures_of(&sim_runs),
     })
 }
 
@@ -375,7 +332,7 @@ mod tests {
         assert_ne!(tampered, fixture.jsonl, "tamper site must exist");
         let report = replay_trace(&tampered).expect("still parses");
         assert!(
-            report.sections.iter().any(|s| !s.clean()),
+            report.sections.iter().any(|(_, diff)| !diff.clean()),
             "tampered tape replayed clean: {}",
             report.render_text()
         );

@@ -98,3 +98,65 @@ fn a_value_flag_without_its_value_is_refused() {
     }
     assert!(!dir.join("--coarse").exists(), "no map may be written");
 }
+
+/// A map every subcommand that reads one accepts.
+const GOOD_MAP: &str = r#"{"cpu_name":"x","microcode":240,"sweep_floor_mv":-300,
+    "bands":{"2000":{"fault_onset_mv":-200,"crash_mv":-230}}}"#;
+
+#[test]
+fn unknown_and_repeated_flags_are_refused() {
+    // A misspelt flag used to be ignored (the default 5 mV margin won),
+    // and a repeated one silently took its first value.
+    for (args, named) in [
+        (
+            &["maximal", "--margn", "3"][..],
+            "maximal does not accept --margn",
+        ),
+        (
+            &["maximal", "--margin", "3", "--margin", "9"][..],
+            "--margin given more than once",
+        ),
+    ] {
+        let (code, stderr) = run_with_map("flags.map.json", GOOD_MAP, args);
+        assert_eq!(code, Some(1), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(named), "{args:?} stderr: {stderr}");
+    }
+    let (code, stderr) = run_with_map("flags.map.json", GOOD_MAP, &["maximal", "--margin", "3"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn a_numeric_value_that_does_not_parse_names_its_flag() {
+    let (code, stderr) = run_with_map("margin.map.json", GOOD_MAP, &["maximal", "--margin", "x"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--margin"), "stderr: {stderr}");
+}
+
+#[test]
+fn characterize_takes_its_seed_in_hex_too() {
+    // soak echoes seeds in hex; characterize accepts them back.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let maps: Vec<Vec<u8>> = ["0xdac2024", "229384228"]
+        .into_iter()
+        .map(|seed| {
+            let path = dir.join(format!("seed-{seed}.map.json"));
+            let out = Command::new(env!("CARGO_BIN_EXE_plugvolt-cli"))
+                .args([
+                    "characterize",
+                    "--model",
+                    "comet-lake",
+                    "--coarse",
+                    "--seed",
+                    seed,
+                ])
+                .arg("--out")
+                .arg(&path)
+                .output()
+                .expect("run plugvolt-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{seed} stderr: {stderr}");
+            std::fs::read(&path).expect("map written")
+        })
+        .collect();
+    assert_eq!(maps[0], maps[1], "hex and decimal seeds must agree");
+}

@@ -444,10 +444,12 @@ mod tests {
     use super::*;
     use crate::charmap::FreqBand;
     use plugvolt_cpu::model::CpuModel;
-    use plugvolt_cpu::package::CpuPackage;
-    use plugvolt_hal::prelude::{DvfsBackend, HalError, MachineBackend, MsrBackend, SimBackend};
+    use plugvolt_cpu::package::{CpuPackage, PackageError};
+    use plugvolt_hal::backend::MachineBackend;
+    use plugvolt_hal::sim::SimBackend;
     use plugvolt_kernel::machine::Machine;
     use plugvolt_kernel::msr_dev::MsrDev;
+    use plugvolt_msr::file::MsrError;
 
     fn demo_map() -> CharacterizationMap {
         let mut map = CharacterizationMap::new("demo", 0xf4, -300);
@@ -689,11 +691,11 @@ mod tests {
     /// register would.
     struct PerfCtlLocked(SimBackend);
 
-    impl MsrBackend for PerfCtlLocked {
+    impl MachineBackend for PerfCtlLocked {
         fn name(&self) -> &'static str {
             "perf-ctl-locked"
         }
-        fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
+        fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
             self.0.rdmsr(now, core, msr)
         }
         fn wrmsr(
@@ -702,35 +704,12 @@ mod tests {
             core: CoreId,
             msr: Msr,
             value: u64,
-        ) -> Result<WriteOutcome, HalError> {
+        ) -> Result<WriteOutcome, PackageError> {
             if msr == Msr::IA32_PERF_CTL {
-                return Err(HalError::ReadOnlyBackend {
-                    backend: "perf-ctl-locked",
-                    msr,
-                });
+                return Err(PackageError::Msr(MsrError::WriteFault { msr }));
             }
             self.0.wrmsr(now, core, msr, value)
         }
-    }
-
-    impl DvfsBackend for PerfCtlLocked {
-        fn core_count(&self) -> usize {
-            self.0.core_count()
-        }
-        fn current_freq(&mut self, core: CoreId) -> Result<FreqMhz, HalError> {
-            self.0.current_freq(core)
-        }
-        fn set_freq(
-            &mut self,
-            now: SimTime,
-            core: CoreId,
-            freq: FreqMhz,
-        ) -> Result<FreqMhz, HalError> {
-            self.0.set_freq(now, core, freq)
-        }
-    }
-
-    impl MachineBackend for PerfCtlLocked {
         fn cpu(&self) -> &CpuPackage {
             self.0.cpu()
         }

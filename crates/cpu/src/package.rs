@@ -699,15 +699,6 @@ impl CpuPackage {
         }
         let c = &self.hot[core.0];
         c.rdmsr.set(c.rdmsr.get() + 1);
-        if self.telemetry.msr_events_enabled() {
-            self.telemetry.emit(
-                now,
-                TelemetryEvent::MsrRead {
-                    core: core.0 as u32,
-                    msr: msr.addr(),
-                },
-            );
-        }
         match msr {
             Msr::IA32_PERF_STATUS => {
                 let freq = self.cores[core.0].freq();
@@ -747,17 +738,12 @@ impl CpuPackage {
     /// Counts `reads` further `rdmsr`s on `core` without performing
     /// them, for reads that would repeat one just made (a read has no
     /// side effect but its count); `reads == 0` only asks. Returns
-    /// `false`, counting nothing, for a bad core or while per-access
-    /// MSR events are on, since each read would then emit its own
-    /// time-stamped event.
+    /// `false`, counting nothing, for a bad core.
     #[must_use]
     pub fn repeat_reads(&self, core: CoreId, reads: u64) -> bool {
         let Some(c) = self.hot.get(core.0) else {
             return false;
         };
-        if self.telemetry.msr_events_enabled() {
-            return false;
-        }
         c.rdmsr.set(c.rdmsr.get() + reads);
         true
     }
@@ -781,16 +767,6 @@ impl CpuPackage {
         }
         let c = &self.hot[core.0];
         c.wrmsr.set(c.wrmsr.get() + 1);
-        if self.telemetry.msr_events_enabled() {
-            self.telemetry.emit(
-                now,
-                TelemetryEvent::MsrWrite {
-                    core: core.0 as u32,
-                    msr: msr.addr(),
-                    value,
-                },
-            );
-        }
         // OCM disable gates the mailbox before anything else sees it.
         if msr == Msr::OC_MAILBOX && !self.ocm_enabled {
             self.mailbox_writes_ignored += 1;
@@ -1097,12 +1073,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_reads_are_counted_unless_each_read_emits_an_event() {
+    fn repeated_reads_are_counted_on_existing_cores() {
         let p = pkg();
         assert!(p.repeat_reads(CoreId(1), 3));
         assert!(!p.repeat_reads(CoreId(99), 1));
-        p.telemetry().enable_msr_events(true);
-        assert!(!p.repeat_reads(CoreId(1), 5));
         p.publish_hot_counters();
         p.telemetry().with(|reg| {
             assert_eq!(reg.counter(&MetricKey::per_core("msr", "rdmsr", 1)), 3);

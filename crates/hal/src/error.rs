@@ -1,32 +1,16 @@
-//! Typed errors of the HAL backends.
+//! Typed errors of the transcript codec and the host probe.
 
-use plugvolt_cpu::package::PackageError;
-use plugvolt_msr::addr::Msr;
-use plugvolt_msr::file::MsrError;
 use std::fmt;
 
-/// What a backend operation can fail with.
+/// What a transcript or host-probe operation can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HalError {
-    /// The underlying simulated package raised an error (`#GP`, crash,
-    /// bad core). The sim-family backends only ever fail with this.
-    Package(PackageError),
-    /// A write was issued against a backend that never writes — the
-    /// read-only host backend's entire safety guarantee lives here.
-    ReadOnlyBackend {
-        /// The backend that refused (its [`MsrBackend::name`]).
-        ///
-        /// [`MsrBackend::name`]: crate::backend::MsrBackend::name
-        backend: &'static str,
-        /// The register the caller tried to write.
-        msr: Msr,
-    },
     /// A transcript failed schema validation or structural checks.
     TraceSchema {
         /// Human-readable reason.
         detail: String,
     },
-    /// Host-backend I/O failed (missing `/dev/cpu/*/msr`, permissions…).
+    /// Host-probe I/O failed (missing `/dev/cpu/*/msr`, permissions…).
     Io {
         /// The path involved.
         path: String,
@@ -38,13 +22,6 @@ pub enum HalError {
 impl fmt::Display for HalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HalError::Package(e) => write!(f, "{e}"),
-            HalError::ReadOnlyBackend { backend, msr } => {
-                write!(
-                    f,
-                    "backend '{backend}' is read-only: write to {msr} refused"
-                )
-            }
             HalError::TraceSchema { detail } => write!(f, "trace schema error: {detail}"),
             HalError::Io { path, detail } => write!(f, "host i/o error at {path}: {detail}"),
         }
@@ -52,66 +29,3 @@ impl fmt::Display for HalError {
 }
 
 impl std::error::Error for HalError {}
-
-impl From<PackageError> for HalError {
-    fn from(e: PackageError) -> Self {
-        HalError::Package(e)
-    }
-}
-
-/// Collapses a HAL failure onto the (Copy, sim-era) [`PackageError`]
-/// the kernel and countermeasure layers already speak.
-///
-/// A read-only refusal becomes [`MsrError::WriteFault`] — from the
-/// writer's point of view a `#GP` on the write is exactly what a locked
-/// register raises on real parts. The trace/io variants collapse to
-/// [`PackageError::Crashed`]; they never surface through a machine
-/// (the machine-resident trace backends log divergences instead of
-/// erroring, and the host backend is never machine-resident).
-impl From<HalError> for PackageError {
-    fn from(e: HalError) -> Self {
-        match e {
-            HalError::Package(p) => p,
-            HalError::ReadOnlyBackend { msr, .. } => {
-                PackageError::Msr(MsrError::WriteFault { msr })
-            }
-            HalError::TraceSchema { .. } | HalError::Io { .. } => PackageError::Crashed,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn read_only_collapses_to_write_fault() {
-        let e = HalError::ReadOnlyBackend {
-            backend: "host-ro",
-            msr: Msr::OC_MAILBOX,
-        };
-        assert_eq!(
-            PackageError::from(e),
-            PackageError::Msr(MsrError::WriteFault {
-                msr: Msr::OC_MAILBOX
-            })
-        );
-    }
-
-    #[test]
-    fn package_round_trips() {
-        let p = PackageError::Crashed;
-        assert_eq!(PackageError::from(HalError::from(p)), p);
-    }
-
-    #[test]
-    fn display_names_the_register() {
-        let e = HalError::ReadOnlyBackend {
-            backend: "host-ro",
-            msr: Msr::OC_MAILBOX,
-        };
-        let s = e.to_string();
-        assert!(s.contains("read-only"), "{s}");
-        assert!(s.contains("host-ro"), "{s}");
-    }
-}

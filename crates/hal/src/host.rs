@@ -1,38 +1,25 @@
-//! Read-only Linux host backend: `/dev/cpu/<n>/msr` + sysfs cpufreq.
+//! Read-only Linux host probe: `/dev/cpu/<n>/msr` + sysfs cpufreq.
 //!
-//! This backend exists to measure what the countermeasure *costs* on
+//! This probe exists to measure what the countermeasure *costs* on
 //! real silicon — per-core MSR poll latency and the derived worst-case
 //! detection latency — without ever taking the risks the paper is
-//! about. The safety guarantee is structural, not procedural:
-//!
-//! - every write path ([`MsrBackend::wrmsr`], [`DvfsBackend::set_freq`])
-//!   returns the typed [`HalError::ReadOnlyBackend`] error before any
-//!   file handle is opened — there is no code path that opens an MSR
-//!   device for writing;
-//! - the backend does not implement `MachineBackend`, so it can never
-//!   be mounted in a simulated `Machine` and driven by an attack
-//!   schedule;
-//! - the crate forbids `unsafe`, so the only host access is through
-//!   `std::fs` reads.
+//! about. The safety guarantee is structural: the module has no write
+//! path at all. It opens MSR devices and sysfs nodes only through
+//! `std::fs` reads (the crate forbids `unsafe`), and it is not a
+//! machine backend, so it can never be mounted in a simulated
+//! `Machine` and driven by an attack schedule.
 //!
 //! Reading MSRs still requires root (or `CAP_SYS_RAWIO`) and the `msr`
 //! kernel module; [`probe_poll_overhead`] degrades gracefully per core
 //! when a device node is missing or unreadable, so CI can build and
 //! even run it unprivileged.
 
-use crate::backend::{DvfsBackend, MsrBackend};
 use crate::error::HalError;
 use plugvolt_cpu::core::CoreId;
-use plugvolt_cpu::freq::FreqMhz;
-use plugvolt_des::time::SimTime;
 use plugvolt_msr::addr::Msr;
-use plugvolt_msr::file::WriteOutcome;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::time::Instant;
-
-/// Stable name of this backend in errors and reports.
-pub const HOST_BACKEND_NAME: &str = "host-ro";
 
 fn io_err(path: &str, e: &std::io::Error) -> HalError {
     HalError::Io {
@@ -82,80 +69,6 @@ fn read_cur_freq_khz(core: CoreId) -> Result<u64, HalError> {
     })
 }
 
-/// The read-only host backend. Reads go to the real register file and
-/// sysfs; writes are refused with a typed error before any I/O.
-#[derive(Debug)]
-pub struct HostBackend {
-    cores: usize,
-}
-
-impl HostBackend {
-    /// Probes the host topology and builds the backend. Never requires
-    /// root — privilege problems surface per access, not at boot.
-    #[must_use]
-    pub fn probe() -> Self {
-        Self {
-            cores: detect_core_count(),
-        }
-    }
-}
-
-impl Default for HostBackend {
-    fn default() -> Self {
-        Self::probe()
-    }
-}
-
-impl MsrBackend for HostBackend {
-    fn name(&self) -> &'static str {
-        HOST_BACKEND_NAME
-    }
-
-    fn rdmsr(&mut self, _now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
-        read_host_msr(core, msr)
-    }
-
-    fn wrmsr(
-        &mut self,
-        _now: SimTime,
-        _core: CoreId,
-        msr: Msr,
-        _value: u64,
-    ) -> Result<WriteOutcome, HalError> {
-        Err(HalError::ReadOnlyBackend {
-            backend: HOST_BACKEND_NAME,
-            msr,
-        })
-    }
-}
-
-impl DvfsBackend for HostBackend {
-    fn core_count(&self) -> usize {
-        self.cores
-    }
-
-    fn current_freq(&mut self, core: CoreId) -> Result<FreqMhz, HalError> {
-        let khz = read_cur_freq_khz(core)?;
-        let mhz = u32::try_from(khz / 1000).map_err(|_| HalError::Io {
-            path: format!("cpu{}/cpufreq/scaling_cur_freq", core.0),
-            detail: format!("frequency {khz} kHz out of range"),
-        })?;
-        Ok(FreqMhz(mhz))
-    }
-
-    fn set_freq(
-        &mut self,
-        _now: SimTime,
-        _core: CoreId,
-        _freq: FreqMhz,
-    ) -> Result<FreqMhz, HalError> {
-        Err(HalError::ReadOnlyBackend {
-            backend: HOST_BACKEND_NAME,
-            msr: Msr::IA32_PERF_CTL,
-        })
-    }
-}
-
 /// One core's poll-latency sample from [`probe_poll_overhead`].
 #[derive(Debug, Clone)]
 pub struct CoreProbe {
@@ -200,7 +113,7 @@ impl HostProbeReport {
     pub fn render_text(&self, period_us: f64) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "host poll-overhead probe ({} cores, backend {HOST_BACKEND_NAME})\n",
+            "host poll-overhead probe ({} cores, backend host-ro)\n",
             self.cores
         ));
         out.push_str("core  msr-read-ns  sysfs-freq-ns  status\n");
@@ -299,21 +212,6 @@ pub fn probe_poll_overhead(reads_per_core: u32) -> HostProbeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn writes_are_refused_with_typed_error() {
-        let mut b = HostBackend::probe();
-        let w = b.wrmsr(SimTime::ZERO, CoreId(0), Msr::OC_MAILBOX, 0xDEAD);
-        assert!(matches!(
-            w,
-            Err(HalError::ReadOnlyBackend {
-                backend: HOST_BACKEND_NAME,
-                msr: Msr::OC_MAILBOX,
-            })
-        ));
-        let f = b.set_freq(SimTime::ZERO, CoreId(0), FreqMhz(1000));
-        assert!(matches!(f, Err(HalError::ReadOnlyBackend { .. })));
-    }
 
     #[test]
     fn probe_degrades_gracefully_without_root() {

@@ -1,43 +1,32 @@
 //! # plugvolt-hal
 //!
-//! The MSR/DVFS hardware abstraction layer of the *Plug Your Volt*
+//! The MSR hardware abstraction layer of the *Plug Your Volt*
 //! reproduction. The countermeasure stack (polling module, deployment
-//! levels, `msr-dev`, cpufreq) only ever touches `rdmsr`/`wrmsr` and
-//! the cpufreq frequency surface; this crate extracts exactly that
-//! surface into two traits so the same stack can run against different
-//! substrates:
+//! levels, `msr-dev`, cpufreq) only ever touches `rdmsr`/`wrmsr`; this
+//! crate puts exactly that surface behind one trait,
+//! [`backend::MachineBackend`], which a simulated `Machine` mounts.
+//! Frequency requests are `IA32_PERF_CTL` writes through the same seam
+//! ([`backend::drive_freq_via_msr`]).
 //!
-//! - [`backend::MsrBackend`] — `rdmsr`/`wrmsr` on a core;
-//! - [`backend::DvfsBackend`] — the cpufreq scaling-driver surface
-//!   (core count, current frequency, frequency request);
-//! - [`backend::MachineBackend`] — the union the simulated
-//!   `Machine` hosts: both traits plus access to the concrete
-//!   [`plugvolt_cpu::package::CpuPackage`] the simulator's physics,
-//!   cost model and telemetry live in.
+//! Two backends implement it:
 //!
-//! Three backends ship:
+//! - [`sim::SimBackend`] — the simulated stack, bit-identical to the
+//!   pre-HAL direct wiring (pure delegation to `CpuPackage`);
+//! - [`trace::RecordingBackend`] — wraps the sim backend and appends
+//!   every access to a pinned-schema JSONL transcript. A committed
+//!   transcript is checked by recording its campaign again and
+//!   comparing the two event streams with [`trace::compare_events`].
 //!
-//! - [`sim::SimBackend`] — the existing simulated stack, bit-identical
-//!   to the pre-HAL direct wiring (pure delegation to `CpuPackage`);
-//! - [`trace`] — [`trace::RecordingBackend`] wraps the sim backend and
-//!   appends every access to a pinned-schema JSONL transcript;
-//!   [`trace::ReplayBackend`] re-executes against the sim store while
-//!   verifying every access against a recorded transcript, logging
-//!   divergences for the differential sim-vs-trace gate;
-//! - [`host`] (Linux only) — a **read-only** `/dev/cpu/<n>/msr` +
-//!   sysfs-cpufreq backend for measuring real polling overhead. Every
-//!   write path returns the typed [`error::HalError::ReadOnlyBackend`]
-//!   error; the backend is physically incapable of undervolting the
-//!   host.
+//! [`host`] (Linux only) is not a backend: it is a read-only probe of
+//! `/dev/cpu/<n>/msr` and sysfs cpufreq that measures real polling
+//! overhead. It has no write path at all, so it cannot undervolt the
+//! host, and it is never mounted in a `Machine`.
 //!
 //! Determinism contract: the sim backend is deterministic and
-//! byte-identical to the direct stack; the trace backends preserve that
-//! determinism (recording is a pure observer, replay re-executes the
-//! sim and only *checks* the tape); the host backend is explicitly
-//! non-deterministic and therefore never participates in golden-output
-//! or oracle gates — it does not implement
-//! [`backend::MachineBackend`] and cannot be mounted in a simulated
-//! `Machine`.
+//! byte-identical to the direct stack, and recording is a pure
+//! observer, so a recorded run is bit-identical to an unrecorded one.
+//! The host probe reads the wall clock and never takes part in
+//! golden-output or oracle gates.
 
 #![warn(missing_docs)]
 
@@ -48,14 +37,3 @@ pub mod trace;
 
 #[cfg(target_os = "linux")]
 pub mod host;
-
-/// Convenient glob-import of the commonly used names.
-pub mod prelude {
-    pub use crate::backend::{DvfsBackend, MachineBackend, MsrBackend};
-    pub use crate::error::HalError;
-    pub use crate::sim::SimBackend;
-    pub use crate::trace::{
-        RecordingBackend, ReplayBackend, ReplayCursor, TraceEvent, TraceHeader, TraceRecorder,
-        TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
-    };
-}

@@ -4,18 +4,16 @@
 //! one-line forward, so the simulated stack stays bit-identical to the
 //! direct `Machine → CpuPackage` plumbing it replaces.
 
-use crate::backend::{drive_freq_via_msr, DvfsBackend, MachineBackend, MsrBackend};
-use crate::error::HalError;
+use crate::backend::MachineBackend;
 use plugvolt_cpu::core::CoreId;
-use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_cpu::package::CpuPackage;
+use plugvolt_cpu::package::{CpuPackage, PackageError};
 use plugvolt_des::time::SimTime;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::WriteOutcome;
 
 /// The deterministic simulated substrate: a [`CpuPackage`] behind the
-/// backend traits.
+/// backend trait.
 #[derive(Debug)]
 pub struct SimBackend {
     cpu: CpuPackage,
@@ -30,14 +28,6 @@ impl SimBackend {
         }
     }
 
-    /// Boots a specific silicon unit (per-unit margin lottery).
-    #[must_use]
-    pub fn new_unit(model: CpuModel, seed: u64, unit: u64) -> Self {
-        Self {
-            cpu: CpuPackage::new_unit(model, seed, unit),
-        }
-    }
-
     /// Wraps an already-configured package.
     #[must_use]
     pub fn from_package(cpu: CpuPackage) -> Self {
@@ -45,13 +35,13 @@ impl SimBackend {
     }
 }
 
-impl MsrBackend for SimBackend {
+impl MachineBackend for SimBackend {
     fn name(&self) -> &'static str {
         "sim"
     }
 
-    fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
-        self.cpu.rdmsr(now, core, msr).map_err(HalError::Package)
+    fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
+        self.cpu.rdmsr(now, core, msr)
     }
 
     fn wrmsr(
@@ -60,28 +50,10 @@ impl MsrBackend for SimBackend {
         core: CoreId,
         msr: Msr,
         value: u64,
-    ) -> Result<WriteOutcome, HalError> {
-        self.cpu
-            .wrmsr(now, core, msr, value)
-            .map_err(HalError::Package)
-    }
-}
-
-impl DvfsBackend for SimBackend {
-    fn core_count(&self) -> usize {
-        self.cpu.core_count()
+    ) -> Result<WriteOutcome, PackageError> {
+        self.cpu.wrmsr(now, core, msr, value)
     }
 
-    fn current_freq(&mut self, core: CoreId) -> Result<FreqMhz, HalError> {
-        self.cpu.core_freq(core).map_err(HalError::Package)
-    }
-
-    fn set_freq(&mut self, now: SimTime, core: CoreId, freq: FreqMhz) -> Result<FreqMhz, HalError> {
-        drive_freq_via_msr(self, now, core, freq)
-    }
-}
-
-impl MachineBackend for SimBackend {
     fn cpu(&self) -> &CpuPackage {
         &self.cpu
     }
@@ -98,6 +70,8 @@ impl MachineBackend for SimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::drive_freq_via_msr;
+    use plugvolt_cpu::freq::FreqMhz;
 
     #[test]
     fn delegates_bit_identically() {
@@ -108,17 +82,16 @@ mod tests {
         let t = SimTime::ZERO;
 
         let a = direct.rdmsr(t, CoreId(0), Msr::IA32_PERF_STATUS);
-        let b = MsrBackend::rdmsr(&mut hal, t, CoreId(0), Msr::IA32_PERF_STATUS);
-        assert_eq!(a.ok(), b.ok());
-        assert_eq!(direct.core_count(), hal.core_count());
+        let b = hal.rdmsr(t, CoreId(0), Msr::IA32_PERF_STATUS);
+        assert_eq!(a, b);
+        assert_eq!(direct.core_count(), hal.cpu().core_count());
     }
 
     #[test]
     fn set_freq_quantizes_like_the_table() {
         let mut hal = SimBackend::new(CpuModel::SkyLake, 7);
         let want = hal.cpu().spec().freq_table.quantize(FreqMhz(2650));
-        let got = hal
-            .set_freq(SimTime::ZERO, CoreId(0), FreqMhz(2650))
+        let got = drive_freq_via_msr(&mut hal, SimTime::ZERO, CoreId(0), FreqMhz(2650))
             .expect("sim set_freq");
         assert_eq!(got, want);
     }

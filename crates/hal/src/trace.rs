@@ -1,4 +1,5 @@
-//! Record/replay trace backends and the pinned JSONL transcript schema.
+//! The recording backend, the pinned JSONL transcript schema, and the
+//! tape comparison.
 //!
 //! A transcript is a JSONL stream: one JSON value per line, each an
 //! externally-tagged [`TraceLine`]. The first line is always a
@@ -10,19 +11,15 @@
 //!
 //! [`RecordingBackend`] is a pure observer around [`SimBackend`]: it
 //! forwards every access verbatim and appends what happened to the
-//! tape, so a recorded run is bit-identical to an unrecorded one.
-//! [`ReplayBackend`] re-executes accesses against a fresh sim store
-//! (so side effects happen exactly as live) while verifying each
-//! access against the tape; mismatches are logged on the
-//! [`ReplayCursor`] as [`ReplayDivergence`]s instead of erroring, so a
-//! diverging replay still runs to completion and the differential gate
-//! can report *all* mismatches.
+//! tape, so a recorded run is bit-identical to an unrecorded one. A
+//! committed tape is checked by recording the same campaign again and
+//! handing both event streams to [`compare_events`], which reports
+//! every mismatch, overrun and leftover position by position.
 
-use crate::backend::{drive_freq_via_msr, DvfsBackend, MachineBackend, MsrBackend};
+use crate::backend::MachineBackend;
 use crate::error::HalError;
 use crate::sim::SimBackend;
 use plugvolt_cpu::core::CoreId;
-use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_cpu::package::{CpuPackage, PackageError};
 use plugvolt_des::time::SimTime;
@@ -182,33 +179,27 @@ impl TraceRecorder {
     }
 }
 
-fn outcome_of_read(r: &Result<u64, HalError>) -> TraceOutcome {
+fn outcome_of_read(r: &Result<u64, PackageError>) -> TraceOutcome {
     match r {
         Ok(v) => TraceOutcome::Value(*v),
-        Err(e) => outcome_of_err(e),
+        Err(e) => outcome_of_err(*e),
     }
 }
 
-fn outcome_of_write(r: &Result<WriteOutcome, HalError>) -> TraceOutcome {
+fn outcome_of_write(r: &Result<WriteOutcome, PackageError>) -> TraceOutcome {
     match r {
         Ok(WriteOutcome::Written { stored }) => TraceOutcome::Value(*stored),
         Ok(WriteOutcome::Ignored) => TraceOutcome::Ignored,
-        Err(e) => outcome_of_err(e),
+        Err(e) => outcome_of_err(*e),
     }
 }
 
-fn outcome_of_err(e: &HalError) -> TraceOutcome {
+fn outcome_of_err(e: PackageError) -> TraceOutcome {
     match e {
-        HalError::Package(PackageError::Msr(MsrError::GeneralProtection { .. })) => {
-            TraceOutcome::GeneralProtection
-        }
-        HalError::Package(PackageError::Msr(MsrError::WriteFault { .. })) => {
-            TraceOutcome::WriteFault
-        }
-        HalError::Package(PackageError::NoSuchCore(_)) => TraceOutcome::NoSuchCore,
-        // Crashed, plus any future backend-local failure: from the
-        // tape's point of view the access simply did not complete.
-        _ => TraceOutcome::Crashed,
+        PackageError::Msr(MsrError::GeneralProtection { .. }) => TraceOutcome::GeneralProtection,
+        PackageError::Msr(MsrError::WriteFault { .. }) => TraceOutcome::WriteFault,
+        PackageError::NoSuchCore(_) => TraceOutcome::NoSuchCore,
+        PackageError::Crashed => TraceOutcome::Crashed,
     }
 }
 
@@ -226,20 +217,14 @@ impl RecordingBackend {
     pub fn new(inner: SimBackend, rec: TraceRecorder) -> Self {
         Self { inner, rec }
     }
-
-    /// The shared tape handle.
-    #[must_use]
-    pub fn recorder(&self) -> &TraceRecorder {
-        &self.rec
-    }
 }
 
-impl MsrBackend for RecordingBackend {
+impl MachineBackend for RecordingBackend {
     fn name(&self) -> &'static str {
         "record"
     }
 
-    fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
+    fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
         let r = self.inner.rdmsr(now, core, msr);
         self.rec.push_event(TraceEvent {
             seq: 0,
@@ -259,7 +244,7 @@ impl MsrBackend for RecordingBackend {
         core: CoreId,
         msr: Msr,
         value: u64,
-    ) -> Result<WriteOutcome, HalError> {
+    ) -> Result<WriteOutcome, PackageError> {
         let r = self.inner.wrmsr(now, core, msr, value);
         self.rec.push_event(TraceEvent {
             seq: 0,
@@ -272,25 +257,7 @@ impl MsrBackend for RecordingBackend {
         });
         r
     }
-}
 
-impl DvfsBackend for RecordingBackend {
-    fn core_count(&self) -> usize {
-        self.inner.core_count()
-    }
-
-    fn current_freq(&mut self, core: CoreId) -> Result<FreqMhz, HalError> {
-        self.inner.current_freq(core)
-    }
-
-    fn set_freq(&mut self, now: SimTime, core: CoreId, freq: FreqMhz) -> Result<FreqMhz, HalError> {
-        // Route through our own wrmsr so the PERF_CTL write lands on
-        // the tape like any other access.
-        drive_freq_via_msr(self, now, core, freq)
-    }
-}
-
-impl MachineBackend for RecordingBackend {
     fn cpu(&self) -> &CpuPackage {
         self.inner.cpu()
     }
@@ -300,183 +267,46 @@ impl MachineBackend for RecordingBackend {
     }
 }
 
-/// One mismatch between a live re-execution and the tape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayDivergence {
-    /// Tape sequence number at the mismatch.
-    pub seq: u64,
-    /// What the tape said happened.
-    pub expected: TraceEvent,
-    /// What the re-execution actually did.
-    pub got: TraceEvent,
+/// How a live event stream lines up against a recorded one, position
+/// by position (see [`compare_events`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapeDiff {
+    /// Positions both streams reach.
+    pub consumed: usize,
+    /// Positions among those where the live event differs from the
+    /// recorded one.
+    pub divergences: usize,
+    /// Live events past the end of the recorded stream.
+    pub overrun: usize,
+    /// Recorded events the live stream never reached.
+    pub leftover: usize,
 }
 
-#[derive(Debug)]
-struct ReplayState {
-    events: Vec<TraceEvent>,
-    pos: usize,
-    divergences: Vec<ReplayDivergence>,
-    overrun: u64,
-}
-
-/// Cloneable verification cursor over one section's tape. Hand one
-/// clone to a [`ReplayBackend`] and keep another to inspect the
-/// verdict after the run.
-#[derive(Debug, Clone)]
-pub struct ReplayCursor {
-    state: Rc<RefCell<ReplayState>>,
-}
-
-impl ReplayCursor {
-    /// Builds a cursor over `events` (one section's stream).
+impl TapeDiff {
+    /// True iff the live stream matches the recorded one exactly: no
+    /// divergences, no overrun, nothing left over.
     #[must_use]
-    pub fn new(events: Vec<TraceEvent>) -> Self {
-        Self {
-            state: Rc::new(RefCell::new(ReplayState {
-                events,
-                pos: 0,
-                divergences: Vec::new(),
-                overrun: 0,
-            })),
-        }
-    }
-
-    fn check(&self, got: TraceEvent) {
-        let mut st = self.state.borrow_mut();
-        let Some(expected) = st.events.get(st.pos).copied() else {
-            st.overrun += 1;
-            return;
-        };
-        st.pos += 1;
-        let mut got = got;
-        got.seq = expected.seq;
-        if got != expected {
-            st.divergences.push(ReplayDivergence {
-                seq: expected.seq,
-                expected,
-                got,
-            });
-        }
-    }
-
-    /// Events checked off the tape so far.
-    #[must_use]
-    pub fn consumed(&self) -> usize {
-        self.state.borrow().pos
-    }
-
-    /// Tape events not yet reached by the re-execution.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        let st = self.state.borrow();
-        st.events.len() - st.pos
-    }
-
-    /// Accesses the re-execution made beyond the end of the tape.
-    #[must_use]
-    pub fn overrun(&self) -> u64 {
-        self.state.borrow().overrun
-    }
-
-    /// All mismatches observed so far.
-    #[must_use]
-    pub fn divergences(&self) -> Vec<ReplayDivergence> {
-        self.state.borrow().divergences.clone()
-    }
-
-    /// True iff the tape was consumed exactly: no divergences, no
-    /// overrun, nothing left over.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        let st = self.state.borrow();
-        st.divergences.is_empty() && st.overrun == 0 && st.pos == st.events.len()
+    pub fn clean(&self) -> bool {
+        self.divergences == 0 && self.overrun == 0 && self.leftover == 0
     }
 }
 
-/// Re-executes accesses against a fresh sim store while verifying each
-/// one against a recorded tape. The sim result is authoritative (side
-/// effects happen exactly as live); the tape is the checker.
-#[derive(Debug)]
-pub struct ReplayBackend {
-    inner: SimBackend,
-    cursor: ReplayCursor,
-}
-
-impl ReplayBackend {
-    /// Wraps `inner`, verifying against `cursor`'s tape.
-    #[must_use]
-    pub fn new(inner: SimBackend, cursor: ReplayCursor) -> Self {
-        Self { inner, cursor }
-    }
-
-    /// The verification cursor.
-    #[must_use]
-    pub fn cursor(&self) -> &ReplayCursor {
-        &self.cursor
-    }
-}
-
-impl MsrBackend for ReplayBackend {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
-        let r = self.inner.rdmsr(now, core, msr);
-        self.cursor.check(TraceEvent {
-            seq: 0,
-            t_ps: now.as_picos(),
-            core: core.0,
-            msr: msr.0,
-            op: TraceOp::Read,
-            value: 0,
-            outcome: outcome_of_read(&r),
-        });
-        r
-    }
-
-    fn wrmsr(
-        &mut self,
-        now: SimTime,
-        core: CoreId,
-        msr: Msr,
-        value: u64,
-    ) -> Result<WriteOutcome, HalError> {
-        let r = self.inner.wrmsr(now, core, msr, value);
-        self.cursor.check(TraceEvent {
-            seq: 0,
-            t_ps: now.as_picos(),
-            core: core.0,
-            msr: msr.0,
-            op: TraceOp::Write,
-            value,
-            outcome: outcome_of_write(&r),
-        });
-        r
-    }
-}
-
-impl DvfsBackend for ReplayBackend {
-    fn core_count(&self) -> usize {
-        self.inner.core_count()
-    }
-
-    fn current_freq(&mut self, core: CoreId) -> Result<FreqMhz, HalError> {
-        self.inner.current_freq(core)
-    }
-
-    fn set_freq(&mut self, now: SimTime, core: CoreId, freq: FreqMhz) -> Result<FreqMhz, HalError> {
-        drive_freq_via_msr(self, now, core, freq)
-    }
-}
-
-impl MachineBackend for ReplayBackend {
-    fn cpu(&self) -> &CpuPackage {
-        self.inner.cpu()
-    }
-
-    fn cpu_mut(&mut self) -> &mut CpuPackage {
-        self.inner.cpu_mut()
+/// Compares a `live` event stream with a `recorded` one position by
+/// position. Sequence numbers are ignored: they number a whole
+/// transcript, so the same section recorded into a different
+/// transcript carries different ones.
+#[must_use]
+pub fn compare_events(recorded: &[TraceEvent], live: &[TraceEvent]) -> TapeDiff {
+    let consumed = recorded.len().min(live.len());
+    TapeDiff {
+        consumed,
+        divergences: recorded
+            .iter()
+            .zip(live)
+            .filter(|(r, l)| TraceEvent { seq: r.seq, ..**l } != **r)
+            .count(),
+        overrun: live.len() - consumed,
+        leftover: recorded.len() - consumed,
     }
 }
 
@@ -541,6 +371,8 @@ fn parse_line(line: &str) -> Result<TraceLine, HalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::drive_freq_via_msr;
+    use plugvolt_cpu::freq::FreqMhz;
 
     fn header() -> TraceHeader {
         TraceHeader {
@@ -559,7 +391,7 @@ mod tests {
         let mut b = RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 1), rec.clone());
         let t = SimTime::ZERO;
         let _ = b.rdmsr(t, CoreId(0), Msr::IA32_PERF_STATUS);
-        let _ = b.set_freq(t, CoreId(0), FreqMhz(2700));
+        let _ = drive_freq_via_msr(&mut b, t, CoreId(0), FreqMhz(2700));
         assert_eq!(rec.event_count(), 2);
 
         let jsonl = rec.to_jsonl().expect("serialize");
@@ -573,49 +405,63 @@ mod tests {
         assert_eq!(sections[0].1[1].msr, Msr::IA32_PERF_CTL.0);
     }
 
-    #[test]
-    fn replay_of_identical_run_is_clean() {
+    /// Records a read and a `PERF_CTL` write of `perf_ctl` on a fresh
+    /// seed-42 package into a one-section transcript.
+    fn recorded_run(perf_ctl: u64) -> Vec<TraceEvent> {
         let rec = TraceRecorder::new(header());
         rec.begin_section("run");
-        let mut recording =
-            RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 42), rec.clone());
+        let mut b = RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 42), rec.clone());
         let t = SimTime::ZERO;
-        let _ = recording.rdmsr(t, CoreId(1), Msr::IA32_PERF_STATUS);
-        let _ = recording.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, 0x1d00);
-
+        let _ = b.rdmsr(t, CoreId(1), Msr::IA32_PERF_STATUS);
+        let _ = b.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, perf_ctl);
         let jsonl = rec.to_jsonl().expect("serialize");
-        let (_, sections) = parse_trace(&jsonl).expect("parse");
-        let cursor = ReplayCursor::new(sections[0].1.clone());
-        let mut replay = ReplayBackend::new(SimBackend::new(CpuModel::SkyLake, 42), cursor.clone());
-        let _ = replay.rdmsr(t, CoreId(1), Msr::IA32_PERF_STATUS);
-        let _ = replay.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, 0x1d00);
+        let (_, mut sections) = parse_trace(&jsonl).expect("parse");
+        sections.remove(0).1
+    }
 
-        assert!(cursor.is_clean(), "divergences: {:?}", cursor.divergences());
-        assert_eq!(cursor.consumed(), 2);
-        assert_eq!(cursor.remaining(), 0);
+    #[test]
+    fn replay_of_identical_run_is_clean() {
+        let tape = recorded_run(0x1d00);
+        let diff = compare_events(&tape, &recorded_run(0x1d00));
+        assert!(diff.clean(), "{diff:?}");
+        assert_eq!(diff.consumed, 2);
     }
 
     #[test]
     fn replay_flags_divergence_and_overrun() {
-        let rec = TraceRecorder::new(header());
-        rec.begin_section("run");
-        let mut recording =
-            RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 42), rec.clone());
-        let t = SimTime::ZERO;
-        let _ = recording.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, 0x1d00);
+        let tape = recorded_run(0x1d00);
+        // A different written value, then one access past the tape.
+        let mut live = recorded_run(0x1e00);
+        live.push(tape[0]);
+        let diff = compare_events(&tape, &live);
+        assert_eq!(
+            diff,
+            TapeDiff {
+                consumed: 2,
+                divergences: 1,
+                overrun: 1,
+                leftover: 0
+            }
+        );
+        assert!(!diff.clean());
+    }
 
-        let jsonl = rec.to_jsonl().expect("serialize");
-        let (_, sections) = parse_trace(&jsonl).expect("parse");
-        let cursor = ReplayCursor::new(sections[0].1.clone());
-        let mut replay = ReplayBackend::new(SimBackend::new(CpuModel::SkyLake, 42), cursor.clone());
-        // Different value than the tape -> divergence.
-        let _ = replay.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, 0x1e00);
-        // Tape exhausted -> overrun.
-        let _ = replay.rdmsr(t, CoreId(0), Msr::IA32_PERF_STATUS);
+    #[test]
+    fn unreached_tape_events_are_left_over() {
+        let tape = recorded_run(0x1d00);
+        let diff = compare_events(&tape, &tape[..1]);
+        assert_eq!((diff.consumed, diff.overrun, diff.leftover), (1, 0, 1));
+        assert!(!diff.clean());
+    }
 
-        assert!(!cursor.is_clean());
-        assert_eq!(cursor.divergences().len(), 1);
-        assert_eq!(cursor.overrun(), 1);
+    #[test]
+    fn sequence_numbers_do_not_count_as_divergences() {
+        let tape = recorded_run(0x1d00);
+        let mut live = tape.clone();
+        for ev in &mut live {
+            ev.seq += 100;
+        }
+        assert!(compare_events(&tape, &live).clean());
     }
 
     #[test]
@@ -633,8 +479,8 @@ mod tests {
         let mut plain = SimBackend::new(CpuModel::SkyLake, 9);
         let rec = TraceRecorder::new(header());
         let mut taped = RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 9), rec);
-        let a = plain.set_freq(t, CoreId(0), FreqMhz(2600));
-        let b = taped.set_freq(t, CoreId(0), FreqMhz(2600));
+        let a = drive_freq_via_msr(&mut plain, t, CoreId(0), FreqMhz(2600));
+        let b = drive_freq_via_msr(&mut taped, t, CoreId(0), FreqMhz(2600));
         assert_eq!(a.ok(), b.ok());
         assert_eq!(
             plain.cpu().core_freq(CoreId(0)).expect("freq").mhz(),

@@ -118,10 +118,9 @@ impl CpuFreq {
         Self::drive(machine, core, f)
     }
 
-    /// The scaling driver: the backend's DVFS surface, which quantizes
-    /// to the hardware table and writes the ratio request to
-    /// `IA32_PERF_CTL` (on the sim family — see
-    /// `plugvolt_hal::backend::drive_freq_via_msr`).
+    /// The scaling driver: quantizes to the hardware table and writes
+    /// the ratio request to `IA32_PERF_CTL` through the machine's
+    /// backend (see `plugvolt_hal::backend::drive_freq_via_msr`).
     fn drive(machine: &mut Machine, core: CoreId, f: FreqMhz) -> Result<FreqMhz, MachineError> {
         machine.set_freq(core, f)
     }

@@ -25,7 +25,7 @@ use plugvolt_cpu::package::{CpuPackage, PackageError};
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::stats::Histogram;
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_hal::backend::{MachineBackend, MsrBackend};
+use plugvolt_hal::backend::{drive_freq_via_msr, MachineBackend};
 use plugvolt_hal::sim::SimBackend;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::WriteOutcome;
@@ -131,9 +131,7 @@ impl ModuleCtx<'_> {
     /// Propagates [`PackageError`].
     pub fn rdmsr(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
         self.account_access(core, IPI_COST, false);
-        self.backend
-            .rdmsr(self.now, core, msr)
-            .map_err(PackageError::from)
+        self.backend.rdmsr(self.now, core, msr)
     }
 
     /// Cost-accounted `wrmsr` on `core`.
@@ -148,9 +146,7 @@ impl ModuleCtx<'_> {
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
         self.account_access(core, IPI_COST, true);
-        self.backend
-            .wrmsr(self.now, core, msr, value)
-            .map_err(PackageError::from)
+        self.backend.wrmsr(self.now, core, msr, value)
     }
 
     /// Cost-accounted `rdmsr` from a **per-CPU timer context** on `core`
@@ -162,9 +158,7 @@ impl ModuleCtx<'_> {
     /// Propagates [`PackageError`].
     pub fn rdmsr_local(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
         self.account_access(core, SimDuration::ZERO, false);
-        self.backend
-            .rdmsr(self.now, core, msr)
-            .map_err(PackageError::from)
+        self.backend.rdmsr(self.now, core, msr)
     }
 
     /// Cost-accounted `wrmsr` from a per-CPU timer context on `core`.
@@ -179,9 +173,7 @@ impl ModuleCtx<'_> {
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
         self.account_access(core, SimDuration::ZERO, true);
-        self.backend
-            .wrmsr(self.now, core, msr, value)
-            .map_err(PackageError::from)
+        self.backend.wrmsr(self.now, core, msr, value)
     }
 
     /// Charges one kernel-context MSR access on `core` — `ipi` plus the
@@ -399,7 +391,7 @@ impl Machine {
     }
 
     /// Boots a machine around an arbitrary machine backend (sim,
-    /// recording, replay — anything implementing [`MachineBackend`]).
+    /// recording — anything implementing [`MachineBackend`]).
     #[must_use]
     pub fn with_backend(backend: Box<dyn MachineBackend>, seed: u64) -> Self {
         let cores = backend.cpu().core_count();
@@ -425,11 +417,10 @@ impl Machine {
         self.now
     }
 
-    /// Stable name of the mounted backend (`"sim"`, `"record"`,
-    /// `"replay"`).
+    /// Stable name of the mounted backend (`"sim"`, `"record"`).
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
-        MsrBackend::name(self.backend.as_ref())
+        self.backend.name()
     }
 
     /// The CPU package.
@@ -456,9 +447,7 @@ impl Machine {
     ///
     /// Propagates the package error.
     pub fn rdmsr(&mut self, core: CoreId, msr: Msr) -> Result<u64, MachineError> {
-        self.backend
-            .rdmsr(self.now, core, msr)
-            .map_err(|e| MachineError::Package(e.into()))
+        Ok(self.backend.rdmsr(self.now, core, msr)?)
     }
 
     /// Privileged zero-cost `wrmsr` through the backend seam.
@@ -472,22 +461,23 @@ impl Machine {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, MachineError> {
-        self.backend
-            .wrmsr(self.now, core, msr, value)
-            .map_err(|e| MachineError::Package(e.into()))
+        Ok(self.backend.wrmsr(self.now, core, msr, value)?)
     }
 
-    /// Requests a core frequency through the backend's scaling driver
-    /// (quantized to the hardware table), returning what was applied.
+    /// Requests a core frequency (quantized to the hardware table) as
+    /// an `IA32_PERF_CTL` write through the backend, returning what was
+    /// applied.
     ///
     /// # Errors
     ///
     /// Propagates the package error.
     pub fn set_freq(&mut self, core: CoreId, freq: FreqMhz) -> Result<FreqMhz, MachineError> {
-        let now = self.now;
-        self.backend
-            .set_freq(now, core, freq)
-            .map_err(|e| MachineError::Package(e.into()))
+        Ok(drive_freq_via_msr(
+            self.backend.as_mut(),
+            self.now,
+            core,
+            freq,
+        )?)
     }
 
     /// The machine's telemetry sink (shared with the CPU package).

@@ -1,8 +1,8 @@
 //! Typed, sim-time-stamped telemetry events.
 //!
-//! Every state change the simulator considers security-relevant — MSR
-//! traffic, OC-mailbox commands, voltage-rail slews, P-state moves,
-//! faults, crashes, and the countermeasure's detect/restore pair — is
+//! Every state change the simulator considers security-relevant —
+//! OC-mailbox commands, voltage-rail slews, P-state moves, faults,
+//! crashes, and the countermeasure's detect/restore pair — is
 //! captured as one variant of [`TelemetryEvent`] instead of a free-form
 //! trace string. Events carry plain integers (raw MSR addresses, plane
 //! indices, millivolts) so they serialize identically across runs and
@@ -14,30 +14,13 @@ use std::fmt;
 
 /// One structured observability event.
 ///
-/// Variants mirror the hot paths of the simulation: the MSR device
-/// (`MsrRead`/`MsrWrite`), the overclocking mailbox (`OcMailbox`), the
-/// voltage regulators (`VrSlew`), DVFS (`PState`), the fault engine
-/// (`Fault`/`Crash`), and the polling countermeasure
-/// (`Detection`/`Restore`, and its own failures `RestoreFailed`/
-/// `FallbackFailed`).
+/// Variants mirror the hot paths of the simulation: the overclocking
+/// mailbox (`OcMailbox`), the voltage regulators (`VrSlew`), DVFS
+/// (`PState`), the fault engine (`Fault`/`Crash`), and the polling
+/// countermeasure (`Detection`/`Restore`, and its own failures
+/// `RestoreFailed`/`FallbackFailed`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TelemetryEvent {
-    /// A model-specific register was read.
-    MsrRead {
-        /// Logical core issuing the read.
-        core: u32,
-        /// Raw MSR address (the `ECX` operand of `rdmsr`).
-        msr: u32,
-    },
-    /// A model-specific register was written.
-    MsrWrite {
-        /// Logical core issuing the write.
-        core: u32,
-        /// Raw MSR address (the `ECX` operand of `wrmsr`).
-        msr: u32,
-        /// The 64-bit value written.
-        value: u64,
-    },
     /// An OC-mailbox voltage-offset command was decoded.
     OcMailbox {
         /// Logical core issuing the command.
@@ -158,8 +141,6 @@ impl TelemetryEvent {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            TelemetryEvent::MsrRead { .. } => "msr-read",
-            TelemetryEvent::MsrWrite { .. } => "msr-write",
             TelemetryEvent::OcMailbox { .. } => "oc-mailbox",
             TelemetryEvent::VrSlew { .. } => "vr-slew",
             TelemetryEvent::PState { .. } => "p-state",
@@ -179,12 +160,6 @@ impl TelemetryEvent {
 impl fmt::Display for TelemetryEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TelemetryEvent::MsrRead { core, msr } => {
-                write!(f, "msr-read core{core} msr {msr:#x}")
-            }
-            TelemetryEvent::MsrWrite { core, msr, value } => {
-                write!(f, "msr-write core{core} msr {msr:#x} = {value:#x}")
-            }
             TelemetryEvent::OcMailbox {
                 core,
                 plane,

@@ -47,9 +47,7 @@ pub fn events_to_vcd(events: &[TimedEvent]) -> String {
             TelemetryEvent::SoakOracle { ok: false, .. } => {
                 pulse(&mut vcd, e.at, oracle_violation);
             }
-            TelemetryEvent::MsrRead { .. }
-            | TelemetryEvent::MsrWrite { .. }
-            | TelemetryEvent::RestoreFailed { .. }
+            TelemetryEvent::RestoreFailed { .. }
             | TelemetryEvent::FallbackFailed { .. }
             | TelemetryEvent::SoakCampaign { .. }
             | TelemetryEvent::SoakOracle { ok: true, .. }
@@ -93,15 +91,5 @@ mod tests {
         // The detection pulse produces a rising then falling edge.
         assert!(vcd.contains("#2000"));
         assert!(vcd.contains("#2001"));
-    }
-
-    #[test]
-    fn msr_events_do_not_pollute_the_waveform() {
-        let events = vec![TimedEvent {
-            at: SimTime::from_picos(5),
-            event: TelemetryEvent::MsrRead { core: 0, msr: 0x10 },
-        }];
-        let vcd = events_to_vcd(&events);
-        assert!(!vcd.contains("#5"));
     }
 }

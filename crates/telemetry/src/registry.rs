@@ -125,7 +125,6 @@ pub struct Registry {
     events: VecDeque<TimedEvent>,
     event_capacity: usize,
     events_dropped: u64,
-    msr_events: bool,
 }
 
 impl Default for Registry {
@@ -155,7 +154,6 @@ impl Registry {
             events: VecDeque::new(),
             event_capacity: capacity,
             events_dropped: 0,
-            msr_events: false,
         }
     }
 
@@ -232,19 +230,6 @@ impl Registry {
             self.events_dropped += 1;
         }
         self.events.push_back(TimedEvent { at, event });
-    }
-
-    /// Whether per-access `MsrRead`/`MsrWrite` events should be
-    /// emitted (counters are always kept; the events are opt-in
-    /// because MSR traffic dominates the timeline).
-    #[must_use]
-    pub fn msr_events_enabled(&self) -> bool {
-        self.msr_events
-    }
-
-    /// Opts the hot MSR paths into per-access event emission.
-    pub fn enable_msr_events(&mut self, on: bool) {
-        self.msr_events = on;
     }
 
     /// Current value of a counter (0 if never written).
@@ -379,17 +364,6 @@ impl Sink {
     /// Appends an event to the timeline.
     pub fn emit(&self, at: SimTime, event: TelemetryEvent) {
         self.inner.borrow_mut().emit(at, event);
-    }
-
-    /// Whether per-access MSR events are enabled.
-    #[must_use]
-    pub fn msr_events_enabled(&self) -> bool {
-        self.inner.borrow().msr_events_enabled()
-    }
-
-    /// Opts the hot MSR paths into per-access event emission.
-    pub fn enable_msr_events(&self, on: bool) {
-        self.inner.borrow_mut().enable_msr_events(on);
     }
 
     /// Runs `f` with shared access to the underlying registry.

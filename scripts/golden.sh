@@ -82,7 +82,7 @@ regenerate() {
     timed soak.json "$CLI" soak --workers 1 --out "$out/soak.json"
     # The MSR-transcript fixture: the deterministic fixture campaign
     # recorded through the HAL tracing backend, pinned byte-for-byte.
-    # ci.sh replays this exact file through the replay backend.
+    # ci.sh checks this exact file by recording its campaign again.
     mkdir -p "$out/traces"
     timed traces/fixture.trace.jsonl "$CLI" soak --record "$out/traces/fixture.trace.jsonl"
     printf 'golden: total %d ms\n' "$(($(now_ms) - t0))" >&2

@@ -155,9 +155,9 @@ fn soak_report_is_byte_deterministic_across_worker_counts() {
 #[test]
 fn recorded_traces_replay_bit_identically() {
     // The HAL seam invariant: a campaign recorded through the tracing
-    // backend, replayed through the replay backend, and re-run on the
-    // plain sim backend are three views of one bit-identical execution.
-    // Every MSR access checks off against the tape (no divergences, no
+    // backend, recorded again from the transcript header, and re-run on
+    // the plain sim backend are three views of one bit-identical
+    // execution. Every MSR access matches the tape (no divergences, no
     // overrun, no leftover), the soak oracles still hold, and the
     // telemetry profiles and poll stats match byte for byte.
     use plugvolt_bench::trace::{record_fixture, replay_trace};
