@@ -26,8 +26,8 @@
 //! (`--flame-out`).
 //! `soak --stream` writes one pinned-schema JSONL telemetry frame per
 //! campaign (registry counter deltas plus span aggregates; the stream
-//! clock is the campaign index, one campaign per simulated
-//! millisecond) and forces the sequential campaign path.
+//! clock advances one simulated millisecond per campaign) and forces
+//! the sequential campaign path.
 //!
 //! The `--backend` flag selects what `soak` runs on (`plugvolt_hal`):
 //! `sim` (default) runs the in-memory register file; `--record` records
@@ -50,135 +50,20 @@
 
 use plugvolt::characterize::SweepConfig;
 use plugvolt::charmap::CharacterizationMap;
-use plugvolt::deploy::Deployment;
+use plugvolt::deploy::{deploy, Deployment};
 use plugvolt::maximal::MaximalSafeState;
 use plugvolt::poll::PollConfig;
 use plugvolt_attacks::plundervolt::{run_rsa_attack, PlundervoltConfig};
 use plugvolt_bench::attr::{render_attribution, run_attribution, AttrOptions};
+use plugvolt_bench::cli::{check_flags, parsed, value_of, CliError};
 use plugvolt_bench::experiments::energy_ablation;
 use plugvolt_bench::scenario::Scenario;
 use plugvolt_bench::text::TextTable;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_telemetry::{
-    chrome_trace_json, events_to_vcd, flamegraph_collapsed, Sink, StreamCursor, TelemetryProfile,
-    SCHEMA_VERSION,
+    chrome_trace_json, events_to_vcd, flamegraph_collapsed, TelemetryProfile, SCHEMA_VERSION,
 };
-use std::fmt;
-use std::io::Write as _;
 use std::process::ExitCode;
-
-/// Typed errors for CLI flags — structured variants instead of ad-hoc
-/// `format!` strings, so callers and tests can match on the failure.
-#[derive(Debug)]
-enum CliError {
-    /// A value-taking flag was passed without its value.
-    MissingValue {
-        /// The flag in question.
-        flag: &'static str,
-    },
-    /// A flag the subcommand does not accept.
-    UnknownFlag {
-        /// The subcommand.
-        cmd: &'static str,
-        /// The flag in question.
-        flag: String,
-    },
-    /// A flag given more than once.
-    RepeatedFlag {
-        /// The flag in question.
-        flag: String,
-    },
-    /// A flag's value does not parse.
-    BadValue {
-        /// The flag in question.
-        flag: &'static str,
-        /// The value given.
-        value: String,
-        /// Why it does not parse.
-        detail: String,
-    },
-    /// A flag only meaningful in combination was passed alone.
-    RequiresFlag {
-        /// The flag in question.
-        flag: &'static str,
-        /// The flag it requires.
-        requires: &'static str,
-    },
-    /// Stream-file I/O failed.
-    StreamIo {
-        /// Stream destination path.
-        path: String,
-        /// Underlying error.
-        source: std::io::Error,
-    },
-}
-
-impl fmt::Display for CliError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CliError::MissingValue { flag } => {
-                write!(
-                    f,
-                    "{flag} requires a value (none given, or the next token is a flag)"
-                )
-            }
-            CliError::UnknownFlag { cmd, flag } => write!(f, "{cmd} does not accept {flag}"),
-            CliError::RepeatedFlag { flag } => write!(f, "{flag} given more than once"),
-            CliError::BadValue {
-                flag,
-                value,
-                detail,
-            } => write!(f, "{flag}: invalid value '{value}' ({detail})"),
-            CliError::RequiresFlag { flag, requires } => {
-                write!(f, "{flag} only makes sense together with {requires}")
-            }
-            CliError::StreamIo { path, source } => {
-                write!(f, "cannot write telemetry stream to {path}: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CliError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CliError::StreamIo { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-/// The value of a value-taking flag, or a typed [`CliError`] when the
-/// flag is present but the value token is missing or looks like
-/// another flag.
-fn value_of(args: &[String], flag: &'static str) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-            _ => Err(CliError::MissingValue { flag }),
-        },
-    }
-}
-
-/// The parsed value of a value-taking flag, or a typed [`CliError`]
-/// naming the flag when the value does not parse.
-fn parsed<T, E: fmt::Display>(
-    args: &[String],
-    flag: &'static str,
-    parse: impl FnOnce(&str) -> Result<T, E>,
-) -> Result<Option<T>, CliError> {
-    value_of(args, flag)?
-        .map(|value| {
-            parse(&value).map_err(|e| CliError::BadValue {
-                flag,
-                detail: e.to_string(),
-                value,
-            })
-        })
-        .transpose()
-}
 
 /// The subcommands and the flags each accepts.
 const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
@@ -196,29 +81,6 @@ const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Refuses a `--flag` the subcommand does not accept, and any flag
-/// given twice (the first would silently win).
-fn check_flags(args: &[String]) -> Result<(), CliError> {
-    let Some(&(cmd, accepted)) = SUBCOMMAND_FLAGS
-        .iter()
-        .find(|(cmd, _)| args.first().is_some_and(|a| a == cmd))
-    else {
-        return Ok(());
-    };
-    let flags: Vec<&String> = args.iter().filter(|a| a.starts_with("--")).collect();
-    for (i, &flag) in flags.iter().enumerate() {
-        if !accepted.split_whitespace().any(|a| a == flag) {
-            let flag = flag.clone();
-            return Err(CliError::UnknownFlag { cmd, flag });
-        }
-        if flags[..i].contains(&flag) {
-            let flag = flag.clone();
-            return Err(CliError::RepeatedFlag { flag });
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -233,7 +95,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let flag = |name: &str| args.iter().any(|a| a == name);
-    check_flags(&args)?;
+    if let Some(&(cmd, accepted)) = SUBCOMMAND_FLAGS.iter().find(|(c, _)| *c == cmd) {
+        check_flags(cmd, accepted, &args)?;
+    }
 
     match cmd {
         "characterize" => {
@@ -283,7 +147,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         "maximal" => {
             let map = load_map(&value_of(&args, "--map")?.ok_or("--map required")?)?;
-            let margin = parsed(&args, "--margin", str::parse::<i32>)?.unwrap_or(5);
+            let margin = parsed(&args, "--margin", parse_margin)?.unwrap_or(5);
             match MaximalSafeState::from_map(&map, margin) {
                 Some(mss) => {
                     println!(
@@ -314,7 +178,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             if !matches!(deployment, Deployment::None) {
                 let map =
                     load_map(&value_of(&args, "--map")?.ok_or("--map required with --deploy")?)?;
-                scn.deploy(&mut machine, &map, deployment.clone())?;
+                deploy(&mut machine, &map, deployment.clone())?;
                 eprintln!("deployed {}", deployment.label());
             }
             let report = run_rsa_attack(&mut machine, &PlundervoltConfig::default(), 1)?;
@@ -373,59 +237,25 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let seed =
                 parsed(&args, "--seed", parse_seed)?.unwrap_or(plugvolt_bench::scenario::SEED);
             let corpus = value_of(&args, "--corpus")?;
-            let stream_path = value_of(&args, "--stream")?;
             let mut scn = Scenario::with_seed(seed);
-            let stream_sink = stream_path.as_ref().map(|_| Sink::new());
-            if let Some(sink) = &stream_sink {
-                scn = scn.with_telemetry(sink.clone());
+            let stream_path = value_of(&args, "--stream")?;
+            let stream_io = |path: &String, source| CliError::StreamIo {
+                path: path.clone(),
+                source,
+            };
+            if let Some(path) = &stream_path {
+                scn = scn.with_stream(path).map_err(|e| stream_io(path, e))?;
             }
             eprintln!(
                 "soaking {} with {} campaigns × 4 deployment levels (seed {seed:#x})…",
                 cfg.model, cfg.campaigns
             );
             let corpus_dir = corpus.as_deref().map(std::path::Path::new);
-            let report = match (&stream_path, &stream_sink) {
-                (Some(path), Some(sink)) => {
-                    let stream_io = |e: std::io::Error| CliError::StreamIo {
-                        path: path.clone(),
-                        source: e,
-                    };
-                    let mut file = std::fs::File::create(path).map_err(stream_io)?;
-                    // One campaign advances the stream clock by one
-                    // simulated millisecond; the stream sink's tracer is
-                    // enabled so campaign machines (which inherit it)
-                    // feed the frames' span aggregates.
-                    let mut cursor = StreamCursor::new(1);
-                    let mut frames = 0u64;
-                    let mut io_error: Option<std::io::Error> = None;
-                    sink.tracer().set_enabled(true);
-                    let report = plugvolt_bench::soak::run_soak_streaming(
-                        &scn,
-                        &cfg,
-                        corpus_dir,
-                        Some(&mut |campaigns: u32| {
-                            let now =
-                                SimTime::ZERO + SimDuration::from_millis(u64::from(campaigns));
-                            if let Some(frame) = cursor.poll(sink, now) {
-                                frames += 1;
-                                if let Err(e) = writeln!(file, "{}", frame.to_jsonl()) {
-                                    io_error.get_or_insert(e);
-                                }
-                            }
-                        }),
-                    )?;
-                    if let Some(e) = io_error {
-                        return Err(stream_io(e).into());
-                    }
-                    let end = SimTime::ZERO + SimDuration::from_millis(u64::from(cfg.campaigns));
-                    let frame = cursor.flush(sink, end);
-                    writeln!(file, "{}", frame.to_jsonl()).map_err(stream_io)?;
-                    frames += 1;
-                    eprintln!("{frames} telemetry frames streamed to {path}");
-                    report
-                }
-                _ => plugvolt_bench::soak::run_soak(&scn, &cfg, corpus_dir)?,
-            };
+            let report = plugvolt_bench::soak::run_soak(&scn, &cfg, corpus_dir)?;
+            if let Some(path) = &stream_path {
+                let frames = scn.finish_stream().map_err(|e| stream_io(path, e))?;
+                eprintln!("{frames} telemetry frames streamed to {path}");
+            }
             let json = report.to_json();
             match value_of(&args, "--out")? {
                 Some(path) => {
@@ -520,7 +350,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                  \n\
                  `bench` prints the per-subsystem hot-path attribution table;\n\
                  `--trace-out` exports a Chrome trace-event JSON (load in Perfetto);\n\
-                 `soak --stream` appends one pinned-schema telemetry frame per campaign;\n\
+                 `soak --stream` writes one pinned-schema telemetry frame per campaign;\n\
                  `soak --record` records the fixture campaign's MSR transcript,\n\
                  `soak --backend replay --trace` records it again and compares, and\n\
                  `soak --backend host` runs the read-only Linux MSR/cpufreq probe.\n\
@@ -642,6 +472,16 @@ fn host_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(not(target_os = "linux"))]
 fn host_command(_args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Err("--backend host requires Linux (/dev/cpu/*/msr + sysfs cpufreq)".into())
+}
+
+/// A safety margin is a distance above the characterized onset, so a
+/// negative one is refused rather than silently read as zero.
+fn parse_margin(s: &str) -> Result<i32, String> {
+    match s.parse::<i32>() {
+        Ok(mv) if mv >= 0 => Ok(mv),
+        Ok(_) => Err("a margin is a non-negative mV distance".into()),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 fn parse_model(s: &str) -> Result<CpuModel, String> {

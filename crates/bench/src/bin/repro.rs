@@ -26,91 +26,68 @@
 //! --telemetry <path> writes a deterministic telemetry profile (JSON)
 //!        covering the run: MSR traffic, detection latency, exposure
 //!        windows (table2/defense/levels/interval).
-//! --stream <path> appends pinned-schema JSONL telemetry snapshot
-//!        frames (registry counter deltas plus span aggregates) every
-//!        simulated millisecond while the characterization figures
-//!        (fig2/fig3/fig4) sweep; each frequency column is re-based onto
-//!        one monotone stream clock.
+//! --stream <path> writes pinned-schema JSONL telemetry snapshot
+//!        frames (registry counter deltas plus span aggregates) while
+//!        any characterization sweep runs: fig2-4 and units; every
+//!        column is re-based onto one monotone stream clock, at most
+//!        one frame per simulated millisecond.
+//!
+//! A flag given twice, an unknown flag and a second experiment are
+//! refused (exit 2), naming the token.
 //! ```
 
-use plugvolt::characterize::CharacterizationRun;
+use plugvolt_bench::cli::{check_flags, positionals, value_of, CliError};
 use plugvolt_bench::experiments;
 use plugvolt_bench::scenario::{quick_map, Scenario};
 use plugvolt_bench::text::TextTable;
 use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_des::time::SimTime;
 use plugvolt_msr::oc_mailbox::{encode_offset_request, OcRequest, Plane};
-use plugvolt_telemetry::{Sink, StreamCursor};
+use plugvolt_telemetry::Sink;
 use plugvolt_workloads::overhead::{run_table2_with, OverheadConfig};
 use std::process::ExitCode;
 
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: &str =
+    "table1 fig1 fig2 fig3 fig4 table2 defense levels stepping interval planes energy units attest all";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, telemetry_path, stream_path) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!(
+                "usage: repro [--full] [--json] [--telemetry <path>] [--stream <path>] <{}>",
+                EXPERIMENTS.replace(' ', "|")
+            );
+            return ExitCode::from(2);
+        }
+    };
     let full = args.iter().any(|a| a == "--full");
     let out = Out {
         json: args.iter().any(|a| a == "--json"),
     };
-    let tpos = args.iter().position(|a| a == "--telemetry");
-    let telemetry_path = tpos.and_then(|i| args.get(i + 1)).cloned();
-    if tpos.is_some()
-        && telemetry_path
-            .as_deref()
-            .map_or(true, |p| p.starts_with("--"))
-    {
-        eprintln!("--telemetry requires a file path argument");
-        return ExitCode::from(2);
+    let mut scn = Scenario::new();
+    if telemetry_path.is_some() {
+        scn = scn.with_telemetry(Sink::new());
     }
-    let spos = args.iter().position(|a| a == "--stream");
-    let stream_path = spos.and_then(|i| args.get(i + 1)).cloned();
-    if spos.is_some() && stream_path.as_deref().map_or(true, |p| p.starts_with("--")) {
-        eprintln!("--stream requires a file path argument");
-        return ExitCode::from(2);
-    }
-    // The tokens right after --telemetry / --stream are their values,
-    // not the command.
-    let cmd = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && tpos.map_or(true, |t| *i != t + 1)
-                && spos.map_or(true, |s| *i != s + 1)
-        })
-        .map(|(_, a)| a.clone());
-    let Some(cmd) = cmd else {
-        eprintln!("usage: repro [--full] [--json] [--telemetry <path>] [--stream <path>] <table1|fig1|fig2|fig3|fig4|table2|defense|levels|stepping|interval|planes|energy|units|attest|all>");
-        return ExitCode::from(2);
-    };
-    let sink = (telemetry_path.is_some() || stream_path.is_some()).then(Sink::new);
-    let scn = match &sink {
-        Some(sink) => Scenario::new().with_telemetry(sink.clone()),
-        None => Scenario::new(),
-    };
-    let mut stream = match (&stream_path, &sink) {
-        (Some(path), Some(sink)) => {
-            // The stream frames carry span aggregates; the machines of
-            // the streamed figures share this sink's tracer.
-            sink.tracer().set_enabled(true);
-            match StreamWriter::create(path) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    eprintln!("cannot write telemetry stream to {path}: {e}");
-                    return ExitCode::from(1);
-                }
+    if let Some(path) = &stream_path {
+        scn = match scn.with_stream(path) {
+            Ok(scn) => scn,
+            Err(source) => {
+                let path = path.clone();
+                eprintln!("{}", CliError::StreamIo { path, source });
+                return ExitCode::from(1);
             }
-        }
-        _ => None,
-    };
+        };
+    }
     let run = |name: &str| cmd == "all" || cmd == name;
-    let mut matched = cmd == "all";
 
     if run("table1") {
-        matched = true;
         table1(out);
     }
     if run("fig1") {
-        matched = true;
         fig1(out);
     }
     for (name, model) in [
@@ -119,66 +96,46 @@ fn main() -> ExitCode {
         ("fig4", CpuModel::CometLake),
     ] {
         if run(name) {
-            matched = true;
-            figure(out, &scn, name, model, full, stream.as_mut());
+            figure(out, &scn, name, model, full);
         }
     }
     if run("table2") {
-        matched = true;
         table2(out, &scn, full);
     }
     if run("defense") {
-        matched = true;
         defense(out, &scn);
     }
     if run("levels") {
-        matched = true;
         levels(out, &scn);
     }
     if run("stepping") {
-        matched = true;
         stepping(out, &scn);
     }
     if run("interval") {
-        matched = true;
         interval(out, &scn);
     }
     if run("planes") {
-        matched = true;
         planes(out, &scn);
     }
     if run("energy") {
-        matched = true;
         energy(out, &scn);
     }
     if run("units") {
-        matched = true;
         units(out, &scn);
     }
     if run("attest") {
-        matched = true;
         attest(out, &scn);
     }
-    if !matched {
-        eprintln!("unknown experiment '{cmd}'");
-        return ExitCode::from(2);
-    }
-    if let (Some(w), Some(sink)) = (stream.as_mut(), &sink) {
-        match w.finish(sink) {
-            Ok(frames) => eprintln!(
-                "{frames} telemetry frames streamed to {}",
-                stream_path.as_deref().unwrap_or("?")
-            ),
-            Err(e) => {
-                eprintln!(
-                    "cannot write telemetry stream to {}: {e}",
-                    stream_path.as_deref().unwrap_or("?")
-                );
+    if let Some(path) = stream_path {
+        match scn.finish_stream() {
+            Ok(frames) => eprintln!("{frames} telemetry frames streamed to {path}"),
+            Err(source) => {
+                eprintln!("{}", CliError::StreamIo { path, source });
                 return ExitCode::from(1);
             }
         }
     }
-    if let (Some(path), Some(sink)) = (telemetry_path, sink) {
+    if let (Some(path), Some(sink)) = (telemetry_path, scn.telemetry()) {
         let profile = sink.profile(&cmd);
         if let Err(e) = std::fs::write(&path, profile.to_json() + "\n") {
             eprintln!("failed to write telemetry profile to {path}: {e}");
@@ -193,69 +150,24 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Streams pinned-schema telemetry frames to a JSONL file while the
-/// characterization figures sweep. Every frequency column boots an
-/// independent machine whose sim clock restarts at zero, so the writer
-/// re-bases after each column onto one monotone stream clock
-/// (`base_ps`); I/O errors are stashed and surfaced once at
-/// [`StreamWriter::finish`].
-struct StreamWriter {
-    cursor: StreamCursor,
-    out: std::fs::File,
-    frames: u64,
-    base_ps: u64,
-    last_ps: u64,
-    error: Option<std::io::Error>,
-}
-
-impl StreamWriter {
-    fn create(path: &str) -> Result<Self, std::io::Error> {
-        Ok(StreamWriter {
-            cursor: StreamCursor::new(1),
-            out: std::fs::File::create(path)?,
-            frames: 0,
-            base_ps: 0,
-            last_ps: 0,
-            error: None,
-        })
-    }
-
-    /// Re-base the stream clock after a column: the next column's
-    /// machine starts its sim clock over at zero.
-    fn rebase(&mut self) {
-        self.base_ps = self.last_ps;
-    }
-
-    /// Poll the cursor at the machine's current (re-based) sim time,
-    /// appending a frame when a snapshot interval elapsed.
-    fn observe(&mut self, sink: &Sink, now: SimTime) {
-        let abs = self.base_ps + now.as_picos();
-        self.last_ps = self.last_ps.max(abs);
-        if let Some(frame) = self.cursor.poll(sink, SimTime::from_picos(abs)) {
-            self.write(&frame.to_jsonl());
+/// The experiment and the `--telemetry` and `--stream` paths, or the
+/// first argument error.
+fn parse_args(
+    args: &[String],
+) -> Result<(String, Option<String>, Option<String>), Box<dyn std::error::Error>> {
+    check_flags("repro", "--full --json --telemetry --stream", args)?;
+    let telemetry = value_of(args, "--telemetry")?;
+    let stream = value_of(args, "--stream")?;
+    match positionals(args, &["--telemetry", "--stream"])[..] {
+        [cmd] if EXPERIMENTS.split_whitespace().any(|e| e == cmd) => {
+            Ok((cmd.to_owned(), telemetry, stream))
         }
-    }
-
-    /// Emit the final unconditional frame and surface any stashed I/O
-    /// error; returns the total frame count on success.
-    fn finish(&mut self, sink: &Sink) -> Result<u64, std::io::Error> {
-        let frame = self.cursor.flush(sink, SimTime::from_picos(self.last_ps));
-        self.write(&frame.to_jsonl());
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(self.frames),
+        [cmd] => Err(format!("unknown experiment '{cmd}'").into()),
+        [] => Err("no experiment given".into()),
+        [_, extra, ..] => Err(CliError::UnexpectedArgument {
+            token: extra.to_owned(),
         }
-    }
-
-    fn write(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        use std::io::Write as _;
-        match writeln!(self.out, "{line}") {
-            Ok(()) => self.frames += 1,
-            Err(e) => self.error = Some(e),
-        }
+        .into()),
     }
 }
 
@@ -349,14 +261,7 @@ fn fig1(out: Out) {
     print!("{}", t.render());
 }
 
-fn figure(
-    out: Out,
-    scn: &Scenario,
-    name: &str,
-    model: CpuModel,
-    full: bool,
-    stream: Option<&mut StreamWriter>,
-) {
+fn figure(out: Out, scn: &Scenario, name: &str, model: CpuModel, full: bool) {
     let spec = model.spec();
     out.banner(&format!(
         "{}: safe/unsafe characterization of {} ({}, microcode {:#x})",
@@ -366,14 +271,9 @@ fn figure(
         spec.microcode
     ));
     let cfg = experiments::figure_sweep_config(full);
-    let run: CharacterizationRun = match stream {
-        Some(w) => scn.characterize_observed(model, &cfg, &mut |m| {
-            w.observe(m.telemetry(), m.now());
-            w.rebase();
-        }),
-        None => scn.characterize(model, &cfg, matrix_workers()),
-    }
-    .expect("sweep completes");
+    let run = scn
+        .characterize(model, &cfg, matrix_workers())
+        .expect("sweep completes");
     if out.emit_json(name, &run.map) {
         return;
     }

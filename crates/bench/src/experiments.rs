@@ -307,9 +307,6 @@ fn level_row(
     let fast = machine.cpu().spec().freq_table.max();
     cpupower.frequency_set(&mut machine, CoreId(0), fast)?;
     machine.advance(SimDuration::from_millis(1));
-    let nominal = machine.cpu().spec().nominal_voltage_mv(fast);
-
-    let _ = nominal;
     let dev = MsrDev::open(&machine, CoreId(0))?;
     let attack = OcRequest::write_offset(-250, Plane::Core).encode();
     let written_at = machine.now();
@@ -441,10 +438,6 @@ fn interval_row(
         stolen.as_picos() as f64 / SimDuration::from_millis(50).as_picos() as f64 * 100.0;
 
     // Turnaround: deep write, watch 20 ms.
-    let nominal = machine
-        .cpu()
-        .spec()
-        .nominal_voltage_mv(machine.cpu().core_freq(CoreId(0))?);
     let dev = MsrDev::open(&machine, CoreId(0))?;
     let written_at = machine.now();
     let _ = dev.write(
@@ -460,7 +453,6 @@ fn interval_row(
         let v = machine.cpu().core_voltage_mv(machine.now());
         max_effective_undervolt = max_effective_undervolt.max(nominal_now - v);
     }
-    let _ = nominal;
     let stats = deployed.poll_stats.expect("polling deployment");
     let detect_latency = stats
         .borrow()

@@ -15,6 +15,8 @@
 //!   auto-shrunk reproducer corpus);
 //! - [`trace`] — the MSR-transcript record/replay gate (pinned-schema
 //!   JSONL fixtures, tape-clean + oracle + sim-differential checks);
+//! - [`cli`] — argument handling shared by the `repro` and
+//!   `plugvolt-cli` binaries;
 //! - [`text`] — plain-text table rendering.
 //!
 //! Run `cargo run --release -p plugvolt-bench --bin repro -- all` to
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod attr;
+pub mod cli;
 pub mod experiments;
 pub mod scenario;
 pub mod soak;

@@ -40,15 +40,20 @@ use plugvolt::characterize::{
     CharacterizeError, ColumnSweep, SweepConfig,
 };
 use plugvolt::charmap::CharacterizationMap;
-use plugvolt::deploy::{deploy, Deployed, Deployment};
 use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::rng::{derive_seed, SimRng};
+use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_hal::sim::SimBackend;
 use plugvolt_hal::trace::{RecordingBackend, TraceRecorder};
-use plugvolt_kernel::machine::{Machine, MachineError};
-use plugvolt_telemetry::Sink;
+use plugvolt_kernel::machine::Machine;
+use plugvolt_telemetry::{Sink, StreamCursor, StreamFrame};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, Write as _};
+use std::path::Path;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default root seed for all experiments (the paper's venue and year).
@@ -73,6 +78,7 @@ pub const SEED: u64 = 0x0DAC_2024;
 pub struct Scenario {
     root_seed: u64,
     telemetry: Option<Sink>,
+    stream: Option<Rc<RefCell<FrameWriter>>>,
 }
 
 impl Default for Scenario {
@@ -94,6 +100,7 @@ impl Scenario {
         Scenario {
             root_seed,
             telemetry: None,
+            stream: None,
         }
     }
 
@@ -210,33 +217,6 @@ impl Scenario {
         })
     }
 
-    /// [`Scenario::characterize`] on one worker, invoking `observe` with
-    /// each column's machine once its column is done (and, with a sink
-    /// attached, published). This is the streaming hook behind
-    /// `repro --stream`: every column machine's sim clock starts at
-    /// zero, so an observer that keeps one monotone stream clock
-    /// re-bases it after each call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scenario::characterize`].
-    pub fn characterize_observed(
-        &self,
-        model: CpuModel,
-        cfg: &SweepConfig,
-        observe: &mut dyn FnMut(&Machine),
-    ) -> Result<CharacterizationRun, CharacterizeError> {
-        cfg.validate()?;
-        let spec = model.spec();
-        let mut columns = Vec::new();
-        for freq in sweep_frequencies(&spec, cfg) {
-            let mut machine = self.machine_for(model, &shard_label(freq));
-            columns.push(self.column(&mut machine, cfg, freq)?);
-            observe(&machine);
-        }
-        Ok(CharacterizationRun::from_columns(&spec, cfg, columns))
-    }
-
     /// The sweep engine behind [`Scenario::characterize`], with the
     /// column machine's boot supplied by the caller (the die-to-die
     /// study boots a specific unit per column).
@@ -258,7 +238,10 @@ impl Scenario {
     }
 
     /// One column on a freshly booted machine; with a sink attached the
-    /// machine then publishes its counters into it.
+    /// machine then publishes its counters into it, and an attached
+    /// stream advances by the column's sim time (every column machine
+    /// starts its clock at zero, so this re-bases the columns onto one
+    /// monotone stream clock).
     fn column(
         &self,
         machine: &mut Machine,
@@ -269,22 +252,81 @@ impl Scenario {
         if self.telemetry.is_some() {
             machine.publish_telemetry();
         }
+        self.advance_stream(column.duration);
         Ok(column)
     }
 
-    /// Deploys a countermeasure level on a machine (the S2 step),
-    /// delegating to [`plugvolt::deploy::deploy`].
+    /// Streams pinned-schema JSONL telemetry frames (registry counter
+    /// deltas plus span aggregates) to `path`: at most one frame per
+    /// simulated millisecond of the stream clock, which advances as
+    /// characterization columns and soak campaigns complete. Attaches a
+    /// fresh sink if none is attached and turns its tracer on; write
+    /// errors surface at [`Scenario::finish_stream`].
     ///
     /// # Errors
     ///
-    /// Propagates machine errors.
-    pub fn deploy(
-        &self,
-        machine: &mut Machine,
-        map: &CharacterizationMap,
-        deployment: Deployment,
-    ) -> Result<Deployed, MachineError> {
-        deploy(machine, map, deployment)
+    /// The error creating `path`.
+    pub fn with_stream(mut self, path: impl AsRef<Path>) -> io::Result<Scenario> {
+        let out = File::create(path)?;
+        let sink = self.telemetry.get_or_insert_with(Sink::new).clone();
+        sink.tracer().set_enabled(true);
+        self.stream = Some(Rc::new(RefCell::new(FrameWriter {
+            cursor: StreamCursor::new(1),
+            sink,
+            out,
+            clock: SimTime::ZERO,
+            error: None,
+        })));
+        Ok(self)
+    }
+
+    /// Writes the closing frame (unconditionally, so the last counter
+    /// movement is never lost to interval gating) and returns the
+    /// number of frames streamed; `Ok(0)` without a stream.
+    ///
+    /// # Errors
+    ///
+    /// The first error writing the stream file.
+    pub fn finish_stream(&self) -> io::Result<u64> {
+        let Some(stream) = &self.stream else {
+            return Ok(0);
+        };
+        let w = &mut *stream.borrow_mut();
+        let frame = w.cursor.flush(&w.sink, w.clock);
+        w.write(&frame);
+        w.error.take().map_or(Ok(frame.seq + 1), Err)
+    }
+
+    /// Moves the stream clock forward by `by` and writes a frame if one
+    /// is due; a no-op without a stream.
+    pub(crate) fn advance_stream(&self, by: SimDuration) {
+        if let Some(stream) = &self.stream {
+            let w = &mut *stream.borrow_mut();
+            w.clock = w.clock + by;
+            if let Some(frame) = w.cursor.poll(&w.sink, w.clock) {
+                w.write(&frame);
+            }
+        }
+    }
+}
+
+/// The frame writer behind [`Scenario::with_stream`]: one cursor over
+/// the scenario sink, the stream file, the stream clock, and the first
+/// write error (stashed so the run finishes and reports it once).
+#[derive(Debug)]
+struct FrameWriter {
+    cursor: StreamCursor,
+    sink: Sink,
+    out: File,
+    clock: SimTime,
+    error: Option<io::Error>,
+}
+
+impl FrameWriter {
+    fn write(&mut self, frame: &StreamFrame) {
+        if let Err(e) = writeln!(self.out, "{}", frame.to_jsonl()) {
+            self.error.get_or_insert(e);
+        }
     }
 }
 
@@ -404,18 +446,18 @@ mod tests {
 
     #[test]
     fn telemetry_sink_is_installed_on_boot() {
+        use plugvolt::deploy::{deploy, Deployment};
         use plugvolt::poll::PollConfig;
         let sink = Sink::new();
         let scenario = Scenario::new().with_telemetry(sink.clone());
         let mut machine = scenario.machine(CpuModel::CometLake);
         let map = scenario.quick_map(CpuModel::CometLake);
-        scenario
-            .deploy(
-                &mut machine,
-                &map,
-                Deployment::PollingModule(PollConfig::default()),
-            )
-            .expect("deploys");
+        deploy(
+            &mut machine,
+            &map,
+            Deployment::PollingModule(PollConfig::default()),
+        )
+        .expect("deploys");
         machine.advance(plugvolt_des::time::SimDuration::from_millis(1));
         machine.publish_telemetry();
         let profile = sink.profile("t");

@@ -968,8 +968,11 @@ fn replay_corpus(
 ///
 /// A telemetry sink on `scn` receives per-campaign
 /// [`TelemetryEvent::SoakCampaign`]/[`TelemetryEvent::SoakOracle`]
-/// events and forces the sequential path (the sink is
-/// single-threaded).
+/// events and campaign progress counters (`soak/campaigns`,
+/// `soak/cells`, `soak/violations`), and forces the sequential path
+/// (the sink is single-threaded). A stream on `scn`
+/// ([`Scenario::with_stream`]) advances one simulated millisecond per
+/// campaign.
 ///
 /// # Errors
 ///
@@ -978,26 +981,6 @@ pub fn run_soak(
     scn: &Scenario,
     cfg: &SoakConfig,
     corpus_dir: Option<&Path>,
-) -> Result<SoakReport, SoakError> {
-    run_soak_streaming(scn, cfg, corpus_dir, None)
-}
-
-/// [`run_soak`] with a streaming progress observer: `progress` is
-/// invoked with the number of completed campaigns after each one, on
-/// the caller thread (streaming runs are sequential — the observer
-/// typically polls a [`plugvolt_telemetry::StreamCursor`] against the
-/// scenario sink and writes JSONL frames). Campaign progress counters
-/// (`soak/campaigns`, `soak/cells`, `soak/violations`) are emitted on
-/// the scenario sink as the run advances, so frames carry real deltas.
-///
-/// # Errors
-///
-/// Same as [`run_soak`].
-pub fn run_soak_streaming(
-    scn: &Scenario,
-    cfg: &SoakConfig,
-    corpus_dir: Option<&Path>,
-    mut progress: Option<&mut dyn FnMut(u32)>,
 ) -> Result<SoakReport, SoakError> {
     let map = scn.quick_map(cfg.model);
     let spec = cfg.model.spec();
@@ -1069,19 +1052,11 @@ pub fn run_soak_streaming(
             corpus_file: None,
         }))
     };
-    let outcomes: Vec<Option<ShrunkViolation>> = match progress.as_deref_mut() {
-        // Streaming: sequential by construction, frame after each
-        // campaign.
-        Some(observe) => {
-            let mut out = Vec::with_capacity(schedules.len());
-            for i in 0..schedules.len() {
-                out.push(campaign(scn, i)?);
-                observe(i as u32 + 1);
-            }
-            out
-        }
-        None => run_cells(scn, cfg.workers, schedules.len(), campaign)?,
-    };
+    let outcomes = run_cells(scn, cfg.workers, schedules.len(), |scn, i| {
+        let outcome = campaign(scn, i)?;
+        scn.advance_stream(SimDuration::from_millis(1));
+        Ok::<_, SoakError>(outcome)
+    })?;
     let mut violations: Vec<ShrunkViolation> = outcomes.into_iter().flatten().collect();
 
     // Stage 4: the self-test — inject the weakened poller and demand

@@ -160,3 +160,38 @@ fn characterize_takes_its_seed_in_hex_too() {
         .collect();
     assert_eq!(maps[0], maps[1], "hex and decimal seeds must agree");
 }
+
+#[test]
+fn a_negative_margin_is_refused() {
+    // The bound used to clamp the margin at 0 and print "margin -3 mV"
+    // beside the margin-0 bound.
+    let (code, stderr) = run_with_map("margin.map.json", GOOD_MAP, &["maximal", "--margin", "-3"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--margin: invalid value '-3'"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn repro_refuses_bad_argv_naming_the_token() {
+    // Each of these used to exit 0: a misspelt flag ran quick mode, a
+    // second experiment was dropped, a repeated flag was accepted.
+    for (args, named) in [
+        (&["--ful", "table1"][..], "repro does not accept --ful"),
+        (&["table1", "fig9"][..], "unexpected argument 'fig9'"),
+        (
+            &["--json", "--json", "table1"][..],
+            "--json given more than once",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(named), "{args:?} stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
+    }
+}

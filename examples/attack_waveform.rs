@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, defended) in [("undefended", false), ("defended", true)] {
         let mut machine = scn.machine(model);
         let stats = if defended {
-            scn.deploy(
+            deploy(
                 &mut machine,
                 &map,
                 Deployment::PollingModule(PollConfig::default()),

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let window = SimDuration::from_millis(400);
 
     let mut machine = scn.machine(model);
-    scn.deploy(
+    deploy(
         &mut machine,
         &map,
         Deployment::PollingModule(PollConfig::default()),

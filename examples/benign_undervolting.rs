@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         println!("== {label} ==");
         let mut machine = scn.machine(model);
-        let deployed = scn.deploy(&mut machine, &map, deployment)?;
+        let deployed = deploy(&mut machine, &map, deployment)?;
 
         // The user applies the power-saving undervolt.
         let applied = try_user_undervolt(&mut machine)?;

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Deployment::OcmDisable,
     ] {
         let mut machine = scn.machine(model);
-        let deployed = scn.deploy(&mut machine, &map, deployment.clone())?;
+        let deployed = deploy(&mut machine, &map, deployment.clone())?;
         let report = run_rsa_attack(&mut machine, &PlundervoltConfig::default(), 1)?;
         let detections = deployed
             .poll_stats

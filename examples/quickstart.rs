@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  maximal safe state (5 mV margin): {mss} mV");
 
     // 3. Deploy the polling countermeasure.
-    let deployed = scn.deploy(
+    let deployed = deploy(
         &mut machine,
         &run.map,
         Deployment::PollingModule(PollConfig::default()),

@@ -6,7 +6,7 @@
 
 use plugvolt::characterize::SweepConfig;
 use plugvolt_bench::scenario::Scenario;
-use plugvolt_bench::soak::{run_soak_streaming, SoakConfig};
+use plugvolt_bench::soak::{run_soak, SoakConfig};
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_telemetry::{chrome_trace_json, Sink, SpanProfile, StreamCursor, StreamFrame, Tracer};
@@ -116,26 +116,42 @@ fn exporters_carry_no_wall_clock_channel() {
 }
 
 /// A small streamed soak against a scenario sink whose tracer is on
-/// or off; returns the sink and the number of progress callbacks.
-fn streamed_soak(tracing: bool) -> (Sink, u32) {
+/// or off; returns the sink and the number of frames streamed.
+fn streamed_soak(tracing: bool) -> (Sink, u64) {
     let sink = Sink::new();
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("soak-tracing-{tracing}.frames.jsonl"));
+    let scn = Scenario::new()
+        .with_telemetry(sink.clone())
+        .with_stream(&path)
+        .expect("stream file opens");
+    // The stream turns the sink's tracer on; the untraced run turns it
+    // back off.
     sink.tracer().set_enabled(tracing);
-    let scn = Scenario::new().with_telemetry(sink.clone());
     let cfg = SoakConfig {
         campaigns: 3,
         workers: 1,
         self_test: false,
         ..SoakConfig::smoke()
     };
-    let mut calls = 0;
-    run_soak_streaming(&scn, &cfg, None, Some(&mut |_| calls += 1)).expect("soak completes");
-    (sink, calls)
+    run_soak(&scn, &cfg, None).expect("soak completes");
+    let frames = scn.finish_stream().expect("stream written");
+    let lines = std::fs::read_to_string(&path)
+        .expect("stream file")
+        .lines()
+        .count();
+    assert_eq!(lines as u64, frames, "one line per frame");
+    (sink, frames)
 }
 
 #[test]
 fn streamed_soak_campaign_machines_inherit_scenario_tracing() {
-    let (traced, calls) = streamed_soak(true);
-    assert_eq!(calls, 3, "one progress callback per campaign");
+    let (traced, frames) = streamed_soak(true);
+    assert_eq!(
+        frames,
+        3 + 1,
+        "one frame per campaign plus the closing flush"
+    );
     assert!(
         traced
             .tracer()
