@@ -20,7 +20,8 @@
 #  12. soak gate           plugvolt-cli soak --smoke + corpus replay
 #  13. trace replay gate   committed MSR transcript's campaign recorded
 #                          again and compared event for event (tape-clean
-#                          + oracles + sim-differential byte identity)
+#                          + oracles + sim-differential byte identity:
+#                          every poll tick fired vs quiet ticks folded)
 #  14. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -124,7 +125,9 @@ step "plugvolt-cli soak --backend replay (trace fixture)"
 # violation, and unless the re-recorded run's telemetry profiles and
 # poll stats are byte-identical to a plain sim run — the differential
 # proof that the sim and recording backends sit behind one seam with no
-# behavioral drift.
+# behavioral drift. The recording backend refuses every fold, so the
+# differential also compares a run that fires every poll tick with a
+# plain sim run that folds its quiet ones.
 ./target/release/plugvolt-cli soak --backend replay \
     --trace results/traces/fixture.trace.jsonl
 

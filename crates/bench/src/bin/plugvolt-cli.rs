@@ -55,7 +55,7 @@ use plugvolt::maximal::MaximalSafeState;
 use plugvolt::poll::PollConfig;
 use plugvolt_attacks::plundervolt::{run_rsa_attack, PlundervoltConfig};
 use plugvolt_bench::attr::{render_attribution, run_attribution, AttrOptions};
-use plugvolt_bench::cli::{check_flags, parsed, value_of, CliError};
+use plugvolt_bench::cli::{check_flags, parsed, positionals, value_of, CliError};
 use plugvolt_bench::experiments::energy_ablation;
 use plugvolt_bench::scenario::Scenario;
 use plugvolt_bench::text::TextTable;
@@ -65,19 +65,21 @@ use plugvolt_telemetry::{
 };
 use std::process::ExitCode;
 
-/// The subcommands and the flags each accepts.
-const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
-    ("characterize", "--model --out --seed --coarse --workers"),
-    ("inspect", "--map"),
-    ("maximal", "--map --margin"),
-    ("attack", "--model --map --deploy"),
-    ("energy", "--model --map"),
-    ("telemetry", "--profile --vcd"),
-    ("bench", "--smoke --model --trace-out --flame-out"),
+/// The subcommands, the flags each accepts that take a value, and the
+/// ones that do not.
+const SUBCOMMAND_FLAGS: &[(&str, &str, &str)] = &[
+    ("characterize", "--model --out --seed --workers", "--coarse"),
+    ("inspect", "--map", ""),
+    ("maximal", "--map --margin", ""),
+    ("attack", "--model --map --deploy", ""),
+    ("energy", "--model --map", ""),
+    ("telemetry", "--profile --vcd", ""),
+    ("bench", "--model --trace-out --flame-out", "--smoke"),
     (
         "soak",
-        "--smoke --seed --campaigns --workers --model --corpus --out --stream --no-self-test \
-         --record --backend --trace --reads --period-us",
+        "--seed --campaigns --workers --model --corpus --out --stream --record --backend \
+         --trace --reads --period-us",
+        "--smoke --no-self-test",
     ),
 ];
 
@@ -95,8 +97,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let flag = |name: &str| args.iter().any(|a| a == name);
-    if let Some(&(cmd, accepted)) = SUBCOMMAND_FLAGS.iter().find(|(c, _)| *c == cmd) {
-        check_flags(cmd, accepted, &args)?;
+    if let Some(&(cmd, values, switches)) = SUBCOMMAND_FLAGS.iter().find(|(c, ..)| *c == cmd) {
+        check_flags(cmd, &format!("{values} {switches}"), &args)?;
+        let values: Vec<&str> = values.split_whitespace().collect();
+        // The first positional is the subcommand itself.
+        if let [_, extra, ..] = positionals(&args, &values)[..] {
+            let token = extra.to_owned();
+            return Err(CliError::UnexpectedArgument { token }.into());
+        }
     }
 
     match cmd {

@@ -44,7 +44,7 @@ use plugvolt_attacks::campaign::is_crash;
 use plugvolt_attacks::schedule::{AttackFamily, CampaignSchedule, ScheduleAction};
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::freq::FreqMhz;
-use plugvolt_cpu::model::CpuModel;
+use plugvolt_cpu::model::{CpuModel, CpuSpec};
 use plugvolt_cpu::package::PackageError;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_hal::trace::TraceRecorder;
@@ -470,7 +470,7 @@ fn run_level(
     level: Level,
     weaken: Option<u32>,
 ) -> Result<RunRecord, SoakError> {
-    run_level_mode(scn, model, map, schedule, level, weaken, None, false)
+    run_level_mode(scn, model, map, schedule, level, weaken, None, false).map(|(run, _)| run)
 }
 
 /// [`run_level`] with optional recording and profile/poll-stats
@@ -478,7 +478,10 @@ fn run_level(
 /// to that transcript. The machine seed is the same either way (both
 /// constructors derive it from [`MACHINE_LABEL`]), so recorded and
 /// plain runs execute bit-identically — which is what the differential
-/// record-vs-sim gate asserts.
+/// record-vs-sim gate asserts. Returns the record together with the
+/// module timer firings the machine actually ran
+/// ([`Machine::timer_firings`]): a recorded run fires every tick, a
+/// plain one folds quiet ticks.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_level_mode(
     scn: &Scenario,
@@ -489,7 +492,7 @@ pub(crate) fn run_level_mode(
     weaken: Option<u32>,
     rec: Option<&TraceRecorder>,
     capture: bool,
-) -> Result<RunRecord, SoakError> {
+) -> Result<(RunRecord, u64), SoakError> {
     let mut machine = match rec {
         None => scn.machine_for(model, MACHINE_LABEL),
         Some(rec) => scn.machine_recording(model, MACHINE_LABEL, rec),
@@ -660,7 +663,7 @@ pub(crate) fn run_level_mode(
         (None, None)
     };
 
-    Ok(RunRecord {
+    let run = RunRecord {
         level,
         steps,
         faults,
@@ -671,15 +674,17 @@ pub(crate) fn run_level_mode(
         bound,
         profile_json,
         poll_stats,
-    })
+    };
+    Ok((run, machine.timer_firings()))
 }
 
 /// Advances the machine to `until`, recording rail/config exposure
 /// samples on the [`SAMPLE`] grid (`start + k·SAMPLE`, then `until`).
 ///
 /// What [`sample`] reads (core frequency, core-offset register, core
-/// rail) changes only when a module timer fires or the core VR moves
-/// the rail, so in between every grid sample repeats the one before.
+/// rail) changes only when a module timer changes the package or the
+/// core VR moves the rail, so in between every grid sample repeats the
+/// one before.
 /// [`ExposureAccountant::record`] telescopes over such a run (unsafe
 /// time sums consecutive deltas; episodes and dwells open at its first
 /// sample and close at the first differing one), so after each sample
@@ -704,16 +709,17 @@ fn advance_sampling(
 }
 
 /// The last sample instant, up to `until`, whose sample must equal the
-/// one just taken: the last grid instant `now + k·SAMPLE` before the
-/// next module timer or before the core rail leaves its hold, or
-/// `until` itself if neither comes first.
+/// one just taken: the last grid instant `now + k·SAMPLE` before a
+/// module timer can change the package ([`Machine::next_change_at`]:
+/// quiet poll ticks the machine folds change nothing) or before the
+/// core rail leaves its hold, or `until` itself if neither comes first.
 fn quiet_end(machine: &Machine, until: SimTime) -> SimTime {
     let now = machine.now();
     let rail_moves = machine
         .cpu()
         .core_rail_holds_until(now)
         .map(|t| t + SimDuration::from_picos(1));
-    match machine.next_timer_at().into_iter().chain(rail_moves).min() {
+    match machine.next_change_at().into_iter().chain(rail_moves).min() {
         Some(quiet) if quiet <= until => {
             let steps = (quiet - now).as_picos().saturating_sub(1) / SAMPLE.as_picos();
             now + SimDuration::from_picos(steps * SAMPLE.as_picos())
@@ -962,6 +968,14 @@ fn replay_corpus(
     Ok((replayed, failures))
 }
 
+/// Campaign `i` of a soak on `scn`: the attack families in turn, each
+/// schedule drawn from its own labelled stream.
+fn campaign_schedule(scn: &Scenario, spec: &CpuSpec, i: u32) -> CampaignSchedule {
+    let family = AttackFamily::ALL[i as usize % AttackFamily::ALL.len()];
+    let mut rng = scn.rng(&format!("soak/campaign{i}/schedule"));
+    CampaignSchedule::generate(family, spec, &mut rng)
+}
+
 /// Runs the full soak: corpus replay, randomized differential
 /// campaigns (parallel, worker-count independent), the self-test, and
 /// corpus serialization of anything shrunk.
@@ -995,11 +1009,7 @@ pub fn run_soak(
     // (generation stays on the caller thread: schedules must not
     // depend on worker claiming order).
     let schedules: Vec<CampaignSchedule> = (0..cfg.campaigns)
-        .map(|i| {
-            let family = AttackFamily::ALL[i as usize % AttackFamily::ALL.len()];
-            let mut rng = scn.rng(&format!("soak/campaign{i}/schedule"));
-            CampaignSchedule::generate(family, &spec, &mut rng)
-        })
+        .map(|i| campaign_schedule(scn, &spec, i))
         .collect();
 
     // Stage 3: run them differentially, shrink any violation.
@@ -1293,6 +1303,53 @@ mod tests {
             fnv1a(text.as_bytes()),
             0x2cc4_9aa4_d6ed_20d6,
             "run records drifted"
+        );
+    }
+
+    /// Folding quiet poll ticks is invisible in a campaign's record: at
+    /// the default campaign count on two seeds, every polling level-run
+    /// equals the one of a twin whose poller fires every tick (a
+    /// weakened poller that never skips never reports a quiet tick),
+    /// telemetry profile and poll statistics included.
+    #[test]
+    fn folded_polling_runs_equal_firing_every_tick() {
+        let model = CpuModel::CometLake;
+        let spec = model.spec();
+        let (mut folded_firings, mut every_firings) = (0, 0);
+        for seed in [1, 2] {
+            let scn = Scenario::with_seed(seed);
+            let map = scn.quick_map(model);
+            for i in 0..SoakConfig::default().campaigns {
+                let schedule = campaign_schedule(&scn, &spec, i);
+                let run = |weaken| {
+                    run_level_mode(
+                        &scn,
+                        model,
+                        &map,
+                        &schedule,
+                        Level::Polling,
+                        weaken,
+                        None,
+                        true,
+                    )
+                    .expect("runs")
+                };
+                let (folded, firings) = run(None);
+                let (every, every_tick) = run(Some(u32::MAX));
+                assert_eq!(
+                    format!("{folded:?}"),
+                    format!("{every:?}"),
+                    "seed {seed}, campaign {i}"
+                );
+                let ticks = every.poll_stats.as_ref().map(|s| s.ticks);
+                assert_eq!(Some(every_tick), ticks, "the twin fires every tick");
+                folded_firings += firings;
+                every_firings += every_tick;
+            }
+        }
+        assert!(
+            folded_firings < every_firings,
+            "the fold ran {folded_firings} of {every_firings} ticks"
         );
     }
 

@@ -164,7 +164,7 @@ fn run_levels(
             if let Some(rec) = rec {
                 rec.begin_section(level.label());
             }
-            run_level_mode(scn, model, &map, &schedule, level, None, rec, true)
+            run_level_mode(scn, model, &map, &schedule, level, None, rec, true).map(|(run, _)| run)
         })
         .collect()
 }
@@ -310,6 +310,7 @@ pub fn replay_trace(jsonl: &str) -> Result<ReplayReport, TraceGateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soak::Level;
 
     #[test]
     fn record_then_replay_round_trips_clean() {
@@ -321,6 +322,43 @@ mod tests {
         // The recorded captures equal the replayed ones too: record,
         // replay and sim are three views of one bit-identical run.
         assert_eq!(fixture.captures, report.replay_captures);
+    }
+
+    /// The sim differential compares a run that fires every tick (the
+    /// recording backend refuses every fold) with one that folds quiet
+    /// ticks, so the fixture's polling level must fold something.
+    #[test]
+    fn the_sim_differential_compares_a_folded_run() {
+        let scn = Scenario::new();
+        let model = CpuModel::CometLake;
+        let map = scn.quick_map(model);
+        let schedule = fixture_schedule(&scn, model);
+        let rec = TraceRecorder::new(TraceHeader {
+            schema: TRACE_SCHEMA.to_string(),
+            version: TRACE_SCHEMA_VERSION,
+            model,
+            root_seed: scn.root_seed(),
+            label: FIXTURE_LABEL.to_string(),
+        });
+        let ticks_and_firings = |rec| {
+            let (run, firings) = run_level_mode(
+                &scn,
+                model,
+                &map,
+                &schedule,
+                Level::Polling,
+                None,
+                rec,
+                true,
+            )
+            .expect("runs");
+            (run.poll_stats.expect("captured").ticks, firings)
+        };
+        let (ticks, recorded) = ticks_and_firings(Some(&rec));
+        assert_eq!(recorded, ticks, "a recorded run fires every tick");
+        let (sim_ticks, sim) = ticks_and_firings(None);
+        assert_eq!(sim_ticks, ticks);
+        assert!(sim < ticks, "plain sim folded nothing: {sim} of {ticks}");
     }
 
     #[test]

@@ -126,6 +126,39 @@ fn unknown_and_repeated_flags_are_refused() {
 }
 
 #[test]
+fn stray_positionals_are_refused_naming_the_token() {
+    // Both used to exit 0, dropping the extra tokens (`soak` ran its
+    // smoke campaigns).
+    let (code, stderr) = run_with_map("stray.map.json", GOOD_MAP, &["maximal", "foo"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unexpected argument 'foo'"),
+        "stderr: {stderr}"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_plugvolt-cli"))
+        .args(["maximal", "foo", "--map", "m.json", "bar"])
+        .output()
+        .expect("run plugvolt-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unexpected argument 'foo'"),
+        "stderr: {stderr}"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_plugvolt-cli"))
+        .args(["soak", "--smoke", "extra"])
+        .output()
+        .expect("run plugvolt-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unexpected argument 'extra'"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "soak ran");
+}
+
+#[test]
 fn a_numeric_value_that_does_not_parse_names_its_flag() {
     let (code, stderr) = run_with_map("margin.map.json", GOOD_MAP, &["maximal", "--margin", "x"]);
     assert_eq!(code, Some(1), "stderr: {stderr}");

@@ -126,6 +126,25 @@ pub struct CpuPackage {
     /// Per-core hot-path counters, batched in `Cell`s and flushed to
     /// the sink only at publish time (see [`CoreHotCounters`]).
     hot: Vec<CoreHotCounters>,
+    /// Bumped by every change to what software can read of the package
+    /// except a mailbox read command (see [`PackageSnapshot`]).
+    generation: u64,
+}
+
+/// What a kernel timer firing can read of a package, small enough to
+/// take around every firing: equal snapshots mean nothing changed the
+/// MSR file, a plane offset or the rails' targets, a core's P-state or
+/// idle state, the mailbox gate, the microcode or the crash latch in
+/// between. Mailbox read commands are the one write left out: they
+/// change only the plane the response register reports, which the
+/// snapshot holds by value, so a tick that issues a read command per
+/// plane leaves the snapshot it started from. (The command register
+/// itself is never read back: `rdmsr` of the mailbox answers from the
+/// plane offsets.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackageSnapshot {
+    generation: u64,
+    mailbox_read_plane: Plane,
 }
 
 /// The per-core counters bumped on the simulator's hottest paths
@@ -138,6 +157,9 @@ pub struct CpuPackage {
 struct CoreHotCounters {
     rdmsr: Cell<u64>,
     wrmsr: Cell<u64>,
+    /// Whether the last `wrmsr` was a mailbox read command the mailbox
+    /// took as written (see [`CpuPackage::repeat_writes`]).
+    read_command: Cell<bool>,
     /// Snapshot of the two counters at the last flush (in field
     /// order), so repeated publishes add only deltas.
     flushed: Cell<[u64; 2]>,
@@ -214,6 +236,7 @@ impl CpuPackage {
             hot: (0..spec.cores)
                 .map(|_| CoreHotCounters::default())
                 .collect(),
+            generation: 0,
             spec,
         };
         pkg.implement_msrs();
@@ -268,6 +291,7 @@ impl CpuPackage {
     /// Enables/disables the overclocking mailbox (Intel's access-control
     /// countermeasure). The state is attestation-visible.
     pub fn set_ocm_enabled(&mut self, enabled: bool) {
+        self.generation += 1;
         self.ocm_enabled = enabled;
     }
 
@@ -395,6 +419,7 @@ impl CpuPackage {
     /// Loads a microcode update (BIOS/UEFI path). Persists across
     /// [`reset`](Self::reset), like a BIOS-embedded update.
     pub fn load_microcode(&mut self, update: MicrocodeUpdate) {
+        self.generation += 1;
         self.msrs.remove_interceptor(update.interceptor_name());
         self.msrs
             .add_interceptor(Box::new(SequencerHook::new(update)));
@@ -409,6 +434,7 @@ impl CpuPackage {
     /// Provisions the hardware voltage-offset clamp
     /// (`MSR_VOLTAGE_OFFSET_LIMIT`, Sec. 5.2). Vendor-only operation.
     pub fn provision_offset_limit(&mut self, limit: VoltageOffsetLimit) {
+        self.generation += 1;
         self.offset_limit = limit;
         self.msrs
             .store_internal(Msr::VOLTAGE_OFFSET_LIMIT, limit.encode());
@@ -418,6 +444,7 @@ impl CpuPackage {
     /// values, rail to nominal, cores to base frequency. Microcode
     /// updates and the hardware clamp persist (they live in BIOS/fuses).
     pub fn reset(&mut self, now: SimTime) {
+        self.generation += 1;
         self.crashed = false;
         self.plane_offset_units = [0; 5];
         self.plane_offset_written_at = [None; 5];
@@ -659,6 +686,7 @@ impl CpuPackage {
         // Slew churn is attributed, not costed: the VR retarget itself
         // happens off-core.
         self.telemetry.tracer().record_span("vr/retarget", 0);
+        self.generation += 1;
         self.checkpoint_energy(now);
         let demand = self.demand_freq();
         let offset =
@@ -738,14 +766,46 @@ impl CpuPackage {
     /// Counts `reads` further `rdmsr`s on `core` without performing
     /// them, for reads that would repeat one just made (a read has no
     /// side effect but its count); `reads == 0` only asks. Returns
-    /// `false`, counting nothing, for a bad core.
+    /// `false`, counting nothing, for a bad core or a crashed package
+    /// (whose reads fault uncounted).
     #[must_use]
     pub fn repeat_reads(&self, core: CoreId, reads: u64) -> bool {
-        let Some(c) = self.hot.get(core.0) else {
+        let Some(c) = self.hot.get(core.0).filter(|_| !self.crashed) else {
             return false;
         };
         c.rdmsr.set(c.rdmsr.get() + reads);
         true
+    }
+
+    /// Counts `writes` further `wrmsr`s on `core` without performing
+    /// them, for writes that would repeat the mailbox read commands
+    /// just made there: such a write changes nothing but the read plane
+    /// (held by [`snapshot`](Self::snapshot)) and its count; `writes ==
+    /// 0` only asks. Returns `false`, counting nothing, unless the last
+    /// write on `core` was a read command stored as written, on a live
+    /// package whose mailbox is enabled and which has no MSR
+    /// interceptor installed (a microcode patch sees every write).
+    #[must_use]
+    pub fn repeat_writes(&self, core: CoreId, writes: u64) -> bool {
+        let Some(c) = self.hot.get(core.0) else {
+            return false;
+        };
+        if self.crashed || !self.ocm_enabled || self.msrs.is_intercepted() || !c.read_command.get()
+        {
+            return false;
+        }
+        c.wrmsr.set(c.wrmsr.get() + writes);
+        true
+    }
+
+    /// The package state a timer firing can read (see
+    /// [`PackageSnapshot`]).
+    #[must_use]
+    pub fn snapshot(&self) -> PackageSnapshot {
+        PackageSnapshot {
+            generation: self.generation,
+            mailbox_read_plane: self.mailbox_read_plane,
+        }
     }
 
     /// `wrmsr` from `core`, with full side effects (mailbox → VR,
@@ -767,6 +827,16 @@ impl CpuPackage {
         }
         let c = &self.hot[core.0];
         c.wrmsr.set(c.wrmsr.get() + 1);
+        // With the mailbox open and nothing intercepting, a read command
+        // is stored as written and only moves the read plane.
+        let read_command = msr == Msr::OC_MAILBOX
+            && self.ocm_enabled
+            && !self.msrs.is_intercepted()
+            && OcRequest::decode(value).is_ok_and(|req| !req.is_write());
+        c.read_command.set(read_command);
+        if !read_command {
+            self.generation += 1;
+        }
         // OCM disable gates the mailbox before anything else sees it.
         if msr == Msr::OC_MAILBOX && !self.ocm_enabled {
             self.mailbox_writes_ignored += 1;
@@ -844,6 +914,7 @@ impl CpuPackage {
 
     /// Latches the crashed state, emitting the telemetry event once.
     fn latch_crash(&mut self, now: SimTime, core: CoreId) {
+        self.generation += 1;
         if !self.crashed {
             self.telemetry.incr(MetricKey::global("cpu", "crashes"));
             self.telemetry.emit(
@@ -1080,6 +1151,51 @@ mod tests {
         p.publish_hot_counters();
         p.telemetry().with(|reg| {
             assert_eq!(reg.counter(&MetricKey::per_core("msr", "rdmsr", 1)), 3);
+        });
+    }
+
+    #[test]
+    fn only_mailbox_read_commands_keep_the_snapshot_and_repeat() {
+        let mut p = pkg();
+        let t = now();
+        let read = |plane| OcRequest::read(plane).encode();
+        let before = p.snapshot();
+        p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, read(Plane::Cache))
+            .unwrap();
+        assert_ne!(p.snapshot(), before, "the read plane moved");
+        p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, read(Plane::Core))
+            .unwrap();
+        assert_eq!(p.snapshot(), before, "and moved back");
+        assert!(p.repeat_writes(CoreId(0), 0));
+        assert!(!p.repeat_writes(CoreId(1), 0), "core 1 wrote nothing");
+        assert!(!p.repeat_writes(CoreId(99), 0));
+        // Any other write changes the package, even one that stores the
+        // value already there.
+        let perf_ctl = plugvolt_msr::perf_status::encode_perf_ctl(3_200);
+        p.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, perf_ctl).unwrap();
+        assert_ne!(p.snapshot(), before);
+        assert!(!p.repeat_writes(CoreId(0), 0));
+        let before = p.snapshot();
+        p.reset(t);
+        assert_ne!(p.snapshot(), before);
+        // A read command an interceptor could see, or one the closed
+        // mailbox drops, is not repeatable.
+        p.load_microcode(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
+        p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, read(Plane::Core))
+            .unwrap();
+        assert!(!p.repeat_writes(CoreId(0), 0));
+        let mut p = pkg();
+        p.set_ocm_enabled(false);
+        p.wrmsr(t, CoreId(2), Msr::OC_MAILBOX, read(Plane::Core))
+            .unwrap();
+        assert!(!p.repeat_writes(CoreId(2), 0));
+        p.set_ocm_enabled(true);
+        p.wrmsr(t, CoreId(2), Msr::OC_MAILBOX, read(Plane::Core))
+            .unwrap();
+        assert!(p.repeat_writes(CoreId(2), 5));
+        p.publish_hot_counters();
+        p.telemetry().with(|reg| {
+            assert_eq!(reg.counter(&MetricKey::per_core("msr", "wrmsr", 2)), 7);
         });
     }
 

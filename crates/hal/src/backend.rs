@@ -56,6 +56,17 @@ pub trait MachineBackend {
         let _ = (core, reads);
         false
     }
+
+    /// Accounts `writes` further writes on `core`, each a mailbox read
+    /// command like the ones the kernel last issued there, without
+    /// issuing them; `writes == 0` only asks. Returns `false`,
+    /// accounting nothing, where every access must really be issued
+    /// (the default, as for [`repeat_reads`](Self::repeat_reads)) or
+    /// the package refuses (see `CpuPackage::repeat_writes`).
+    fn repeat_writes(&mut self, core: CoreId, writes: u64) -> bool {
+        let _ = (core, writes);
+        false
+    }
 }
 
 /// The sim-family scaling driver: quantize to the hardware table,

@@ -65,6 +65,10 @@ impl MachineBackend for SimBackend {
     fn repeat_reads(&mut self, core: CoreId, reads: u64) -> bool {
         self.cpu.repeat_reads(core, reads)
     }
+
+    fn repeat_writes(&mut self, core: CoreId, writes: u64) -> bool {
+        self.cpu.repeat_writes(core, writes)
+    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::exec::InstrClass;
 use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_cpu::package::{CpuPackage, PackageError};
+use plugvolt_cpu::package::{CpuPackage, PackageError, PackageSnapshot};
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::stats::Histogram;
 use plugvolt_des::time::{SimDuration, SimTime};
@@ -246,7 +246,7 @@ pub trait KernelModule {
     /// firings in the module's own state as if they had run;
     /// `ticks == 0` only asks. The machine then accounts what those
     /// firings cost the kernel and the package (see
-    /// [`Machine::run_workload`]). The default is never quiet: every
+    /// [`Machine::advance_to`]). The default is never quiet: every
     /// firing runs.
     fn fold_quiet_ticks(&mut self, ticks: u64) -> bool {
         let _ = ticks;
@@ -297,15 +297,98 @@ pub struct WorkloadRun {
     pub stolen: SimDuration,
 }
 
-/// What a timer firing inside [`Machine::run_workload`] starts from,
-/// taken just before it so the firing's own effects can be repeated.
+/// One core's share of a timer firing in the kernel's accounting:
+/// the core's totals before the firing, then what the firing added.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickCost {
+    stolen: SimDuration,
+    msr_cost: SimDuration,
+    reads: u64,
+    writes: u64,
+}
+
+impl TickCost {
+    fn of(acct: &CoreAccount) -> Self {
+        TickCost {
+            stolen: acct.stolen,
+            msr_cost: acct.msr_cost,
+            reads: acct.reads,
+            writes: acct.writes,
+        }
+    }
+}
+
+/// The latest timer firing: what it started from while it runs, then
+/// what it did, kept so that later firings of its timer can be folded
+/// while they would repeat it exactly (see [`Machine::advance_to`]).
 /// Kept on the machine to reuse its storage.
-#[derive(Debug, Default)]
-struct TickMark {
-    /// `Machine::firings` before the firing.
-    firings: u64,
-    cores: Vec<CoreAccount>,
+#[derive(Debug)]
+struct LastTick {
+    /// Whether the next firings of its timer repeat it for as long as
+    /// the package still matches `package`, the rails hold and no other
+    /// timer comes first.
+    repeatable: bool,
+    module_idx: usize,
+    /// The `seq` of the timer it re-armed, and its delay.
+    seq: u64,
+    period: SimDuration,
+    /// The package it started from (and, when repeatable, left).
+    package: PackageSnapshot,
+    /// Until when the rails keep their voltages (`None`: for good).
+    hold: Option<SimTime>,
+    /// Per core: the totals before it, then what it cost.
+    costs: Vec<TickCost>,
+    /// The tracer before it, then what it recorded.
     spans: SpanMark,
+}
+
+/// The firings that would repeat the latest one exactly: those of its
+/// timer from `next` on, every `period`, before any other timer and
+/// while the rails hold.
+#[derive(Debug, Clone, Copy)]
+struct Stretch {
+    next: SimTime,
+    period: SimDuration,
+    /// The earliest other pending timer.
+    other: Option<SimTime>,
+    hold: Option<SimTime>,
+}
+
+impl Stretch {
+    /// Whether the firing at `t` is one of them.
+    fn admits(&self, t: SimTime) -> bool {
+        self.other.is_none_or(|o| t < o) && self.hold.is_none_or(|h| t <= h)
+    }
+
+    /// How many of them fall at or before `horizon`, and the last.
+    fn through(&self, horizon: SimTime) -> Option<(u64, SimTime)> {
+        let mut limit = horizon.as_picos();
+        if let Some(h) = self.hold {
+            limit = limit.min(h.as_picos());
+        }
+        if let Some(o) = self.other {
+            limit = limit.min(o.as_picos().checked_sub(1)?);
+        }
+        let k = limit.checked_sub(self.next.as_picos())? / self.period.as_picos();
+        Some((k + 1, self.next + self.period * k))
+    }
+
+    /// The first instant past them a timer fires: the other timer or
+    /// the first firing after the rails' hold, `None` if neither.
+    fn end(&self) -> Option<SimTime> {
+        let after_hold = self.hold.map(|h| {
+            if h < self.next {
+                self.next
+            } else {
+                let k = (h - self.next).as_picos() / self.period.as_picos() + 1;
+                self.next + self.period * k
+            }
+        });
+        match (self.other, after_hold) {
+            (Some(o), Some(h)) => Some(o.min(h)),
+            (o, h) => o.or(h),
+        }
+    }
 }
 
 /// The fixed inputs of one [`Machine::run_workload`] call.
@@ -349,10 +432,9 @@ pub struct Machine {
     modules: Vec<ModuleSlot>,
     timers: BinaryHeap<PendingTimer>,
     timer_seq: u64,
-    /// Timer firings since boot, and the module of the latest.
+    /// `on_timer` calls made since boot (folded firings excluded).
     firings: u64,
-    last_fired: usize,
-    mark: TickMark,
+    last: LastTick,
     cores: Vec<CoreAccount>,
     /// `kernel/timer_iteration_us` observations not yet drained into
     /// the sink (at publish, on a sink swap, and on drop).
@@ -396,6 +478,16 @@ impl Machine {
     pub fn with_backend(backend: Box<dyn MachineBackend>, seed: u64) -> Self {
         let cores = backend.cpu().core_count();
         let spec = HistogramSpec::POLL_ITERATION_US;
+        let last = LastTick {
+            repeatable: false,
+            module_idx: 0,
+            seq: 0,
+            period: SimDuration::ZERO,
+            package: backend.cpu().snapshot(),
+            hold: None,
+            costs: Vec::with_capacity(cores),
+            spans: SpanMark::default(),
+        };
         Machine {
             now: SimTime::ZERO,
             backend,
@@ -403,8 +495,7 @@ impl Machine {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             firings: 0,
-            last_fired: 0,
-            mark: TickMark::default(),
+            last,
             cores: vec![CoreAccount::default(); cores],
             timer_iterations: Histogram::new(spec.lo, spec.hi, spec.bins),
             rng: SimRng::from_seed_label(seed, "machine"),
@@ -490,8 +581,11 @@ impl Machine {
     /// fresh instances an experiment boots per measurement) record into
     /// one registry.
     pub fn set_telemetry(&mut self, sink: Sink) {
-        // Firings so far belong to the sink they happened under.
+        // Firings so far belong to the sink they happened under, and
+        // their spans to its tracer: none of them is repeated into the
+        // new one.
         self.drain_timer_iterations();
+        self.last.repeatable = false;
         self.backend.cpu_mut().set_telemetry(sink);
     }
 
@@ -553,10 +647,6 @@ impl Machine {
         self.cores
             .get(core.0)
             .map_or(SimDuration::ZERO, |acct| acct.stolen)
-    }
-
-    fn total_stolen(&self) -> SimDuration {
-        self.cores.iter().map(|acct| acct.stolen).sum()
     }
 
     /// Names of loaded modules (what the SGX attestation report lists).
@@ -657,39 +747,143 @@ impl Machine {
         self.timers.peek().map(|t| t.at)
     }
 
+    /// How many module timer firings actually ran `on_timer` since
+    /// boot. Folded firings (see [`advance_to`](Self::advance_to)) are
+    /// accounted as if they ran but are not counted here, so this tells
+    /// how much of a run the fold skipped.
+    #[must_use]
+    pub fn timer_firings(&self) -> u64 {
+        self.firings
+    }
+
+    /// When the first pending module timer can change the package: the
+    /// next firing, unless the firings from there would repeat the
+    /// latest one exactly (see [`advance_to`](Self::advance_to)); then
+    /// the first firing past them. `None` when no timer is pending or
+    /// the pending one repeats for good.
+    #[must_use]
+    pub fn next_change_at(&self) -> Option<SimTime> {
+        let next = self.next_timer_at()?;
+        self.stretch().map_or(Some(next), |s| s.end())
+    }
+
     /// Advances the clock to `horizon`, firing due module timers in order.
+    ///
+    /// A run of *quiet* timer firings is folded into one step. A firing
+    /// is repeatable when its module reports it quiet
+    /// ([`KernelModule::fold_quiet_ticks`]), it left the package as it
+    /// found it (a [`PackageSnapshot`]: mailbox read commands are the
+    /// one write allowed) and the backend can account its accesses
+    /// without issuing them. The next firings of its timer then repeat
+    /// it exactly for as long as nothing it reads can change: until
+    /// another timer, or the rails leaving their hold, or a change to
+    /// the package — between calls too, through [`cpu_mut`](Self::cpu_mut),
+    /// [`wrmsr`](Self::wrmsr) or [`set_freq`](Self::set_freq), which the
+    /// snapshot catches. Those firings are accounted at once, each the
+    /// latest real firing's cost, calls and spans; the result is the
+    /// same as firing each timer.
     pub fn advance_to(&mut self, horizon: SimTime) {
-        // `with_module` needs `&mut self`, so hold the tracer by clone
-        // (it is an `Rc` handle onto the sink's shared span tree).
-        let tracer = self.backend.cpu().telemetry().tracer().clone();
         while let Some(t) = self.timers.peek() {
             if t.at > horizon {
                 break;
             }
-            let timer = self.timers.pop().expect("peeked timer vanished");
-            if !self.modules[timer.module_idx].live {
+            if let Some((ticks, last)) = self.stretch().and_then(|s| s.through(horizon)) {
+                self.commit_fold(ticks, last);
                 continue;
             }
-            self.now = timer.at;
-            tracer.set_sim_now(self.now);
-            self.firings += 1;
-            self.last_fired = timer.module_idx;
-            let span = tracer.span("kernel/timer");
-            let steal_before = self.total_stolen();
-            if let Some(next) =
-                self.with_module(timer.module_idx, &tracer, |m, ctx| m.on_timer(ctx))
-            {
-                self.arm_timer(timer.module_idx, next, &tracer);
+            let timer = self.timers.pop().expect("peeked timer vanished");
+            if self.modules[timer.module_idx].live {
+                self.fire(&timer);
             }
-            drop(span);
-            let iteration = self.total_stolen().saturating_sub(steal_before);
-            self.timer_iterations
-                .record(iteration.as_picos() as f64 / 1e6);
         }
         if horizon > self.now {
             self.now = horizon;
-            tracer.set_sim_now(self.now);
+            self.telemetry().tracer().set_sim_now(self.now);
         }
+    }
+
+    /// Runs `timer`'s module, recording in `self.last` what the firing
+    /// did and whether the next firings would repeat it.
+    fn fire(&mut self, timer: &PendingTimer) {
+        // `with_module` needs `&mut self`, so hold the tracer by clone
+        // (it is an `Rc` handle onto the sink's shared span tree).
+        let tracer = self.telemetry().tracer().clone();
+        self.now = timer.at;
+        tracer.set_sim_now(self.now);
+        self.firings += 1;
+        let last = &mut self.last;
+        last.costs.clear();
+        last.costs.extend(self.cores.iter().map(TickCost::of));
+        last.package = self.backend.cpu().snapshot();
+        tracer.mark(&mut last.spans);
+        let span = tracer.span("kernel/timer");
+        let next = self.with_module(timer.module_idx, &tracer, |m, ctx| m.on_timer(ctx));
+        if let Some(next) = next {
+            self.arm_timer(timer.module_idx, next, &tracer);
+        }
+        drop(span);
+
+        let last = &mut self.last;
+        let mut iteration = SimDuration::ZERO;
+        for (cost, acct) in last.costs.iter_mut().zip(&self.cores) {
+            *cost = TickCost {
+                stolen: acct.stolen - cost.stolen,
+                msr_cost: acct.msr_cost - cost.msr_cost,
+                reads: acct.reads - cost.reads,
+                writes: acct.writes - cost.writes,
+            };
+            iteration += cost.stolen;
+        }
+        self.timer_iterations
+            .record(iteration.as_picos() as f64 / 1e6);
+        tracer.delta_since(&mut last.spans);
+        last.module_idx = timer.module_idx;
+        last.seq = self.timer_seq.wrapping_sub(1);
+        last.period = next.unwrap_or(SimDuration::ZERO);
+        last.hold = self.backend.cpu().rails_hold_until(self.now);
+        let module = self.modules[timer.module_idx]
+            .module
+            .as_mut()
+            .expect("module re-entered");
+        let backend = &mut self.backend;
+        last.repeatable = last.period > SimDuration::ZERO
+            && backend.cpu().snapshot() == last.package
+            && module.fold_quiet_ticks(0)
+            && last.costs.iter().enumerate().all(|(c, cost)| {
+                (cost.reads == 0 || backend.repeat_reads(CoreId(c), 0))
+                    && (cost.writes == 0 || backend.repeat_writes(CoreId(c), 0))
+            });
+    }
+
+    /// The firings that would repeat the latest one exactly, from the
+    /// next pending one on: `None` unless that one is its timer's, the
+    /// latest firing was repeatable, and the package and the tracer
+    /// still stand where it left them.
+    fn stretch(&self) -> Option<Stretch> {
+        let last = &self.last;
+        if !last.repeatable || !self.modules[last.module_idx].live {
+            return None;
+        }
+        let next = self.timers.peek()?;
+        let cpu = self.backend.cpu();
+        if next.seq != last.seq
+            || cpu.snapshot() != last.package
+            || !cpu.telemetry().tracer().can_repeat(&last.spans)
+        {
+            return None;
+        }
+        let other = self
+            .timers
+            .iter()
+            .filter(|t| t.seq != next.seq)
+            .map(|t| t.at)
+            .min();
+        Some(Stretch {
+            next: next.at,
+            period: last.period,
+            other,
+            hold: last.hold,
+        })
     }
 
     /// Advances the clock by `span`.
@@ -702,18 +896,14 @@ impl Machine {
     /// no module work is stealing it. Returns the retired/fault/steal
     /// accounting — the primitive behind the SPEC-style overhead runs.
     ///
-    /// A run of *quiet* timer firings is folded into one step: after a
-    /// firing whose module reports it quiet
-    /// ([`KernelModule::fold_quiet_ticks`]), the next firings of that
-    /// timer would repeat it exactly for as long as nothing it reads can
-    /// change. The machine replays only this loop's batch slicing up to
-    /// the first instant where something could — another timer, the
-    /// rails leaving their hold, or the end of the run (nothing else
-    /// writes an MSR or changes a P-state inside a run) — and charges
-    /// the folded firings' cost once, multiplied. That holds only where
-    /// every batch in between retires without a random draw and every
-    /// repetition can be accounted without being issued; elsewhere each
-    /// firing runs. The result is the same as firing each timer.
+    /// Quiet timer firings fold as in [`advance_to`](Self::advance_to),
+    /// together with this loop's batches between them: after a
+    /// repeatable firing the machine replays only the loop's batch
+    /// slicing up to the end of the fold or of the run, and accounts
+    /// the batches without running them. That holds only where every
+    /// batch in between retires without a random draw; elsewhere each
+    /// batch runs, and each firing between them still folds on its own.
+    /// The result is the same as firing each timer.
     ///
     /// # Errors
     ///
@@ -775,9 +965,8 @@ impl Machine {
                         faults += self.backend.cpu_mut().run_batch(now, core, class, n)?;
                         remaining -= n;
                     }
-                    self.mark_tick();
                     self.advance_to(t); // fires the timer, accrues steal
-                    remaining = self.fold_after_tick(run, freq, remaining);
+                    remaining = self.fold_batches(run, freq, remaining);
                 }
                 _ => {
                     let now = self.now;
@@ -799,25 +988,12 @@ impl Machine {
         })
     }
 
-    /// Records what the next timer firing starts from.
-    fn mark_tick(&mut self) {
-        let mark = &mut self.mark;
-        mark.firings = self.firings;
-        mark.cores.clear();
-        mark.cores.extend_from_slice(&self.cores);
-        self.backend
-            .cpu()
-            .telemetry()
-            .tracer()
-            .mark(&mut mark.spans);
-    }
-
-    /// After the firing recorded by [`mark_tick`](Self::mark_tick),
-    /// folds the following firings of the same timer for as long as
-    /// they repeat it exactly (see [`run_workload`](Self::run_workload)),
-    /// returning the run's remaining instructions. `freq` is the core's
-    /// frequency, which nothing inside the fold changes.
-    fn fold_after_tick(&mut self, run: Run, freq: FreqMhz, remaining: u64) -> u64 {
+    /// After the timer firing at `self.now`, folds the following
+    /// firings of its timer together with this loop's batches between
+    /// them (see [`run_workload`](Self::run_workload)), returning the
+    /// run's remaining instructions. `freq` is the core's frequency,
+    /// which nothing inside the fold changes.
+    fn fold_batches(&mut self, run: Run, freq: FreqMhz, remaining: u64) -> u64 {
         let Run {
             core,
             class,
@@ -825,55 +1001,14 @@ impl Machine {
             started,
             stolen_before,
         } = run;
-        // Exactly one firing, which re-armed its timer and was quiet.
-        let m = self.last_fired;
-        let Some(next) = self.timers.peek() else {
+        let Some(stretch) = self.stretch() else {
             return remaining;
         };
-        let (next_at, next_seq) = (next.at, next.seq);
-        if self.firings != self.mark.firings + 1
-            || next.module_idx != m
-            || next_seq + 1 != self.timer_seq
-        {
-            return remaining;
-        }
-        let module = self.modules[m].module.as_mut().expect("module re-entered");
-        if !module.fold_quiet_ticks(0) {
-            return remaining;
-        }
-        let ticked = self.cores.iter().zip(&self.mark.cores);
-        if ticked.clone().any(|(now, was)| now.writes != was.writes) {
-            return remaining;
-        }
-        // It wrote nothing: the first instant something it read could
-        // change is another timer or the rails leaving their hold.
         let cpu = self.backend.cpu();
-        let other = self
-            .timers
-            .iter()
-            .filter(|t| t.seq != next_seq)
-            .map(|t| t.at)
-            .min();
-        let hold = cpu.rails_hold_until(self.now);
-        let foldable = |t: SimTime| other.is_none_or(|o| t < o) && hold.is_none_or(|h| t <= h);
-        if !foldable(next_at) {
+        if !cpu.repeat_quiet_batches(self.now, core, class, 0) {
             return remaining;
         }
-        // Everything it did, and every batch in between, can be
-        // repeated without being redone.
-        if cpu.telemetry().tracer().is_capturing()
-            || !cpu.repeat_quiet_batches(self.now, core, class, 0)
-        {
-            return remaining;
-        }
-        for (c, (now, was)) in ticked.enumerate() {
-            if now.reads != was.reads && !self.backend.repeat_reads(CoreId(c), 0) {
-                return remaining;
-            }
-        }
-        let cpu = self.backend.cpu();
-        let period = next_at.saturating_duration_since(self.now);
-        let steal = self.cores[core.0].stolen - self.mark.cores[core.0].stolen;
+        let steal = self.last.costs[core.0].stolen;
         let engine = cpu.engine();
 
         // Replay this loop from the top, from one firing to the next,
@@ -885,8 +1020,8 @@ impl Machine {
             remaining,
         };
         let mut accrued = self.stolen_time(core).saturating_sub(stolen_before);
-        let mut tick = next_at;
-        while foldable(tick) {
+        let mut tick = stretch.next;
+        while stretch.admits(tick) {
             let done = iters - fold.remaining;
             let target = started + engine.batch_duration(class, done, freq) + accrued;
             let mut now = fold.now;
@@ -909,51 +1044,52 @@ impl Machine {
             fold.now = tick;
             fold.ticks += 1;
             accrued += steal;
-            tick += period;
+            tick += stretch.period;
         }
         if fold.ticks > 0 {
-            self.commit_fold(fold, core, class, period);
+            let counted = cpu.repeat_quiet_batches(self.now, core, class, fold.batches);
+            assert!(counted, "package refused batches it accepted");
+            self.commit_fold(fold.ticks, fold.now);
         }
         fold.remaining
     }
 
-    /// Applies `fold`: everything its firings and batches would have
-    /// done, each the latest firing's or batch's effect times the count.
-    fn commit_fold(&mut self, fold: Fold, core: CoreId, class: InstrClass, period: SimDuration) {
-        let k = fold.ticks;
+    /// Accounts `k` repetitions of the latest timer firing, the last of
+    /// them at `last_at`: everything each would have done, the latest
+    /// real firing's effect times `k`, and its timer re-armed after the
+    /// last.
+    fn commit_fold(&mut self, k: u64, last_at: SimTime) {
+        let last = &mut self.last;
         let mut iteration = SimDuration::ZERO;
-        for (c, (acct, was)) in self.cores.iter_mut().zip(&self.mark.cores).enumerate() {
-            let stolen = acct.stolen - was.stolen;
-            iteration += stolen;
-            acct.stolen += stolen * k;
-            acct.msr_cost += (acct.msr_cost - was.msr_cost) * k;
-            let reads = acct.reads - was.reads;
-            if reads > 0 {
-                acct.reads += reads * k;
-                let counted = self.backend.repeat_reads(CoreId(c), reads * k);
-                assert!(counted, "backend refused reads it accepted");
-            }
+        for (c, (acct, cost)) in self.cores.iter_mut().zip(&last.costs).enumerate() {
+            iteration += cost.stolen;
+            acct.stolen += cost.stolen * k;
+            acct.msr_cost += cost.msr_cost * k;
+            acct.reads += cost.reads * k;
+            acct.writes += cost.writes * k;
+            let counted = (cost.reads == 0 || self.backend.repeat_reads(CoreId(c), cost.reads * k))
+                && (cost.writes == 0 || self.backend.repeat_writes(CoreId(c), cost.writes * k));
+            assert!(counted, "backend refused accesses it accepted");
         }
-        let cpu = self.backend.cpu();
-        let counted = cpu.repeat_quiet_batches(self.now, core, class, fold.batches);
-        assert!(counted, "package refused batches it accepted");
-        let tracer = cpu.telemetry().tracer().clone();
-        tracer.repeat_since(&self.mark.spans, k);
+        let tracer = self.backend.cpu().telemetry().tracer();
+        tracer.repeat(&last.spans, k);
+        tracer.set_sim_now(last_at);
         self.timer_iterations
             .record_n(iteration.as_picos() as f64 / 1e6, k);
-        let m = self.last_fired;
-        let module = self.modules[m].module.as_mut().expect("module re-entered");
+        let module = self.modules[last.module_idx]
+            .module
+            .as_mut()
+            .expect("module re-entered");
         module.fold_quiet_ticks(k);
-        self.firings += k;
         self.timers.pop();
         self.timer_seq += k;
+        last.seq = self.timer_seq - 1;
         self.timers.push(PendingTimer {
-            at: fold.now + period,
-            seq: self.timer_seq - 1,
-            module_idx: m,
+            at: last_at + last.period,
+            seq: last.seq,
+            module_idx: last.module_idx,
         });
-        self.now = fold.now;
-        tracer.set_sim_now(self.now);
+        self.now = last_at;
     }
 }
 
@@ -1258,6 +1394,80 @@ mod tests {
                 .sum();
             let expect: SimDuration = stolen.iter().copied().sum();
             assert_eq!(total, expect.as_picos());
+        });
+    }
+
+    /// Reads `PERF_STATUS` and issues a mailbox read command on core 0
+    /// every millisecond, reporting every tick quiet and counting the
+    /// ticks it was told were folded.
+    struct QuietModule {
+        folded: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl KernelModule for QuietModule {
+        fn name(&self) -> &str {
+            "quiet"
+        }
+        fn init(&mut self, _ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
+            Some(SimDuration::from_millis(1))
+        }
+        fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
+            let read =
+                plugvolt_msr::oc_mailbox::OcRequest::read(plugvolt_msr::oc_mailbox::Plane::Core);
+            ctx.rdmsr_local(CoreId(0), Msr::IA32_PERF_STATUS)
+                .expect("core 0 exists");
+            ctx.wrmsr_local(CoreId(0), Msr::OC_MAILBOX, read.encode())
+                .expect("mailbox takes a read command");
+            Some(SimDuration::from_millis(1))
+        }
+        fn fold_quiet_ticks(&mut self, ticks: u64) -> bool {
+            self.folded.set(self.folded.get() + ticks);
+            true
+        }
+    }
+
+    #[test]
+    fn quiet_ticks_fold_until_the_package_or_another_timer_changes() {
+        let mut m = machine();
+        let folded = std::rc::Rc::default();
+        m.load_module(Box::new(QuietModule {
+            folded: std::rc::Rc::clone(&folded),
+        }))
+        .unwrap();
+        let ms = SimDuration::from_millis;
+        m.advance(ms(10));
+        assert_eq!((m.timer_firings(), folded.get()), (1, 9));
+        assert_eq!(m.next_change_at(), None, "it repeats for good");
+        // Across calls too, until a write changes the package: then the
+        // next firing runs, and the ones after it fold again.
+        m.advance(ms(5));
+        assert_eq!((m.timer_firings(), folded.get()), (1, 14));
+        let freq = m.cpu().core_freq(CoreId(1)).unwrap();
+        m.set_freq(CoreId(1), freq).unwrap();
+        assert_eq!(m.next_change_at(), m.next_timer_at());
+        m.advance(ms(5));
+        assert_eq!((m.timer_firings(), folded.get()), (2, 18));
+        // Another module's timer ends the stretch.
+        m.load_module(Box::new(TickModule {
+            period: SimDuration::from_micros(3_500),
+            cost: SimDuration::ZERO,
+            ticks: 0,
+        }))
+        .unwrap();
+        let other = m.now() + SimDuration::from_micros(3_500);
+        assert_eq!(m.next_change_at(), Some(other));
+        m.advance(ms(5));
+        // Folded up to the other timer, then one real firing of each,
+        // then folding again.
+        assert_eq!((m.timer_firings(), folded.get()), (4, 22));
+        // Every tick was accounted: two reads' and a write's worth of
+        // steal on core 0, and the package's access counters.
+        let flow = m.cpu().engine().msr_access_duration(freq);
+        assert_eq!(m.stolen_time(CoreId(0)), flow * 2 * 25);
+        m.publish_telemetry();
+        m.telemetry().with(|reg| {
+            assert_eq!(reg.counter(&MetricKey::per_core("msr", "rdmsr", 0)), 25);
+            assert_eq!(reg.counter(&MetricKey::per_core("msr", "wrmsr", 0)), 25);
         });
     }
 

@@ -177,6 +177,13 @@ impl MsrFile {
         self.by_name.contains_key(name)
     }
 
+    /// Whether any interceptor is registered, so a `wrmsr` may be
+    /// clamped, ignored or faulted instead of stored as written.
+    #[must_use]
+    pub fn is_intercepted(&self) -> bool {
+        !self.interceptors.is_empty()
+    }
+
     /// Names of the registered interceptors, in chain order — served
     /// from the registration-time cache without re-entering the trait
     /// objects.

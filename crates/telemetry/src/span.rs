@@ -124,16 +124,21 @@ struct TracerInner {
     dropped: Cell<u64>,
 }
 
-/// The sim-channel totals of a [`Tracer`] at one instant, taken by
-/// [`Tracer::mark`] so that [`Tracer::repeat_since`] can replay what
-/// was recorded after it. Reusable: marking again refills the same
-/// storage.
+/// What the sim channel of a [`Tracer`] recorded over one stretch of
+/// calls: [`Tracer::mark`] takes the totals at its start,
+/// [`Tracer::delta_since`] turns them into the growth since, and
+/// [`Tracer::repeat`] records that growth again. Reusable: marking
+/// again refills the same storage.
 #[derive(Debug, Default)]
 pub struct SpanMark {
-    /// `(count, total_ps, self_ps)` of every node at the mark.
+    /// `(count, total_ps, self_ps)` of every node: at the mark, then
+    /// their growth.
     nodes: Vec<(u64, u64, u64)>,
-    /// `(charged_ps, child_total_ps)` of the innermost open span.
-    top: Option<(u64, u64)>,
+    /// The innermost open span's node and `(charged_ps,
+    /// child_total_ps)`: at the mark, then their growth.
+    top: Option<(usize, u64, u64)>,
+    /// Whether the tracer was recording at the mark.
+    enabled: bool,
 }
 
 /// A cheaply cloneable handle to one span tree. Every clone of a
@@ -248,12 +253,12 @@ impl Tracer {
     /// Records the sim channel's totals into `mark` (nothing while the
     /// tracer is disabled).
     pub fn mark(&self, mark: &mut SpanMark) {
-        mark.nodes.clear();
-        mark.top = None;
-        if !self.is_enabled() {
+        mark.enabled = self.is_enabled();
+        if !mark.enabled {
             return;
         }
         let nodes = self.inner.nodes.borrow();
+        mark.nodes.clear();
         mark.nodes
             .extend(nodes.iter().map(|n| (n.count, n.total_ps, n.self_ps)));
         mark.top = self
@@ -261,36 +266,67 @@ impl Tracer {
             .stack
             .borrow()
             .last()
-            .map(|a| (a.charged_ps, a.child_total_ps));
+            .map(|a| (a.node, a.charged_ps, a.child_total_ps));
     }
 
-    /// Records `times` more repetitions of everything the sim channel
-    /// recorded since `mark`, as if the same calls had been made again
-    /// that often inside the same open span: every node's count and sim
-    /// totals, and what the innermost open span was charged, grow by
-    /// `times` × their growth since the mark. The recorded stretch must
-    /// close every span it opens and leave the sim clock where it found
-    /// it, as one timer firing does. The wall channel is left alone (a
-    /// repetition that never ran took no host time), and so is the
-    /// capture buffer: a caller that needs every occurrence captured
-    /// with its own timestamp must not repeat (see
+    /// Turns `mark` into what the sim channel recorded since it: every
+    /// node's growth in count and sim totals, and what the innermost
+    /// open span was charged. The stretch must close every span it
+    /// opens and leave the sim clock where it found it, as one timer
+    /// firing does.
+    pub fn delta_since(&self, mark: &mut SpanMark) {
+        if !mark.enabled {
+            return;
+        }
+        let nodes = self.inner.nodes.borrow();
+        mark.nodes.resize(nodes.len(), (0, 0, 0));
+        for (m, n) in mark.nodes.iter_mut().zip(nodes.iter()) {
+            *m = (n.count - m.0, n.total_ps - m.1, n.self_ps - m.2);
+        }
+        if let (Some((_, charged_ps, child_total_ps)), Some(top)) =
+            (&mut mark.top, self.inner.stack.borrow().last())
+        {
+            *charged_ps = top.charged_ps - *charged_ps;
+            *child_total_ps = top.child_total_ps - *child_total_ps;
+        }
+    }
+
+    /// Whether [`repeat`](Self::repeat) can record `delta` as the same
+    /// calls made again now: the tracer records exactly when it did
+    /// during the stretch, inside the same innermost open span, and
+    /// captures nothing (a caller that needs every occurrence captured
+    /// with its own timestamp must make the calls; see
     /// [`Tracer::is_capturing`]).
-    pub fn repeat_since(&self, mark: &SpanMark, times: u64) {
+    #[must_use]
+    pub fn can_repeat(&self, delta: &SpanMark) -> bool {
+        if self.is_enabled() != delta.enabled {
+            return false;
+        }
+        !delta.enabled
+            || (!self.is_capturing()
+                && self.inner.stack.borrow().last().map(|a| a.node) == delta.top.map(|t| t.0))
+    }
+
+    /// Records `times` more repetitions of `delta` (see
+    /// [`delta_since`](Self::delta_since)), as if the same calls had
+    /// been made again that often inside the innermost open span. The
+    /// wall channel is left alone: a repetition that never ran took no
+    /// host time.
+    pub fn repeat(&self, delta: &SpanMark, times: u64) {
         if !self.is_enabled() || times == 0 {
             return;
         }
         let mut nodes = self.inner.nodes.borrow_mut();
-        for (i, n) in nodes.iter_mut().enumerate() {
-            let (count, total_ps, self_ps) = mark.nodes.get(i).copied().unwrap_or_default();
-            n.count += (n.count - count) * times;
-            n.total_ps += (n.total_ps - total_ps) * times;
-            n.self_ps += (n.self_ps - self_ps) * times;
+        for (n, &(count, total_ps, self_ps)) in nodes.iter_mut().zip(&delta.nodes) {
+            n.count += count * times;
+            n.total_ps += total_ps * times;
+            n.self_ps += self_ps * times;
         }
-        if let (Some((charged_ps, child_total_ps)), Some(top)) =
-            (mark.top, self.inner.stack.borrow_mut().last_mut())
+        if let (Some((_, charged_ps, child_total_ps)), Some(top)) =
+            (delta.top, self.inner.stack.borrow_mut().last_mut())
         {
-            top.charged_ps += (top.charged_ps - charged_ps) * times;
-            top.child_total_ps += (top.child_total_ps - child_total_ps) * times;
+            top.charged_ps += charged_ps * times;
+            top.child_total_ps += child_total_ps * times;
         }
     }
 
@@ -695,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_since_equals_making_the_calls_again() {
+    fn repeating_a_delta_equals_making_the_calls_again() {
         let run = |repeat: bool| {
             let t = enabled_tracer();
             t.set_sim_now(SimTime::ZERO);
@@ -705,8 +741,12 @@ mod tests {
                 let mut mark = SpanMark::default();
                 t.mark(&mut mark);
                 tick(&t);
+                t.delta_since(&mut mark);
+                // Spans recorded after the stretch are not repeated.
+                t.record_span("between", 5);
                 if repeat {
-                    t.repeat_since(&mark, 4);
+                    assert!(t.can_repeat(&mark));
+                    t.repeat(&mark, 4);
                 } else {
                     (0..4).for_each(|_| tick(&t));
                 }
@@ -717,8 +757,33 @@ mod tests {
         let repeated = run(true);
         assert_eq!(repeated, run(false));
         let outer = repeated.spans.iter().find(|r| r.path == "outer");
-        // 1 000 ps of clock plus 6 firings × 22 ps charged.
-        assert_eq!(outer.map(|r| r.total_ps), Some(1_132));
+        // 1 000 ps of clock, 6 firings × 22 ps charged, 5 ps between.
+        assert_eq!(outer.map(|r| r.total_ps), Some(1_137));
+    }
+
+    #[test]
+    fn a_delta_repeats_only_where_it_was_taken() {
+        let t = enabled_tracer();
+        let mut mark = SpanMark::default();
+        {
+            let _outer = t.span("outer");
+            t.mark(&mut mark);
+            tick(&t);
+            t.delta_since(&mut mark);
+            assert!(t.can_repeat(&mark));
+        }
+        // Outside the span it was taken in, or with recording toggled
+        // or captured, the same calls would land elsewhere.
+        assert!(!t.can_repeat(&mark));
+        let other = t.span("other");
+        assert!(!t.can_repeat(&mark));
+        drop(other);
+        let _outer = t.span("outer");
+        assert!(t.can_repeat(&mark));
+        t.enable_capture(4);
+        assert!(!t.can_repeat(&mark));
+        t.set_enabled(false);
+        assert!(!t.can_repeat(&mark));
     }
 
     #[test]
@@ -727,10 +792,13 @@ mod tests {
         let mut mark = SpanMark::default();
         t.mark(&mut mark);
         tick(&t);
-        t.repeat_since(&mark, 9);
+        t.delta_since(&mut mark);
+        assert!(t.can_repeat(&mark));
+        t.repeat(&mark, 9);
         assert!(t.rows().is_empty());
         assert!(!t.is_capturing());
         t.set_enabled(true);
+        assert!(!t.can_repeat(&mark));
         t.enable_capture(4);
         assert!(t.is_capturing());
     }

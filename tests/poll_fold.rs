@@ -6,10 +6,12 @@
 //! fraction is therefore a closed form of the configuration and the
 //! core frequency, independent of the benchmark.
 //!
-//! Inside `Machine::run_workload` the machine folds a run of such
-//! quiet ticks into one step. The differential tests here pin that the
-//! fold is invisible: a twin machine whose poller never reports a quiet
-//! tick (so every firing runs) ends in the same state.
+//! `Machine::advance_to` folds a run of such quiet ticks into one step,
+//! and `Machine::run_workload` folds the batches between them too. The
+//! differential tests here pin that the fold is invisible: a twin
+//! machine whose poller never reports a quiet tick (so every firing
+//! runs) ends in the same state, whether it is driven by workload runs
+//! or by bare clock advances with the package changed between them.
 
 use plugvolt::characterize::analytic_map;
 use plugvolt::poll::{PollConfig, PollStats, PollingModule, StatsHandle};
@@ -17,18 +19,20 @@ use plugvolt::state::StateClass;
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::exec::InstrClass;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_des::time::SimDuration;
+use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_hal::sim::SimBackend;
 use plugvolt_hal::trace::{
     RecordingBackend, TraceHeader, TraceRecorder, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
 };
 use plugvolt_kernel::machine::{KernelModule, Machine, ModuleCtx, WorkloadRun};
+use plugvolt_kernel::msr_dev::MsrDev;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::oc_mailbox::{OcRequest, Plane};
+use plugvolt_msr::perf_status::{encode_perf_ctl, PerfStatus};
 use plugvolt_telemetry::{Sink, SpanProfile};
 use plugvolt_workloads::rate::run_rate;
 use plugvolt_workloads::suite::{find, Benchmark, Tuning, SUITE};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Local MSR reads per polled core per tick with the default
@@ -111,9 +115,14 @@ impl KernelModule for Counted {
     }
 }
 
-/// A second module: charges every core and reads one MSR on core 1
-/// every 1.3 ms, so a fold of the poller's ticks must stop at it.
-struct Sidecar;
+/// A second module: every 1.3 ms it charges every core, reads one MSR
+/// on core 1 and moves core 1's clock up or down a step (a governor),
+/// noting when it ran. A fold of the poller's ticks must stop at it:
+/// the ticks after it read the new clock, at a new access cost.
+#[derive(Default)]
+struct Sidecar {
+    fired_at: Rc<RefCell<Vec<u64>>>,
+}
 
 impl KernelModule for Sidecar {
     fn name(&self) -> &str {
@@ -128,7 +137,16 @@ impl KernelModule for Sidecar {
         for c in 0..ctx.cpu().core_count() {
             ctx.charge(CoreId(c), SimDuration::from_nanos(700));
         }
-        let _ = ctx.rdmsr(CoreId(1), Msr::IA32_PERF_STATUS);
+        let status = ctx.rdmsr(CoreId(1), Msr::IA32_PERF_STATUS);
+        let mhz = status.map_or(0, |raw| PerfStatus::decode(raw).freq_mhz());
+        let step = if self.fired_at.borrow().len() % 2 == 0 {
+            mhz + 200
+        } else {
+            mhz - 200
+        };
+        ctx.wrmsr(CoreId(1), Msr::IA32_PERF_CTL, encode_perf_ctl(step))
+            .expect("core 1 takes a P-state");
+        self.fired_at.borrow_mut().push(ctx.now().as_picos());
         Some(SimDuration::from_micros(1_300))
     }
 }
@@ -142,12 +160,14 @@ struct Observed {
     stats: PollStats,
     profile: String,
     spans: SpanProfile,
+    sidecar_fired_at: Vec<u64>,
     on_timer_calls: u64,
 }
 
-/// Boots a traced Comet Lake machine with the default poller (and
-/// the sidecar module if asked), drives it with `drive`, and observes.
+/// Boots a traced Comet Lake machine with a `cfg` poller (and the
+/// sidecar module if asked), drives it with `drive`, and observes.
 fn observe(
+    cfg: &PollConfig,
     fold: bool,
     sidecar: bool,
     drive: &dyn Fn(&mut Machine) -> Vec<WorkloadRun>,
@@ -158,7 +178,7 @@ fn observe(
     let mut machine = Machine::new(model, 91);
     machine.set_telemetry(sink.clone());
     let (inner, stats): (PollingModule, StatsHandle) =
-        PollingModule::new(analytic_map(&model.spec()), PollConfig::default());
+        PollingModule::new(analytic_map(&model.spec()), cfg.clone());
     let calls = Rc::new(Cell::new(0));
     machine
         .load_module(Box::new(Counted {
@@ -167,8 +187,12 @@ fn observe(
             calls: Rc::clone(&calls),
         }))
         .expect("fresh machine");
+    let fired_at = Rc::default();
     if sidecar {
-        machine.load_module(Box::new(Sidecar)).expect("fresh name");
+        let module = Sidecar {
+            fired_at: Rc::clone(&fired_at),
+        };
+        machine.load_module(Box::new(module)).expect("fresh name");
     }
     let runs = drive(&mut machine);
     machine.publish_telemetry();
@@ -185,22 +209,23 @@ fn observe(
         stats,
         profile: sink.profile("fold").to_json(),
         spans: SpanProfile::from_tracer(sink.tracer(), "fold"),
+        sidecar_fired_at: fired_at.take(),
         on_timer_calls: calls.get(),
     }
 }
 
 /// Runs `drive` on both twins and checks they agree on everything but
-/// the number of `on_timer` calls, which the fold must actually cut.
-fn assert_fold_is_invisible(sidecar: bool, drive: &dyn Fn(&mut Machine) -> Vec<WorkloadRun>) {
-    let folded = observe(true, sidecar, drive);
-    let every = observe(false, sidecar, drive);
+/// the number of `on_timer` calls, returning the folded twin's calls
+/// and the ticks both accounted.
+fn twins(
+    cfg: &PollConfig,
+    sidecar: bool,
+    drive: &dyn Fn(&mut Machine) -> Vec<WorkloadRun>,
+) -> (u64, u64) {
+    let folded = observe(cfg, true, sidecar, drive);
+    let every = observe(cfg, false, sidecar, drive);
     assert_eq!(every.on_timer_calls, every.stats.ticks);
-    assert!(
-        folded.on_timer_calls * 3 < folded.stats.ticks,
-        "the fold ran {} of {} ticks",
-        folded.on_timer_calls,
-        folded.stats.ticks
-    );
+    let (calls, ticks) = (folded.on_timer_calls, folded.stats.ticks);
     let on_timer_calls = every.on_timer_calls;
     assert_eq!(
         Observed {
@@ -209,6 +234,14 @@ fn assert_fold_is_invisible(sidecar: bool, drive: &dyn Fn(&mut Machine) -> Vec<W
         },
         every
     );
+    (calls, ticks)
+}
+
+/// [`twins`] with the default poller, where the fold must cut the
+/// `on_timer` calls at least threefold.
+fn assert_fold_is_invisible(sidecar: bool, drive: &dyn Fn(&mut Machine) -> Vec<WorkloadRun>) {
+    let (calls, ticks) = twins(&PollConfig::default(), sidecar, drive);
+    assert!(calls * 3 < ticks, "the fold ran {calls} of {ticks} ticks");
 }
 
 fn mix_runs(machine: &mut Machine, runs: &mut Vec<WorkloadRun>) {
@@ -270,6 +303,105 @@ fn offset_writes_between_runs_stop_the_fold() {
         assert_eq!(m.cpu().core_offset_mv(), 0, "the poller restored");
         runs
     });
+}
+
+/// The hardened poller soak deploys: an explicit read command per
+/// plane, so every tick writes the mailbox twice per core.
+fn two_planes() -> PollConfig {
+    PollConfig {
+        planes: vec![Plane::Core, Plane::Cache],
+        ..PollConfig::default()
+    }
+}
+
+/// Advances in uneven steps, by both entry points, to `until` past now.
+fn advance_in_steps(m: &mut Machine, until: SimDuration) {
+    let end = m.now() + until;
+    while m.now() < end {
+        m.advance(SimDuration::from_micros(730));
+        let half = SimTime::from_picos(m.now().as_picos() + 1_234_567);
+        m.advance_to(half.min(end));
+    }
+}
+
+#[test]
+fn advancing_folds_two_plane_ticks_across_calls() {
+    let (calls, ticks) = twins(&two_planes(), false, &|m| {
+        advance_in_steps(m, SimDuration::from_millis(40));
+        Vec::new()
+    });
+    assert!(calls * 3 < ticks, "the fold ran {calls} of {ticks} ticks");
+}
+
+#[test]
+fn an_offset_write_between_advances_stops_the_fold() {
+    twins(&two_planes(), false, &|m| {
+        advance_in_steps(m, SimDuration::from_millis(3));
+        // Benign undervolts the poller leaves alone, one per plane:
+        // each re-points the mailbox response and ramps the rails.
+        let dev = MsrDev::open(m, CoreId(0)).expect("core 0");
+        for plane in [Plane::Cache, Plane::Core] {
+            let req = OcRequest::write_offset(-40, plane).encode();
+            dev.write(m, Msr::OC_MAILBOX, req).expect("mailbox write");
+            advance_in_steps(m, SimDuration::from_millis(3));
+        }
+        assert!(
+            (-40..=-39).contains(&m.cpu().core_offset_mv()),
+            "left alone"
+        );
+        Vec::new()
+    });
+}
+
+#[test]
+fn package_changes_through_cpu_mut_stop_the_fold() {
+    twins(&two_planes(), false, &|m| {
+        advance_in_steps(m, SimDuration::from_millis(3));
+        let now = m.now();
+        m.cpu_mut()
+            .run_batch(now, CoreId(2), InstrClass::Imul, 1_000_000)
+            .expect("healthy package");
+        advance_in_steps(m, SimDuration::from_millis(3));
+        let now = m.now();
+        m.cpu_mut()
+            .enter_idle(now, CoreId(3), 6)
+            .expect("running core");
+        advance_in_steps(m, SimDuration::from_millis(3));
+        let now = m.now();
+        m.cpu_mut().reset(now);
+        advance_in_steps(m, SimDuration::from_millis(3));
+        Vec::new()
+    });
+}
+
+#[test]
+fn a_second_modules_timer_stops_an_advance_fold() {
+    twins(&two_planes(), true, &|m| {
+        advance_in_steps(m, SimDuration::from_millis(10));
+        Vec::new()
+    });
+}
+
+#[test]
+fn ticks_on_a_ramping_rail_are_not_folded() {
+    // A 1 µs period puts several ticks on each few-µs ramp.
+    let cfg = PollConfig {
+        period: SimDuration::from_micros(1),
+        ..two_planes()
+    };
+    let (calls, ticks) = twins(&cfg, false, &|m| {
+        m.advance(SimDuration::from_micros(50));
+        let req = OcRequest::write_offset(-60, Plane::Core).encode();
+        m.wrmsr(CoreId(0), Msr::OC_MAILBOX, req)
+            .expect("mailbox write");
+        // Into the ramp, with a call boundary on the moving rail.
+        m.advance(plugvolt_cpu::package::MAILBOX_SETTLE + SimDuration::from_micros(3));
+        assert_eq!(m.cpu().rails_hold_until(m.now()), Some(m.now()));
+        m.advance(SimDuration::from_micros(100));
+        assert_eq!(m.cpu().rails_hold_until(m.now()), None, "settled");
+        Vec::new()
+    });
+    assert!(calls < ticks, "the settle window and the settled rail fold");
 }
 
 /// FNV-1a, for pinning a transcript.
