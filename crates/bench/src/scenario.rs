@@ -199,7 +199,9 @@ impl Scenario {
     /// Records merge in frequency order, so the run is byte-identical
     /// for any worker count. With a sink attached the columns run
     /// sequentially on the caller thread and every column machine
-    /// publishes its counters and spans into the sink.
+    /// publishes its counters and spans into the sink; without one,
+    /// each column machine records into a sink that keeps no event
+    /// timeline, since nothing outside the sweep can read it.
     ///
     /// # Errors
     ///
@@ -241,13 +243,17 @@ impl Scenario {
     /// machine then publishes its counters into it, and an attached
     /// stream advances by the column's sim time (every column machine
     /// starts its clock at zero, so this re-bases the columns onto one
-    /// monotone stream clock).
+    /// monotone stream clock). Without a sink the machine gets one that
+    /// keeps no events, so the package builds none.
     fn column(
         &self,
         machine: &mut Machine,
         cfg: &SweepConfig,
         freq: FreqMhz,
     ) -> Result<ColumnSweep, CharacterizeError> {
+        if self.telemetry.is_none() {
+            machine.set_telemetry(Sink::with_event_capacity(0));
+        }
         let column = sweep_column(machine, cfg, freq)?;
         if self.telemetry.is_some() {
             machine.publish_telemetry();

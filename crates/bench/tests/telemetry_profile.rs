@@ -96,6 +96,46 @@ fn traced_sweep_records_its_column_machines() {
     assert_eq!(traced, plain, "a sink must not change the sweep");
 }
 
+#[test]
+fn sweep_is_the_same_with_and_without_a_sink() {
+    use plugvolt::characterize::SweepConfig;
+    // The coarse grid, and the paper's 1 mV grid over the two columns
+    // a 10 GHz stride leaves: f_min and f_max.
+    let grids = [
+        SweepConfig::coarse(),
+        SweepConfig {
+            freq_step_mhz: 10_000,
+            ..SweepConfig::default()
+        },
+    ];
+    for model in [CpuModel::SkyLake, CpuModel::KabyLakeR, CpuModel::CometLake] {
+        for cfg in &grids {
+            // Without a sink the engine gives each column machine one
+            // that keeps no events; with one, every event is kept.
+            let plain = Scenario::new()
+                .characterize(model, cfg, 1)
+                .expect("sink-free sweep completes");
+            let sink = Sink::with_event_capacity(1 << 20);
+            let observed = Scenario::new()
+                .with_telemetry(sink.clone())
+                .characterize(model, cfg, 1)
+                .expect("observed sweep completes");
+            assert_eq!(
+                plain, observed,
+                "{model:?}: a sink must not change the sweep"
+            );
+            let profile = sink.profile("sweep");
+            assert_eq!(profile.events_dropped, 0);
+            for kind in ["oc-mailbox", "vr-slew"] {
+                assert!(
+                    profile.events.iter().any(|e| e.event.kind() == kind),
+                    "{model:?}: the attached sink must keep {kind} events"
+                );
+            }
+        }
+    }
+}
+
 /// FNV-1a over a profile's JSON with the one wall-clock field
 /// (`SlackTableBuilt::build_ns`) zeroed: a hash of the sim channel.
 fn sim_channel_hash(mut profile: TelemetryProfile) -> u64 {

@@ -51,6 +51,12 @@ pub enum SweepConfigError {
         /// The configured floor offset.
         offset_floor_mv: i32,
     },
+    /// `offset_start_mv` and `offset_floor_mv` must fit the mailbox's
+    /// offset field (`OcRequest::MIN_OFFSET_MV..=MAX_OFFSET_MV`).
+    OffsetOutOfRange {
+        /// The first configured offset outside the field.
+        offset_mv: i32,
+    },
     /// `offset_step_mv` must be positive.
     NonPositiveOffsetStep {
         /// The offending step.
@@ -77,6 +83,12 @@ impl std::fmt::Display for SweepConfigError {
                 f,
                 "offset_floor_mv ({offset_floor_mv} mV) must be at or below \
                  offset_start_mv ({offset_start_mv} mV)"
+            ),
+            SweepConfigError::OffsetOutOfRange { offset_mv } => write!(
+                f,
+                "offset {offset_mv} mV is outside the mailbox field ({} to {} mV)",
+                OcRequest::MIN_OFFSET_MV,
+                OcRequest::MAX_OFFSET_MV
             ),
             SweepConfigError::NonPositiveOffsetStep { offset_step_mv } => {
                 write!(f, "offset_step_mv must be positive, got {offset_step_mv}")
@@ -199,6 +211,11 @@ impl SweepConfig {
                 offset_start_mv: self.offset_start_mv,
                 offset_floor_mv: self.offset_floor_mv,
             });
+        }
+        for offset_mv in [self.offset_start_mv, self.offset_floor_mv] {
+            if !(OcRequest::MIN_OFFSET_MV..=OcRequest::MAX_OFFSET_MV).contains(&offset_mv) {
+                return Err(SweepConfigError::OffsetOutOfRange { offset_mv });
+            }
         }
         if self.offset_step_mv <= 0 {
             return Err(SweepConfigError::NonPositiveOffsetStep {
@@ -666,6 +683,37 @@ mod tests {
             CharacterizeError::Config(SweepConfigError::NonPositiveOffsetStep { .. })
         ));
         assert_eq!(machine.now(), plugvolt_des::time::SimTime::ZERO);
+    }
+
+    #[test]
+    fn out_of_field_offsets_are_rejected_before_the_machine_is_touched() {
+        let mut machine = Machine::new(CpuModel::CometLake, 21);
+        let floor = SweepConfig {
+            offset_floor_mv: -1_500,
+            stop_after_crash: false,
+            ..SweepConfig::coarse()
+        };
+        let start = SweepConfig {
+            offset_start_mv: -1_001,
+            ..floor.clone()
+        };
+        for (cfg, offset_mv) in [(floor, -1_500), (start, -1_001)] {
+            let err = sweep_column(&mut machine, &cfg, FreqMhz(2_000)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CharacterizeError::Config(SweepConfigError::OffsetOutOfRange { offset_mv: o })
+                        if o == offset_mv
+                ),
+                "{err}"
+            );
+        }
+        assert_eq!(machine.now(), plugvolt_des::time::SimTime::ZERO);
+        let deepest = SweepConfig {
+            offset_floor_mv: OcRequest::MIN_OFFSET_MV,
+            ..SweepConfig::coarse()
+        };
+        assert_eq!(deepest.validate(), Ok(()));
     }
 
     #[test]

@@ -697,22 +697,16 @@ impl CpuPackage {
             f64::from(self.plane_offset_units[Plane::Cache.index() as usize]) * 1000.0 / 1024.0;
         let cache_target = self.spec.nominal_cache_voltage_mv(demand) + cache_offset;
         self.cache_vr.set_target_after(now, cache_target, settle);
-        self.telemetry.emit(
-            now,
-            TelemetryEvent::VrSlew {
-                plane: Plane::Core.index(),
-                target_mv: core_target.round() as i32,
-                settles_at: self.core_vr.settles_at(),
-            },
-        );
-        self.telemetry.emit(
-            now,
-            TelemetryEvent::VrSlew {
-                plane: Plane::Cache.index(),
-                target_mv: cache_target.round() as i32,
-                settles_at: self.cache_vr.settles_at(),
-            },
-        );
+        self.telemetry.emit_with(now, || TelemetryEvent::VrSlew {
+            plane: Plane::Core.index(),
+            target_mv: core_target.round() as i32,
+            settles_at: self.core_vr.settles_at(),
+        });
+        self.telemetry.emit_with(now, || TelemetryEvent::VrSlew {
+            plane: Plane::Cache.index(),
+            target_mv: cache_target.round() as i32,
+            settles_at: self.cache_vr.settles_at(),
+        });
     }
 
     /// `rdmsr` from `core`.
@@ -862,16 +856,13 @@ impl CpuPackage {
                         let req = self.offset_limit.clamp(req);
                         self.plane_offset_units[req.plane().index() as usize] = req.offset_units();
                         self.plane_offset_written_at[req.plane().index() as usize] = Some(now);
-                        self.telemetry.emit(
-                            now,
-                            TelemetryEvent::OcMailbox {
-                                core: core.0 as u32,
-                                plane: req.plane().index(),
-                                requested_mv,
-                                applied_mv: req.offset_mv(),
-                                accepted: true,
-                            },
-                        );
+                        self.telemetry.emit_with(now, || TelemetryEvent::OcMailbox {
+                            core: core.0 as u32,
+                            plane: req.plane().index(),
+                            requested_mv,
+                            applied_mv: req.offset_mv(),
+                            accepted: true,
+                        });
                         if matches!(req.plane(), Plane::Core | Plane::Cache) {
                             self.retarget_rail(now, MAILBOX_SETTLE);
                         }

@@ -33,6 +33,9 @@ pub struct VoltageRegulator {
     ramp_begins: SimTime,
     settle_delay: SimDuration,
     slew_mv_per_us: f64,
+    /// When the rail reaches `target_mv`: fixed by each retarget, so
+    /// reading it costs no division.
+    settles_at: SimTime,
 }
 
 impl VoltageRegulator {
@@ -51,6 +54,7 @@ impl VoltageRegulator {
             ramp_begins: SimTime::ZERO,
             settle_delay,
             slew_mv_per_us,
+            settles_at: SimTime::ZERO,
         }
     }
 
@@ -118,15 +122,15 @@ impl VoltageRegulator {
         self.start_mv = self.voltage_mv(now);
         self.ramp_begins = now + delay;
         self.target_mv = target_mv;
+        let ramp_us = (target_mv - self.start_mv).abs() / self.slew_mv_per_us;
+        self.settles_at = self.ramp_begins + SimDuration::from_picos((ramp_us * 1e6).ceil() as u64);
     }
 
     /// When the rail will have fully reached its target (an instant in
-    /// the past if it already has).
+    /// the past if it already has), rounded up to the picosecond.
     #[must_use]
     pub fn settles_at(&self) -> SimTime {
-        let swing = (self.target_mv - self.start_mv).abs();
-        let ramp_us = swing / self.slew_mv_per_us;
-        self.ramp_begins + SimDuration::from_picos((ramp_us * 1e6).ceil() as u64)
+        self.settles_at
     }
 }
 

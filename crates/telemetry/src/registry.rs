@@ -221,6 +221,13 @@ impl Registry {
     /// Appends an event to the timeline, evicting (and counting) the
     /// oldest one when the buffer is full.
     pub fn emit(&mut self, at: SimTime, event: TelemetryEvent) {
+        self.emit_with(at, || event);
+    }
+
+    /// [`emit`](Self::emit) for an event built by `build`, which runs
+    /// only when the timeline keeps events: a zero-capacity registry
+    /// counts the drop and builds nothing.
+    pub fn emit_with(&mut self, at: SimTime, build: impl FnOnce() -> TelemetryEvent) {
         if self.event_capacity == 0 {
             self.events_dropped += 1;
             return;
@@ -229,7 +236,7 @@ impl Registry {
             self.events.pop_front();
             self.events_dropped += 1;
         }
-        self.events.push_back(TimedEvent { at, event });
+        self.events.push_back(TimedEvent { at, event: build() });
     }
 
     /// Current value of a counter (0 if never written).
@@ -366,6 +373,13 @@ impl Sink {
         self.inner.borrow_mut().emit(at, event);
     }
 
+    /// Appends the event `build` returns, building it only when the
+    /// timeline keeps events (see [`Registry::emit_with`]). `build`
+    /// must not call back into this sink.
+    pub fn emit_with(&self, at: SimTime, build: impl FnOnce() -> TelemetryEvent) {
+        self.inner.borrow_mut().emit_with(at, build);
+    }
+
     /// Runs `f` with shared access to the underlying registry.
     ///
     /// Do not call other `Sink` methods from inside `f` — the registry
@@ -457,6 +471,36 @@ mod tests {
         assert_eq!(r.events_dropped(), 2);
         let kept: Vec<u64> = r.events().map(|e| e.at.as_picos()).collect();
         assert_eq!(kept, vec![2, 3]);
+    }
+
+    #[test]
+    fn emit_with_builds_only_for_a_kept_timeline() {
+        let event = |core| TelemetryEvent::Crash { core };
+        let built = std::cell::Cell::new(0);
+        let build = |core| {
+            built.set(built.get() + 1);
+            event(core)
+        };
+        let (with, plain) = (Sink::with_event_capacity(0), Sink::with_event_capacity(0));
+        for core in 0..3 {
+            with.emit_with(SimTime::from_picos(u64::from(core)), || build(core));
+            plain.emit(SimTime::from_picos(u64::from(core)), event(core));
+        }
+        assert_eq!(built.get(), 0, "a zero-capacity sink never builds");
+        assert_eq!(with.with(Registry::events_dropped), 3);
+        assert_eq!(plain.with(Registry::events_dropped), 3);
+        assert_eq!(with.with(|r| r.events().count()), 0);
+
+        let (with, plain) = (Sink::with_event_capacity(2), Sink::with_event_capacity(2));
+        for core in 0..3 {
+            with.emit_with(SimTime::from_picos(u64::from(core)), || build(core));
+            plain.emit(SimTime::from_picos(u64::from(core)), event(core));
+        }
+        assert_eq!(built.get(), 3);
+        let kept = |s: &Sink| s.with(|r| r.events().cloned().collect::<Vec<_>>());
+        assert_eq!(kept(&with), kept(&plain));
+        assert_eq!(with.with(Registry::events_dropped), 1);
+        assert_eq!(plain.with(Registry::events_dropped), 1);
     }
 
     #[test]

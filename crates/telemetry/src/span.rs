@@ -186,6 +186,7 @@ impl Tracer {
     /// Advances the tracer's view of the simulated clock. Called by the
     /// machine wherever `now` moves; a plain `Cell` store, cheap enough
     /// for every timer firing.
+    #[inline]
     pub fn set_sim_now(&self, now: SimTime) {
         self.inner.sim_now_ps.set(now.as_picos());
     }
@@ -193,11 +194,21 @@ impl Tracer {
     /// Opens a hierarchical span. Sim total is the simulated-clock
     /// delta until the guard drops, plus any cost attributed inside;
     /// wall total is the host-clock delta (non-golden channel).
+    ///
+    /// A disabled tracer inlines to one `Cell` load and an inert guard;
+    /// only recording calls out of line.
+    #[inline]
     #[must_use]
     pub fn span(&self, label: &'static str) -> SpanGuard {
         if !self.inner.enabled.get() {
             return SpanGuard { tracer: None };
         }
+        self.enter(label)
+    }
+
+    /// The recording body of [`Tracer::span`].
+    #[inline(never)]
+    fn enter(&self, label: &'static str) -> SpanGuard {
         let mut stack = self.inner.stack.borrow_mut();
         let parent = stack.last().map_or(0, |a| a.node);
         let node = self.child_node(parent, label);
@@ -222,10 +233,16 @@ impl Tracer {
     /// (the wall channel is untouched). Used for costs the sim clock
     /// never "passes through" — explicitly charged MSR access flows,
     /// slew retargets, timer-queue churn.
+    #[inline]
     pub fn record_span(&self, label: &'static str, sim_ps: u64) {
-        if !self.inner.enabled.get() {
-            return;
+        if self.inner.enabled.get() {
+            self.record_point(label, sim_ps);
         }
+    }
+
+    /// The recording body of [`Tracer::record_span`].
+    #[inline(never)]
+    fn record_point(&self, label: &'static str, sim_ps: u64) {
         let (depth, parent) = {
             let mut stack = self.inner.stack.borrow_mut();
             let depth = stack.len() as u32;
@@ -485,6 +502,7 @@ impl Tracer {
     }
 
     /// Closes the guard opened by [`Tracer::span`].
+    #[inline(never)]
     fn exit(&self) {
         let Some(top) = self.inner.stack.borrow_mut().pop() else {
             return;
@@ -526,6 +544,7 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if let Some(t) = &self.tracer {
             t.exit();

@@ -443,6 +443,68 @@ fn vr_stays_between_start_and_target() {
 }
 
 #[test]
+fn vr_settle_instant_matches_its_closed_form() {
+    // `ramp_begins + ceil(|target - start| / slew)`, with the ramp's
+    // start voltage and begin instant tracked from outside.
+    fn closed_form(ramp_begins: SimTime, start: f64, target: f64, slew: f64) -> SimTime {
+        let ramp_us = (target - start).abs() / slew;
+        ramp_begins + SimDuration::from_picos((ramp_us * 1e6).ceil() as u64)
+    }
+    let (mut no_ops, mut mid_ramp) = (0u32, 0u32);
+    cases("vr_settles_at", |g| {
+        let slew = g.f64_in(0.5, 20.0);
+        let settle = SimDuration::from_picos(g.u64_in(0, 20_000_000));
+        let mut vr = VoltageRegulator::new(g.f64_in(600.0, 1_300.0), settle, slew);
+        let (mut now, mut ramp_begins, mut expected) =
+            (SimTime::ZERO, SimTime::ZERO, SimTime::ZERO);
+        for step in 0..12 {
+            // Every fourth request repeats the current target: a no-op.
+            let target = if step % 4 == 3 {
+                vr.target_mv()
+            } else {
+                g.f64_in(600.0, 1_300.0)
+            };
+            // Even steps take the default settle delay, odd ones an
+            // explicit command latency.
+            let delay = if step % 2 == 0 {
+                settle
+            } else {
+                SimDuration::from_picos(g.u64_in(0, 20_000_000))
+            };
+            if (target - vr.target_mv()).abs() < f64::EPSILON {
+                no_ops += 1;
+            } else {
+                mid_ramp += u32::from(now > ramp_begins && now < expected);
+                ramp_begins = now + delay;
+                expected = closed_form(ramp_begins, vr.voltage_mv(now), target, slew);
+            }
+            if step % 2 == 0 {
+                vr.set_target(now, target);
+            } else {
+                vr.set_target_after(now, target, delay);
+            }
+            assert_eq!(vr.settles_at(), expected, "step {step}");
+            let json = serde_json::to_string(&vr).expect("vr encodes");
+            let back: VoltageRegulator = serde_json::from_str(&json).expect("vr decodes");
+            assert_eq!(back.settles_at(), vr.settles_at());
+            assert_eq!(back, vr);
+            // Next request: inside what is left of the ramp half the
+            // time (a mid-ramp retarget), else anywhere up to well past
+            // the settle. Time never runs backwards.
+            let from = now.max(ramp_begins);
+            let left_ps = expected.saturating_duration_since(from).as_picos();
+            now = if left_ps > 1 && g.u64_in(0, 1) == 0 {
+                from + SimDuration::from_picos(g.u64_in(1, left_ps - 1))
+            } else {
+                now + SimDuration::from_picos(g.u64_in(0, 80_000_000))
+            };
+        }
+    });
+    assert!(no_ops >= 3 * CASES as u32, "no_ops = {no_ops}");
+    assert!(mid_ramp >= CASES as u32, "mid_ramp = {mid_ramp}");
+}
+
+#[test]
 fn vr_slew_rate_is_respected() {
     cases("vr_slew", |g| {
         let start = g.f64_in(600.0, 1_300.0);
