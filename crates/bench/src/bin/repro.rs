@@ -25,7 +25,8 @@
 //!        (figures/defense/levels/stepping/interval/planes/energy/units).
 //! --telemetry <path> writes a deterministic telemetry profile (JSON)
 //!        covering the run: MSR traffic, detection latency, exposure
-//!        windows (table2/defense/levels/interval).
+//!        windows (table2/defense/levels/interval). The profile keeps
+//!        every event the run emits.
 //! --stream <path> writes pinned-schema JSONL telemetry snapshot
 //!        frames (registry counter deltas plus span aggregates) while
 //!        any characterization sweep runs: fig2-4 and units; every
@@ -70,7 +71,9 @@ fn main() -> ExitCode {
     };
     let mut scn = Scenario::new();
     if telemetry_path.is_some() {
-        scn = scn.with_telemetry(Sink::new());
+        // A profile keeps the whole timeline (a paper-resolution fig4
+        // emits about 80k events), so no event is evicted.
+        scn = scn.with_telemetry(Sink::with_event_capacity(usize::MAX));
     }
     if let Some(path) = &stream_path {
         scn = match scn.with_stream(path) {

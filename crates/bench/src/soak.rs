@@ -57,6 +57,7 @@ use plugvolt_telemetry::{MetricKey, Sink, TelemetryEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Pinned schema version of [`CorpusCase`] files; bump on any breaking
 /// change to the serialized shape.
@@ -465,7 +466,7 @@ fn poll_config_for(schedule: &CampaignSchedule) -> PollConfig {
 fn run_level(
     scn: &Scenario,
     model: CpuModel,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
     schedule: &CampaignSchedule,
     level: Level,
     weaken: Option<u32>,
@@ -486,7 +487,7 @@ fn run_level(
 pub(crate) fn run_level_mode(
     scn: &Scenario,
     model: CpuModel,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
     schedule: &CampaignSchedule,
     level: Level,
     weaken: Option<u32>,
@@ -510,7 +511,7 @@ pub(crate) fn run_level_mode(
         Level::Polling => {
             let cfg = poll_config_for(schedule);
             let bound = ExposureBound::for_polling(&cfg);
-            let (module, stats) = PollingModule::new(map.clone(), cfg.clone());
+            let (module, stats) = PollingModule::new(Arc::clone(map), cfg.clone());
             stats_handle = Some(stats);
             match weaken {
                 Some(n) if n > 1 => machine.load_module(Box::new(WeakenedPolling {
@@ -732,15 +733,15 @@ fn quiet_end(machine: &Machine, until: SimTime) -> SimTime {
 /// configured offset register at the instantaneous frequency.
 fn sample(machine: &mut Machine, map: &CharacterizationMap, acct: &mut ExposureAccountant) {
     let now = machine.now();
-    let Ok(f) = machine.cpu().core_freq(CoreId(0)) else {
+    let cpu = machine.cpu();
+    let Ok(f) = cpu.core_freq(CoreId(0)) else {
         return;
     };
-    let nominal = machine.cpu().spec().nominal_voltage_mv(f);
-    let effective = nominal - machine.cpu().core_voltage_mv(now);
+    let effective = cpu.spec().nominal_voltage_mv(f) - cpu.core_voltage_mv(now);
     #[allow(clippy::cast_possible_truncation)]
     let rail_unsafe =
         effective > 2.0 && map.classify(f, -(effective.ceil() as i32)) != StateClass::Safe;
-    let config_unsafe = map.classify(f, machine.cpu().core_offset_mv()) != StateClass::Safe;
+    let config_unsafe = map.classify(f, cpu.core_offset_mv()) != StateClass::Safe;
     acct.record(now, rail_unsafe, config_unsafe);
 }
 
@@ -749,7 +750,7 @@ fn sample(machine: &mut Machine, map: &CharacterizationMap, acct: &mut ExposureA
 fn judge_campaign(
     scn: &Scenario,
     model: CpuModel,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
     schedule: &CampaignSchedule,
     weaken: Option<u32>,
 ) -> Result<Option<Violation>, SoakError> {
@@ -828,7 +829,7 @@ pub(crate) fn judge(runs: &[RunRecord]) -> Option<Violation> {
 fn shrink(
     scn: &Scenario,
     model: CpuModel,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
     schedule: &CampaignSchedule,
     initial: Violation,
     weaken: Option<u32>,
@@ -914,7 +915,7 @@ pub fn corpus_file_name(case: &CorpusCase) -> String {
 fn replay_corpus(
     scn: &Scenario,
     model: CpuModel,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
     dir: &Path,
 ) -> Result<(u32, Vec<CorpusFailure>), SoakError> {
     let mut files: Vec<_> = match std::fs::read_dir(dir) {
@@ -1149,7 +1150,7 @@ const SELF_TEST_PERIOD_US: u64 = 400;
 fn run_self_test(
     scn: &Scenario,
     cfg: &SoakConfig,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
 ) -> Result<SelfTestReport, SoakError> {
     let spec = cfg.model.spec();
     let weaken = Some(cfg.weaken_skip_every);

@@ -11,6 +11,15 @@ use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_msr::oc_mailbox::OcRequest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
+/// Spacing of the frequency grid the band index covers: every P-state
+/// table frequency is a multiple of 100 MHz.
+const GRID_MHZ: u32 = 100;
+
+/// Grid slots the band index may hold (up to 102.3 GHz). A loaded map
+/// whose top band lies beyond keeps the tree search above this.
+const GRID_SLOTS_MAX: u32 = 1_024;
 
 /// The unsafe band observed at one frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -91,7 +100,7 @@ impl std::error::Error for MapError {}
 /// assert_eq!(map.classify(FreqMhz(2_000), -180), StateClass::Unsafe);
 /// assert_eq!(map.classify(FreqMhz(2_000), -250), StateClass::Crash);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct CharacterizationMap {
     cpu_name: String,
     microcode: u32,
@@ -99,6 +108,35 @@ pub struct CharacterizationMap {
     /// uncharacterized and classify as unsafe.
     sweep_floor_mv: i32,
     bands: BTreeMap<u32, FreqBand>,
+    /// The governing band of every grid frequency from 0 up to the top
+    /// band, indexed by `mhz / GRID_MHZ`: derived from `bands` on the
+    /// first lookup and dropped by [`CharacterizationMap::insert_band`].
+    #[serde(skip)]
+    grid: OnceLock<Box<[Option<FreqBand>]>>,
+}
+
+/// Equality is over the stored fields; the derived band index is not
+/// part of a map's value.
+impl PartialEq for CharacterizationMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.cpu_name == other.cpu_name
+            && self.microcode == other.microcode
+            && self.sweep_floor_mv == other.sweep_floor_mv
+            && self.bands == other.bands
+    }
+}
+
+impl Eq for CharacterizationMap {}
+
+impl std::fmt::Debug for CharacterizationMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CharacterizationMap")
+            .field("cpu_name", &self.cpu_name)
+            .field("microcode", &self.microcode)
+            .field("sweep_floor_mv", &self.sweep_floor_mv)
+            .field("bands", &self.bands)
+            .finish()
+    }
 }
 
 impl CharacterizationMap {
@@ -115,6 +153,7 @@ impl CharacterizationMap {
             microcode,
             sweep_floor_mv,
             bands: BTreeMap::new(),
+            grid: OnceLock::new(),
         }
     }
 
@@ -169,6 +208,7 @@ impl CharacterizationMap {
     /// Records the band observed at `freq` (replacing any previous one).
     pub fn insert_band(&mut self, freq: FreqMhz, band: FreqBand) {
         self.bands.insert(freq.mhz(), band);
+        self.grid = OnceLock::new();
     }
 
     /// The band characterized at exactly `freq`, if any.
@@ -194,24 +234,56 @@ impl CharacterizationMap {
         self.bands.iter().map(|(&f, &b)| (FreqMhz(f), b))
     }
 
-    /// The band governing `freq`: the exact entry if characterized,
-    /// otherwise the **more conservative** (shallower-onset) of the two
-    /// neighbouring entries, so interpolation can never under-protect.
+    /// The band governing `freq`: the exact entry if characterized;
+    /// between two characterized frequencies, the **more conservative**
+    /// (shallower-onset) of the two neighbours; below the lowest, the
+    /// lowest band. Slack only grows as frequency falls, so none of
+    /// these can under-protect. Above the highest characterized
+    /// frequency slack shrinks, so no band governs and the frequency is
+    /// uncharacterized (`None`).
+    ///
+    /// A grid frequency (a multiple of 100 MHz, as every table
+    /// frequency is) is one index into a per-map table derived on first
+    /// use; any other frequency searches the bands.
     #[must_use]
     pub fn governing_band(&self, freq: FreqMhz) -> Option<FreqBand> {
-        if let Some(b) = self.band(freq) {
-            return Some(b);
+        let mhz = freq.mhz();
+        if mhz % GRID_MHZ == 0 {
+            if let Some(&band) = self.grid().get((mhz / GRID_MHZ) as usize) {
+                return band;
+            }
         }
-        let below = self.bands.range(..freq.mhz()).next_back().map(|(_, &b)| b);
-        let above = self.bands.range(freq.mhz()..).next().map(|(_, &b)| b);
-        match (below, above) {
-            (Some(a), Some(b)) => Some(FreqBand {
-                fault_onset_mv: shallower(a.fault_onset_mv, b.fault_onset_mv),
-                crash_mv: shallower(a.crash_mv, b.crash_mv),
-            }),
-            (Some(x), None) | (None, Some(x)) => Some(x),
-            (None, None) => None,
+        self.search_governing_band(mhz)
+    }
+
+    /// The governing-band index, built on first use: one slot per grid
+    /// frequency from 0 up to the top band (capped at `GRID_SLOTS_MAX`).
+    fn grid(&self) -> &[Option<FreqBand>] {
+        self.grid.get_or_init(|| {
+            let slots = self
+                .bands
+                .keys()
+                .next_back()
+                .map_or(0, |&top| (top / GRID_MHZ + 1).min(GRID_SLOTS_MAX));
+            (0..slots)
+                .map(|k| self.search_governing_band(k * GRID_MHZ))
+                .collect()
+        })
+    }
+
+    /// [`governing_band`](Self::governing_band) by searching the bands.
+    fn search_governing_band(&self, mhz: u32) -> Option<FreqBand> {
+        let (&above_mhz, &above) = self.bands.range(mhz..).next()?;
+        if above_mhz == mhz {
+            return Some(above);
         }
+        Some(match self.bands.range(..mhz).next_back() {
+            Some((_, below)) => FreqBand {
+                fault_onset_mv: shallower(below.fault_onset_mv, above.fault_onset_mv),
+                crash_mv: shallower(below.crash_mv, above.crash_mv),
+            },
+            None => above,
+        })
     }
 
     /// Classifies an observed state per the characterization.
@@ -219,7 +291,8 @@ impl CharacterizationMap {
     /// Conservative rules:
     /// - non-negative offsets are safe (the attack surface is undervolt);
     /// - offsets below the sweep floor are unsafe (uncharacterized);
-    /// - with no characterization data at all, any undervolt is unsafe.
+    /// - with no band governing `freq` (an empty map, or a frequency
+    ///   above the highest characterized one), any undervolt is unsafe.
     #[must_use]
     pub fn classify(&self, freq: FreqMhz, offset_mv: i32) -> StateClass {
         if offset_mv >= 0 {
@@ -342,6 +415,30 @@ mod tests {
         assert_eq!(m.classify(FreqMhz(500), -251), StateClass::Unsafe);
         assert_eq!(m.classify(FreqMhz(500), -249), StateClass::Safe);
         assert_eq!(m.classify(FreqMhz(3_600), -141), StateClass::Unsafe);
+    }
+
+    #[test]
+    fn above_the_top_band_is_uncharacterized() {
+        // A loaded one-band map: at a faster clock the slack is smaller,
+        // so the 2 GHz onset would pass offsets that fault there.
+        let mut m = CharacterizationMap::new("x", 0, -300);
+        m.insert_band(
+            FreqMhz(2_000),
+            FreqBand {
+                fault_onset_mv: Some(-200),
+                crash_mv: Some(-230),
+            },
+        );
+        assert_eq!(m.governing_band(FreqMhz(4_500)), None);
+        assert_eq!(m.governing_band(FreqMhz(2_050)), None);
+        assert_eq!(m.classify(FreqMhz(4_500), -150), StateClass::Unsafe);
+        assert_eq!(m.classify(FreqMhz(4_500), -1), StateClass::Unsafe);
+        assert_eq!(m.classify(FreqMhz(4_500), 0), StateClass::Safe);
+        // Below the lowest band the lowest band still governs.
+        assert_eq!(m.classify(FreqMhz(800), -150), StateClass::Safe);
+        // A band inserted above makes the frequency characterized again.
+        m.insert_band(FreqMhz(4_800), FreqBand::default());
+        assert_eq!(m.classify(FreqMhz(4_500), -150), StateClass::Safe);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use plugvolt_telemetry::{HistogramSpec, MetricKey, TelemetryEvent};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The module name shown in `lsmod` and the attestation report.
 pub const MODULE_NAME: &str = "plugvolt-poll";
@@ -154,7 +155,7 @@ pub type StatsHandle = Rc<RefCell<PollStats>>;
 /// ```
 #[derive(Debug)]
 pub struct PollingModule {
-    map: CharacterizationMap,
+    map: Arc<CharacterizationMap>,
     cfg: PollConfig,
     stats: StatsHandle,
     /// One core's observations, refilled by every `poll_core` call so a
@@ -167,13 +168,14 @@ pub struct PollingModule {
 
 impl PollingModule {
     /// Creates the module around a characterization map, returning it
-    /// together with the shared statistics handle.
+    /// together with the shared statistics handle. The module shares an
+    /// `Arc` map with its other holders; an owned map is wrapped once.
     #[must_use]
-    pub fn new(map: CharacterizationMap, cfg: PollConfig) -> (Self, StatsHandle) {
+    pub fn new(map: impl Into<Arc<CharacterizationMap>>, cfg: PollConfig) -> (Self, StatsHandle) {
         let stats: StatsHandle = Rc::default();
         (
             PollingModule {
-                map,
+                map: map.into(),
                 cfg,
                 stats: Rc::clone(&stats),
                 observed: Vec::new(),

@@ -112,7 +112,9 @@ struct InterceptorEntry {
 /// ```
 #[derive(Default)]
 pub struct MsrFile {
-    regs: BTreeMap<Msr, u64>,
+    /// Implemented registers and their values, in implementation order.
+    /// A package implements about ten, so a linear scan beats a tree.
+    regs: Vec<(Msr, u64)>,
     /// The chain, in registration order.
     interceptors: Vec<InterceptorEntry>,
     /// Registered-name index: name → number of chain entries bearing it.
@@ -143,7 +145,10 @@ impl MsrFile {
     /// Declares `msr` implemented with a reset value. Re-implementing an
     /// address resets it.
     pub fn implement(&mut self, msr: Msr, reset_value: u64) {
-        self.regs.insert(msr, reset_value);
+        match slot(&mut self.regs, msr) {
+            Some(value) => *value = reset_value,
+            None => self.regs.push((msr, reset_value)),
+        }
     }
 
     /// Registers a write interceptor at the end of the chain, caching
@@ -198,8 +203,8 @@ impl MsrFile {
     /// [`MsrError::GeneralProtection`] if `msr` is not implemented.
     pub fn rdmsr(&self, msr: Msr) -> Result<u64, MsrError> {
         self.regs
-            .get(&msr)
-            .copied()
+            .iter()
+            .find_map(|&(m, value)| (m == msr).then_some(value))
             .ok_or(MsrError::GeneralProtection { msr })
     }
 
@@ -210,9 +215,9 @@ impl MsrFile {
     /// [`MsrError::GeneralProtection`] if `msr` is not implemented, or
     /// [`MsrError::WriteFault`] if an interceptor faulted the write.
     pub fn wrmsr(&mut self, msr: Msr, value: u64) -> Result<WriteOutcome, MsrError> {
-        // One map traversal: hold the slot across the interceptor chain
-        // (disjoint field borrows) instead of probing again to store.
-        let Some(slot) = self.regs.get_mut(&msr) else {
+        // One scan: hold the slot across the interceptor chain (disjoint
+        // field borrows) instead of probing again to store.
+        let Some(slot) = slot(&mut self.regs, msr) else {
             return Err(MsrError::GeneralProtection { msr });
         };
         let mut value = value;
@@ -237,15 +242,19 @@ impl MsrFile {
     /// Panics if `msr` is not implemented: internal hardware state updates
     /// target registers the package declared at reset.
     pub fn store_internal(&mut self, msr: Msr, value: u64) {
-        let slot = self
-            .regs
-            .get_mut(&msr)
+        let slot = slot(&mut self.regs, msr)
             // Documented invariant (see `# Panics` above): internal stores
             // only target registers declared at reset.
             // plugvolt-lint: allow(no-unwrap-in-lib)
             .unwrap_or_else(|| panic!("internal store to unimplemented {msr}"));
         *slot = value;
     }
+}
+
+/// The value slot of `msr` in a register list, if implemented.
+fn slot(regs: &mut [(Msr, u64)], msr: Msr) -> Option<&mut u64> {
+    regs.iter_mut()
+        .find_map(|(m, value)| (*m == msr).then_some(value))
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use plugvolt_cpu::model::CpuModel;
 use plugvolt_kernel::machine::{Machine, MachineError};
 use plugvolt_telemetry::Sink;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Harness configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,7 +96,7 @@ fn scaled(bench: &Benchmark, divisor: u64) -> Benchmark {
 pub fn measure_benchmark(
     bench: &Benchmark,
     cfg: &OverheadConfig,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
 ) -> Result<Table2Row, MachineError> {
     measure_benchmark_with(bench, cfg, map, None)
 }
@@ -109,7 +110,7 @@ pub fn measure_benchmark(
 pub fn measure_benchmark_with(
     bench: &Benchmark,
     cfg: &OverheadConfig,
-    map: &CharacterizationMap,
+    map: &Arc<CharacterizationMap>,
     telemetry: Option<&Sink>,
 ) -> Result<Table2Row, MachineError> {
     let b = scaled(bench, cfg.work_divisor);
@@ -131,7 +132,7 @@ pub fn measure_benchmark_with(
             machine.set_telemetry(sink.clone());
         }
         if with_polling {
-            let (module, _stats) = PollingModule::new(map.clone(), cfg.poll.clone());
+            let (module, _stats) = PollingModule::new(Arc::clone(map), cfg.poll.clone());
             machine.load_module(Box::new(module))?;
         }
         let score = run_rate(&mut machine, &b, tuning);
@@ -174,7 +175,7 @@ pub fn run_table2_with(
     cfg: &OverheadConfig,
     telemetry: Option<&Sink>,
 ) -> Result<Table2, MachineError> {
-    let map = analytic_map(&cfg.model.spec());
+    let map = Arc::new(analytic_map(&cfg.model.spec()));
     let mut rows = Vec::with_capacity(SUITE.len());
     for bench in &SUITE {
         rows.push(measure_benchmark_with(bench, cfg, &map, telemetry)?);
@@ -211,7 +212,7 @@ mod tests {
     #[test]
     fn single_benchmark_overhead_is_small_and_real() {
         let c = cfg();
-        let map = analytic_map(&c.model.spec());
+        let map = Arc::new(analytic_map(&c.model.spec()));
         let row = measure_benchmark(find("bwaves").unwrap(), &c, &map).unwrap();
         // Rates are in the anchor's neighbourhood.
         assert!((row.base_without - 628.59).abs() / 628.59 < 0.01);

@@ -1,6 +1,6 @@
 //! Randomized property tests over the core invariants of the
-//! reproduction: MSR codecs, characterization-map classification,
-//! timing physics, the fault sampler and the VR.
+//! reproduction: MSR codecs and the register file, characterization-map
+//! classification, timing physics, the fault sampler and the VR.
 //!
 //! Cases are driven by the workspace's own seeded [`SimRng`] instead of
 //! an external property-testing crate, so the suite stays hermetic and
@@ -22,9 +22,12 @@ use plugvolt_cpu::ucode_blob::UpdateBlob;
 use plugvolt_cpu::vr::VoltageRegulator;
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::time::{SimDuration, SimTime};
+use plugvolt_msr::addr::Msr;
+use plugvolt_msr::file::{MsrError, MsrFile, MsrInterceptor, WriteDisposition, WriteOutcome};
 use plugvolt_msr::oc_mailbox::{encode_offset_request, OcRequest, Plane};
 use plugvolt_msr::offset_limit::VoltageOffsetLimit;
 use plugvolt_msr::perf_status::PerfStatus;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Cases per property; every draw below is deterministic, so the suite
 /// exercises the same inputs on every run.
@@ -140,6 +143,80 @@ fn offset_limit_clamp_is_idempotent_and_bounded() {
     });
 }
 
+/// Clamps every written value to at most `limit`.
+struct ClampTo {
+    limit: u64,
+}
+
+impl MsrInterceptor for ClampTo {
+    fn name(&self) -> &str {
+        "clamp-to"
+    }
+
+    fn on_write(&mut self, _msr: Msr, value: u64) -> WriteDisposition {
+        if value > self.limit {
+            WriteDisposition::Clamp(self.limit)
+        } else {
+            WriteDisposition::Allow
+        }
+    }
+}
+
+#[test]
+fn msr_file_matches_a_tree_model() {
+    // Differential check of the register file against a `BTreeMap`
+    // model: `#GP` on unimplemented addresses, re-implementing resets,
+    // stores bypass the chain, and a clamping interceptor rewrites.
+    let pool: Vec<Msr> = (0..12).map(|i| Msr(0x100 + 7 * i)).collect();
+    cases("msr_file_differential", |g| {
+        let clamp = (g.u32_in(0, 1) == 1).then(|| g.u64_in(0, 1_000));
+        let mut file = MsrFile::new();
+        if let Some(limit) = clamp {
+            file.add_interceptor(Box::new(ClampTo { limit }));
+        }
+        let mut model: BTreeMap<Msr, u64> = BTreeMap::new();
+        for _ in 0..g.usize_in(1, 60) {
+            let msr = pool[g.usize_in(0, pool.len() - 1)];
+            let value = g.u64_in(0, 2_000);
+            match g.u32_in(0, 3) {
+                0 => {
+                    file.implement(msr, value);
+                    model.insert(msr, value);
+                }
+                1 => {
+                    let expected = match model.get_mut(&msr) {
+                        None => Err(MsrError::GeneralProtection { msr }),
+                        Some(slot) => {
+                            *slot = clamp.map_or(value, |limit| value.min(limit));
+                            Ok(WriteOutcome::Written { stored: *slot })
+                        }
+                    };
+                    assert_eq!(file.wrmsr(msr, value), expected, "wrmsr {msr}");
+                }
+                2 => {
+                    if let Some(slot) = model.get_mut(&msr) {
+                        file.store_internal(msr, value);
+                        *slot = value;
+                    }
+                }
+                _ => {}
+            }
+            let expected = model
+                .get(&msr)
+                .copied()
+                .ok_or(MsrError::GeneralProtection { msr });
+            assert_eq!(file.rdmsr(msr), expected, "rdmsr {msr}");
+        }
+        for &msr in &pool {
+            let expected = model
+                .get(&msr)
+                .copied()
+                .ok_or(MsrError::GeneralProtection { msr });
+            assert_eq!(file.rdmsr(msr), expected, "final rdmsr {msr}");
+        }
+    });
+}
+
 // ---------- characterization map ----------
 
 #[test]
@@ -232,6 +309,106 @@ fn maximal_safe_state_classifies_safe_everywhere() {
             );
         }
     });
+}
+
+/// The reference governing band: the exact band, else the shallower of
+/// the two neighbours, else the lowest band below the range; `None`
+/// above the highest band.
+fn reference_governing_band(bands: &BTreeMap<u32, FreqBand>, mhz: u32) -> Option<FreqBand> {
+    let shallower = |a: Option<i32>, b: Option<i32>| match (a, b) {
+        (Some(x), Some(y)) => Some(x.max(y)),
+        (x, None) | (None, x) => x,
+    };
+    if let Some(&band) = bands.get(&mhz) {
+        return Some(band);
+    }
+    let above = bands.range(mhz..).next().map(|(_, &b)| b)?;
+    Some(match bands.range(..mhz).next_back() {
+        Some((_, &below)) => FreqBand {
+            fault_onset_mv: shallower(below.fault_onset_mv, above.fault_onset_mv),
+            crash_mv: shallower(below.crash_mv, above.crash_mv),
+        },
+        None => above,
+    })
+}
+
+/// The reference classification over [`reference_governing_band`].
+fn reference_classify(band: Option<FreqBand>, floor_mv: i32, offset_mv: i32) -> StateClass {
+    if offset_mv >= 0 {
+        return StateClass::Safe;
+    }
+    let Some(band) = band else {
+        return StateClass::Unsafe;
+    };
+    if band.crash_mv.is_some_and(|c| offset_mv <= c) {
+        StateClass::Crash
+    } else if band.fault_onset_mv.is_some_and(|o| offset_mv <= o) || offset_mv < floor_mv {
+        StateClass::Unsafe
+    } else {
+        StateClass::Safe
+    }
+}
+
+#[test]
+fn charmap_classify_matches_a_tree_reference() {
+    // Every table frequency of every model, ±150 MHz in 25 MHz steps:
+    // grid frequencies take the map's index, the rest its search.
+    let freqs: BTreeSet<u32> = CpuModel::ALL
+        .iter()
+        .flat_map(|m| m.spec().freq_table.iter().collect::<Vec<_>>())
+        .flat_map(|f| (0..=12).map(move |k| f.mhz() - 150 + 25 * k))
+        .collect();
+    // Each case checks every frequency at every offset, so fewer cases
+    // than the other properties still cover thousands of maps' points.
+    for case in 0..CASES / 8 {
+        let mut g = Gen::new("charmap_differential", case);
+        let floor = g.i32_in(-400, -50);
+        let mut map = CharacterizationMap::new("prop", 0, floor);
+        let mut bands: BTreeMap<u32, FreqBand> = BTreeMap::new();
+        let check = |map: &CharacterizationMap, bands: &BTreeMap<u32, FreqBand>| {
+            for &mhz in &freqs {
+                let band = reference_governing_band(bands, mhz);
+                assert_eq!(map.governing_band(FreqMhz(mhz)), band, "{mhz} MHz");
+                for offset in -400..=5 {
+                    assert_eq!(
+                        map.classify(FreqMhz(mhz), offset),
+                        reference_classify(band, floor, offset),
+                        "{mhz} MHz at {offset} mV"
+                    );
+                }
+            }
+        };
+        // Bands arrive in two batches with a lookup between, so the
+        // second batch must invalidate an index the first one built.
+        for batch in 0..2 {
+            for _ in 0..g.usize_in(0, 5) {
+                let mhz = if g.u32_in(0, 2) == 0 {
+                    g.u32_in(300, 5_000)
+                } else {
+                    100 * g.u32_in(3, 50)
+                };
+                let onset = (g.u32_in(0, 4) > 0).then(|| g.i32_in(-350, -10));
+                let crash = (g.u32_in(0, 4) > 0).then(|| onset.unwrap_or(-300) - g.i32_in(0, 60));
+                let band = FreqBand {
+                    fault_onset_mv: onset,
+                    crash_mv: crash,
+                };
+                map.insert_band(FreqMhz(mhz), band);
+                bands.insert(mhz, band);
+            }
+            if batch == 0 {
+                check(&map, &bands);
+            }
+        }
+        check(&map, &bands);
+        // The index is not part of the artifact: a round trip is
+        // byte-identical and classifies the same.
+        let json = serde_json::to_string(&map).expect("encodes");
+        let back: CharacterizationMap = serde_json::from_str(&json).expect("decodes");
+        assert_eq!(serde_json::to_string(&back).expect("re-encodes"), json);
+        assert_eq!(back, map);
+        check(&back, &bands);
+    }
 }
 
 // ---------- circuit physics ----------
