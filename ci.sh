@@ -6,23 +6,23 @@
 # pre-push check can never disagree.
 #
 #   1. formatting          cargo fmt --check
-#   2. static analysis     plugvolt-lint SARIF + baseline ratchet gate
-#   3. telemetry lint      plugvolt-lint --root crates/telemetry
-#   4. lint-wall coverage  every workspace member opts into [workspace.lints]
-#   5. hygiene             no build artifacts tracked by git
-#   6. build               cargo build --release (whole workspace)
-#   7. host probe          cargo build --release -p plugvolt-hal
-#   8. rustdoc             cargo doc --no-deps --workspace, warnings denied
-#   9. tests               cargo test -q (tier-1 suite + all members)
-#  10. perfbench self-test cargo test on perfbench/ (the registered
+#   2. static analysis     plugvolt-lint --workspace, SARIF; zero
+#                          unsuppressed error findings
+#   3. lint-wall coverage  every workspace member opts into [workspace.lints]
+#   4. hygiene             no build artifacts tracked by git
+#   5. build               cargo build --release (whole workspace)
+#   6. host probe          cargo build --release -p plugvolt-hal
+#   7. rustdoc             cargo doc --no-deps --workspace, warnings denied
+#   8. tests               cargo test -q (tier-1 suite + all members)
+#   9. perfbench self-test cargo test on perfbench/ (the registered
 #                          benchmark's rebuilt entry points == library)
-#  11. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
-#  12. soak gate           plugvolt-cli soak --smoke + corpus replay
-#  13. trace replay gate   committed MSR transcript's campaign recorded
+#  10. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
+#  11. soak gate           plugvolt-cli soak --smoke + corpus replay
+#  12. trace replay gate   committed MSR transcript's campaign recorded
 #                          again and compared event for event (tape-clean
 #                          + oracles + sim-differential byte identity:
 #                          every poll tick fired vs quiet ticks folded)
-#  14. golden gate         results/ regenerate bit-for-bit vs golden.manifest
+#  13. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -38,24 +38,19 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all --check
 
-step "plugvolt-lint --workspace (SARIF + baseline ratchet)"
-# Whole-workspace scan: symbol index, call graph, and the cross-file
-# rules, reported as SARIF 2.1.0 and gated by the committed baseline.
-# The exit status is the gate: a new error-severity finding fails, and
-# so does a stale baseline entry whose finding has been fixed — the
-# ratchet only shrinks. The SARIF log lands in target/plugvolt-lint.sarif
-# and is uploaded as a CI artifact; the baseline gates the exit code but
-# never censors the report. Suppressions: // plugvolt-lint: allow(<rule>)
+step "plugvolt-lint --workspace (SARIF)"
+# Whole-workspace scan: every .rs file in the tree (crates/telemetry
+# included; the scan walks the file tree, not the cargo member list),
+# the symbol index, the call graph and the cross-file rules, reported
+# as SARIF 2.1.0. The exit status is the gate: any unsuppressed
+# error-severity finding fails. An accepted finding carries
+# `// plugvolt-lint: allow(<rule>) <why>`; a suppression that no longer
+# silences anything is itself an error (unused-suppression), so accepted
+# findings only shrink. The SARIF log lands in target/plugvolt-lint.sarif
+# and is uploaded as a CI artifact.
 mkdir -p target
 cargo run -q -p plugvolt-analysis --bin plugvolt-lint -- --workspace \
-    --format sarif --baseline results/lint-baseline.json \
-    > target/plugvolt-lint.sarif
-
-step "plugvolt-lint crates/telemetry"
-# The telemetry crate instruments every hot path; hold it to the same
-# determinism gate explicitly so a workspace-list regression cannot
-# silently skip it.
-cargo run -q -p plugvolt-analysis --bin plugvolt-lint -- --root crates/telemetry --json
+    --format sarif > target/plugvolt-lint.sarif
 
 step "every member opts into workspace lints"
 # Portable replacement for the old GNU-only `grep -Pzq` probe, and it

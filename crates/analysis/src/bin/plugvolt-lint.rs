@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! plugvolt-lint [--workspace | --root <path>] [--format human|json|sarif]
-//!               [--baseline <path>] [--write-baseline <path>]
 //!               [--min-severity <s>] [--rule <id>]... [--list-rules]
 //!               [--check-workspace-lints]
 //! ```
 //!
-//! Exit codes: `0` clean (no error-severity findings outside the
-//! baseline), `1` gate failed, `2` usage or I/O error.
+//! Exit codes: `0` clean (no unsuppressed error-severity findings),
+//! `1` gate failed, `2` usage or I/O error.
 
 use plugvolt_analysis::{
-    all_rule_metas, baseline, check_workspace_lints_opt_in, human_report, json_report,
-    sarif_report, scan_workspace, ScanOptions, Severity,
+    all_rule_metas, check_workspace_lints_opt_in, human_report, json_report, sarif_report,
+    scan_workspace, ScanOptions, Severity,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,8 +30,6 @@ struct Args {
     only_rules: Vec<String>,
     list_rules: bool,
     check_workspace_lints: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
@@ -40,7 +37,6 @@ fn usage() -> &'static str {
      \n\
      USAGE:\n\
      \x20 plugvolt-lint [--workspace] [--root <path>] [--format human|json|sarif]\n\
-     \x20               [--baseline <path>] [--write-baseline <path>]\n\
      \x20               [--min-severity info|warning|error] [--rule <id>]...\n\
      \x20               [--list-rules]\n\
      \n\
@@ -49,11 +45,6 @@ fn usage() -> &'static str {
      \x20 --root <path>      scan an explicit directory instead\n\
      \x20 --format <f>       report format: human (default), json, sarif\n\
      \x20 --json             shorthand for --format json\n\
-     \x20 --baseline <path>  ratchet gate: fail on error findings not in the\n\
-     \x20                    committed baseline, and on stale baseline entries\n\
-     \x20 --write-baseline <path>\n\
-     \x20                    write the current error findings as a baseline\n\
-     \x20                    (justifications must be edited in) and exit\n\
      \x20 --min-severity <s> hide findings below this severity in output\n\
      \x20 --rule <id>        run only the named rule (repeatable)\n\
      \x20 --list-rules       print the rule registry and exit\n\
@@ -61,8 +52,8 @@ fn usage() -> &'static str {
      \x20                    verify every workspace member's Cargo.toml\n\
      \x20                    opts into `[lints] workspace = true`, then exit\n\
      \n\
-     Suppress a finding with `// plugvolt-lint: allow(<rule-id>)` on the\n\
-     offending line or alone on the line above it; a suppression that\n\
+     Accept a finding with `// plugvolt-lint: allow(<rule-id>) <why>` on\n\
+     the offending line or alone on the line above it; a suppression that\n\
      silences nothing is itself a finding (unused-suppression).\n"
 }
 
@@ -74,8 +65,6 @@ fn parse_args() -> Result<Args, String> {
         only_rules: Vec::new(),
         list_rules: false,
         check_workspace_lints: false,
-        baseline: None,
-        write_baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -94,14 +83,6 @@ fn parse_args() -> Result<Args, String> {
                     "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 };
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => {
-                let v = it.next().ok_or("--write-baseline needs a path")?;
-                args.write_baseline = Some(PathBuf::from(v));
             }
             "--min-severity" => {
                 let v = it.next().ok_or("--min-severity needs a value")?;
@@ -203,62 +184,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &args.write_baseline {
-        let text = baseline::write_baseline(&result.findings);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote {} baseline entr{} to {} — edit the justifications before committing",
-            result.count(Severity::Error),
-            if result.count(Severity::Error) == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Gate: with a baseline, the ratchet decides; without, any error
-    // finding fails.
-    let gate_passes = match &args.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: reading baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let entries = match baseline::parse(&text) {
-                Ok(e) => e,
-                Err(e) => {
-                    eprintln!("error: baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let diff = baseline::diff(&result.findings, &entries);
-            for f in &diff.new {
-                eprintln!(
-                    "baseline: NEW error finding {}:{}:{} [{}] {}",
-                    f.path, f.line, f.column, f.rule, f.message
-                );
-            }
-            for e in &diff.stale {
-                eprintln!(
-                    "baseline: STALE entry [{}] {} `{}` — the finding is gone; \
-                     delete the entry (the ratchet only shrinks)",
-                    e.rule, e.path, e.snippet
-                );
-            }
-            diff.passes()
-        }
-        None => result.passes_gate(),
-    };
-
+    // The gate reads every finding; --min-severity only trims the report.
+    let gate_passes = result.passes_gate();
     result.findings.retain(|f| f.severity >= args.min_severity);
     match args.format {
         Format::Json => print!("{}", json_report(&result)),

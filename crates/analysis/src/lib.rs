@@ -15,15 +15,17 @@
 //! string literals, tracks `#[cfg(test)]` spans, then runs two rule
 //! registries: per-file rules over every Rust file, and workspace rules
 //! over an item-granularity symbol index + call graph built from all of
-//! them ([`items`], [`index`], [`callgraph`], [`workspace`]). Findings
-//! carry a severity; the tier-1 test `tests/static_analysis.rs` asserts
-//! the tree has zero error-severity findings outside the committed
-//! baseline ratchet ([`baseline`], `results/lint-baseline.json`), making
-//! the gate part of the build contract rather than advice.
+//! them ([`items`], [`index`], [`callgraph`], [`workspace`]). Every rule
+//! id has exactly one implementation, in one of the two registries.
+//! Findings carry a severity; the tier-1 test `tests/static_analysis.rs`
+//! asserts the tree has zero unsuppressed error-severity findings,
+//! making the gate part of the build contract rather than advice.
 //!
-//! Suppression is per line: `// plugvolt-lint: allow(rule-id)` on the
-//! offending line, or alone on the line directly above it. A suppression
-//! that silences nothing is itself a finding (`unused-suppression`).
+//! Suppression is per line, and it is the one way to accept a finding:
+//! `// plugvolt-lint: allow(rule-id) <justification>` on the offending
+//! line, or alone on the line directly above it. A suppression that
+//! silences nothing is itself an error finding (`unused-suppression`),
+//! so accepted findings can only shrink.
 //!
 //! # Examples
 //!
@@ -40,7 +42,6 @@
 //! assert!(registry().len() >= 6);
 //! ```
 
-pub mod baseline;
 pub mod callgraph;
 pub mod findings;
 pub mod index;
@@ -54,7 +55,6 @@ pub mod source;
 pub mod workspace;
 pub mod wsrules;
 
-pub use baseline::{diff as baseline_diff, BaselineDiff, BaselineEntry};
 pub use callgraph::{CallGraph, CallSite};
 pub use findings::{Finding, Severity};
 pub use index::{FnId, FnSymbol, SymbolIndex};

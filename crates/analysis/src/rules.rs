@@ -1,4 +1,4 @@
-//! The lint registry: the per-file determinism & MSR-safety rules.
+//! The lint registry: the per-file determinism rules.
 //!
 //! Each rule documents its paper rationale inline; the README's "Static
 //! analysis & determinism guarantees" section mirrors this table.
@@ -51,18 +51,16 @@ pub fn emit(
     });
 }
 
-/// The full rule registry, in reporting order.
+/// The per-file rule registry, in reporting order.
 #[must_use]
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NoWallClock),
         Box::new(NoAmbientRng),
         Box::new(NoUnorderedIteration),
-        Box::new(MsrWriteDiscipline),
         Box::new(NoUnwrapInLib),
         Box::new(FloatAccumulationOrder),
         Box::new(MachineConstructionDiscipline),
-        Box::new(HotPathTranscendentals),
         Box::new(NoGlobalSwitch),
     ]
 }
@@ -236,83 +234,6 @@ impl Rule for NoUnorderedIteration {
             }
         }
     }
-}
-
-/// Rule 4 — `msr-write-discipline`.
-///
-/// The software analogue of the paper's Sec. 5 microcode/hardware clamp:
-/// every undervolt request must pass through `plugvolt-msr`'s
-/// `offset_limit` choke point. Raw `0x150`/`0x198` literals outside
-/// `crates/msr` are bypasses waiting to happen — V0LTpwn worked because
-/// undervolting paths existed that no single clamp covered.
-pub struct MsrWriteDiscipline;
-
-impl Rule for MsrWriteDiscipline {
-    fn meta(&self) -> RuleMeta {
-        RuleMeta {
-            id: "msr-write-discipline",
-            severity: Severity::Error,
-            summary: "raw MSR 0x150/0x198 literals and direct package rdmsr/wrmsr calls \
-                      banned outside the blessed msr wrappers (workspace rule adds \
-                      call-graph detection); go through the offset_limit clamp",
-        }
-    }
-
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.crate_name == "msr" {
-            return;
-        }
-        for literal in ["0x150", "0x198"] {
-            for (line, column) in find_hex_literal(file, literal) {
-                emit(
-                    file,
-                    self.meta(),
-                    line,
-                    column,
-                    format!(
-                        "raw MSR literal `{literal}` outside crates/msr bypasses the \
-                         offset_limit clamp (the Sec. 5 choke point); use \
-                         plugvolt_msr::addr::Msr::{} instead",
-                        if literal == "0x150" {
-                            "OC_MAILBOX"
-                        } else {
-                            "IA32_PERF_STATUS"
-                        }
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Finds a hex literal token (case-insensitive on the payload digits),
-/// rejecting matches embedded in longer literals like `0x1500`.
-pub(crate) fn find_hex_literal(file: &SourceFile, literal: &str) -> Vec<(usize, usize)> {
-    let mut hits = Vec::new();
-    let lower = literal.to_ascii_lowercase();
-    for (i, line) in file.masked.iter().enumerate() {
-        let hay = line.to_ascii_lowercase();
-        let mut start = 0;
-        while let Some(pos) = hay[start..].find(&lower) {
-            let at = start + pos;
-            let before_ok = at == 0
-                || !hay[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            let after = at + lower.len();
-            let after_ok = !hay[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_hexdigit() || c == '_');
-            if before_ok && after_ok {
-                hits.push((i + 1, at + 1));
-            }
-            start = at + lower.len();
-        }
-    }
-    hits
 }
 
 /// Rule 5 — `no-unwrap-in-lib`.
@@ -535,75 +456,6 @@ impl Rule for MachineConstructionDiscipline {
     }
 }
 
-/// Rule 8 — `hot-path-transcendentals`.
-///
-/// The simulator's per-batch hot paths (`run_batch*`, `run_imul*`,
-/// `poll*`) are called millions of times per characterization sweep;
-/// the slack-table refactor exists precisely so they never evaluate the
-/// alpha-power delay model (`powf`) or the fault-band sigmoid
-/// (`exp`/`ln`) inline. A transcendental call creeping back into one of
-/// those functions silently undoes the optimization — the results stay
-/// identical, only the sweep gets slow again — so the lint, not a perf
-/// regression six PRs later, is what catches it. The table-build module
-/// (`crates/cpu/src/slack.rs`) is exempt: it is the one place allowed
-/// to pay the analytic cost, once per process.
-pub struct HotPathTranscendentals;
-
-/// Function-name prefixes whose bodies count as batch hot paths.
-const HOT_PATH_FN_PREFIXES: [&str; 3] = ["run_batch", "run_imul", "poll"];
-
-impl Rule for HotPathTranscendentals {
-    fn meta(&self) -> RuleMeta {
-        RuleMeta {
-            id: "hot-path-transcendentals",
-            severity: Severity::Error,
-            summary: "powf/exp/ln calls banned in code reachable from the \
-                      characterize*/run_cells/run_batch*/run_imul*/poll* entry \
-                      points (call-graph reachability); precompute via the slack table",
-        }
-    }
-
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if !is_sim_crate(file) || file.path == "crates/cpu/src/slack.rs" {
-            return;
-        }
-        let enclosing = enclosing_fn_names(file);
-        for ident in ["powf", "exp", "ln"] {
-            for (line, column) in file.find_ident(ident) {
-                if file.is_test_code(line) {
-                    continue;
-                }
-                // Only method-call position (`.powf(`, `.exp()`, `.ln()`):
-                // bare identifiers named `exp`/`ln` are not transcendentals.
-                let text = &file.masked[line - 1];
-                let is_method = text[..column - 1].trim_end().ends_with('.');
-                let is_call = text[column - 1 + ident.len()..].starts_with('(');
-                if !(is_method && is_call) {
-                    continue;
-                }
-                let Some(fn_name) = &enclosing[line - 1] else {
-                    continue;
-                };
-                if !HOT_PATH_FN_PREFIXES.iter().any(|p| fn_name.starts_with(p)) {
-                    continue;
-                }
-                emit(
-                    file,
-                    self.meta(),
-                    line,
-                    column,
-                    format!(
-                        "`.{ident}()` inside hot path `{fn_name}`: batch loops must not \
-                         evaluate transcendentals per call — precompute the value in the \
-                         slack table (crates/cpu/src/slack.rs) or hoist it out of the loop"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
 /// Rule 12 — `no-global-switch`.
 ///
 /// Configuration is a value, not a process global. A `static` atomic in
@@ -672,63 +524,6 @@ fn static_item_type(after_static: &str) -> Option<&str> {
     (!last.is_empty()).then_some(last)
 }
 
-/// For each line, the name of the innermost enclosing `fn`, tracked by
-/// brace depth over the masked source (strings and comments are already
-/// blanked, so every brace is structural).
-fn enclosing_fn_names(file: &SourceFile) -> Vec<Option<String>> {
-    let mut result = Vec::with_capacity(file.masked.len());
-    let mut depth = 0usize;
-    // (fn name, depth of its body's opening brace)
-    let mut stack: Vec<(String, usize)> = Vec::new();
-    // A declared fn whose body brace has not opened yet (signature may
-    // span lines).
-    let mut pending: Option<String> = None;
-    for masked in &file.masked {
-        result.push(stack.last().map(|(name, _)| name.clone()));
-        // One in-order pass: `fn` declarations and braces must be seen
-        // in source order, or `impl Foo { fn bar() {` would attach the
-        // pending name to the impl block's brace.
-        let bytes = masked.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' => {
-                    depth += 1;
-                    if let Some(name) = pending.take() {
-                        stack.push((name, depth));
-                    }
-                    i += 1;
-                }
-                b'}' => {
-                    if stack.last().is_some_and(|(_, d)| *d == depth) {
-                        stack.pop();
-                    }
-                    depth = depth.saturating_sub(1);
-                    i += 1;
-                }
-                b'f' if masked[i..].starts_with("fn ") => {
-                    let token_ok = i == 0
-                        || !masked[..i]
-                            .chars()
-                            .next_back()
-                            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-                    let name: String = masked[i + 3..]
-                        .trim_start()
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if token_ok && !name.is_empty() {
-                        pending = Some(name);
-                    }
-                    i += 3;
-                }
-                _ => i += 1,
-            }
-        }
-    }
-    result
-}
-
 /// For a masked line like `let totals: HashMap<…> = …` or
 /// `let mut seen = HashSet::new()`, the bound identifier.
 fn binding_name(masked_line: &str) -> Option<String> {
@@ -765,62 +560,6 @@ mod tests {
             "use crate::time::SimTime;\npub fn tick(t: SimTime) -> SimTime { t }\n",
         );
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn hex_literal_boundaries() {
-        let file = SourceFile::new("crates/cpu/src/x.rs", "let a = 0x1500; let b = 0x150;\n");
-        let hits = find_hex_literal(&file, "0x150");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0], (1, 25));
-    }
-
-    #[test]
-    fn hot_path_transcendentals_flags_only_hot_fns() {
-        let src = "pub fn run_batch(v: f64) -> f64 {\n    v.powf(2.0)\n}\n\
-                   pub fn build_table(v: f64) -> f64 {\n    v.powf(2.0)\n}\n\
-                   pub fn poll_core(p: f64) -> f64 {\n    (-p).exp()\n}\n";
-        let findings = scan("crates/cpu/src/package.rs", src);
-        let hits: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "hot-path-transcendentals")
-            .collect();
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
-        assert_eq!(hits[1].line, 8);
-    }
-
-    #[test]
-    fn hot_path_transcendentals_exempts_table_build_and_non_sim() {
-        let src = "pub fn run_imul_loop(v: f64) -> f64 {\n    v.exp()\n}\n";
-        // The table-build module is the sanctioned analytic site.
-        assert!(scan("crates/cpu/src/slack.rs", src)
-            .iter()
-            .all(|f| f.rule != "hot-path-transcendentals"));
-        // Non-simulation crates are out of scope.
-        assert!(scan("crates/bench/src/perf.rs", src)
-            .iter()
-            .all(|f| f.rule != "hot-path-transcendentals"));
-        // Bare identifiers named `exp`/`ln` are not method calls.
-        let src = "pub fn poll_once(exp: f64, ln: f64) -> f64 {\n    exp + ln\n}\n";
-        assert!(scan("crates/core/src/poll.rs", src)
-            .iter()
-            .all(|f| f.rule != "hot-path-transcendentals"));
-    }
-
-    #[test]
-    fn enclosing_fn_tracking_handles_inline_impl_braces() {
-        let file = SourceFile::new(
-            "crates/cpu/src/x.rs",
-            "impl Foo { fn run_batch(&self) {\n    self.v.powf(2.0);\n} }\n\
-             fn outside(v: f64) -> f64 { v.powf(2.0) }\n",
-        );
-        let names = enclosing_fn_names(&file);
-        assert_eq!(names[1].as_deref(), Some("run_batch"));
-        let mut out = Vec::new();
-        HotPathTranscendentals.check(&file, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].line, 2);
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! rules over the assembled [`Workspace`]. Suppression comments are
 //! applied *centrally* here — rules report unconditionally — so the
 //! runner knows which comments actually fired and can flag the rest
-//! through the `unused-suppression` pseudo-rule. Findings sharing
-//! (path, line, column, rule) are deduplicated keeping the earliest
-//! producer (per-file before workspace), which makes the re-grounded
-//! rules 4/8 a strict superset of their per-file halves.
+//! through the `unused-suppression` pseudo-rule.
 
 use crate::findings::{Finding, Severity};
 use crate::rules::registry;
@@ -168,9 +165,6 @@ pub fn scan_files(files: Vec<SourceFile>, options: &ScanOptions) -> ScanResult {
         }
     }
 
-    // Stable sort + dedup: per-file findings were pushed first, so when
-    // the workspace half of rules 4/8 re-reports a site the per-file
-    // message wins and the finding appears once.
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.column, a.rule).cmp(&(
             b.path.as_str(),
@@ -178,9 +172,6 @@ pub fn scan_files(files: Vec<SourceFile>, options: &ScanOptions) -> ScanResult {
             b.column,
             b.rule,
         ))
-    });
-    findings.dedup_by(|a, b| {
-        (a.path.as_str(), a.line, a.column, a.rule) == (b.path.as_str(), b.line, b.column, b.rule)
     });
     ScanResult {
         files_scanned,
@@ -208,18 +199,11 @@ pub fn scan_strs(sources: &[(&str, &str)]) -> ScanResult {
 }
 
 /// Every rule id the engine knows, in reporting order: per-file rules,
-/// then workspace-only rules, then the `unused-suppression` pseudo-rule.
-/// Ids shared between a per-file rule and its workspace half appear
-/// once (the per-file metadata wins).
+/// then workspace rules, then the `unused-suppression` pseudo-rule.
 #[must_use]
 pub fn all_rule_metas() -> Vec<crate::rules::RuleMeta> {
     let mut metas: Vec<crate::rules::RuleMeta> = registry().iter().map(|r| r.meta()).collect();
-    for rule in workspace_registry() {
-        let meta = rule.meta();
-        if metas.iter().all(|m| m.id != meta.id) {
-            metas.push(meta);
-        }
-    }
+    metas.extend(workspace_registry().iter().map(|r| r.meta()));
     metas.push(UNUSED_SUPPRESSION_META);
     metas
 }

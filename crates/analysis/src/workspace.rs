@@ -53,11 +53,8 @@ impl Workspace {
 
 /// A cross-file rule: runs once over the whole [`Workspace`].
 pub trait WorkspaceRule: Sync {
-    /// The rule's metadata. Two workspace rules deliberately share ids
-    /// with per-file rules 4/8 (`msr-write-discipline`,
-    /// `hot-path-transcendentals`): they are the call-graph re-grounding
-    /// of the same contract, and suppressing the id silences both
-    /// halves.
+    /// The rule's metadata. Its id is shared with no other rule, per-file
+    /// or workspace.
     fn meta(&self) -> RuleMeta;
 
     /// Appends findings to `out`. As with per-file rules, suppression

@@ -1,5 +1,6 @@
-//! Cross-file rules over the [`Workspace`] model: the call-graph
-//! re-grounding of rules 4/8 plus the four workspace-only rules.
+//! Cross-file rules over the [`Workspace`] model: seed labels, parallel
+//! merges, the telemetry registry, MSR discipline (rule 4) and hot-path
+//! transcendentals (rule 8).
 //!
 //! All of these chase the same hazard class the paper's countermeasure
 //! depends on eliminating: silent nondeterminism. A duplicate seed
@@ -19,8 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Metadata for the `unused-suppression` pseudo-rule. Its logic lives
 /// in the runner (it needs to know which suppression comments matched a
-/// filtered finding), but it is listed, suppressed and baselined like
-/// any other rule.
+/// filtered finding), but it is listed and suppressed like any other
+/// rule.
 pub const UNUSED_SUPPRESSION_META: RuleMeta = RuleMeta {
     id: "unused-suppression",
     severity: Severity::Error,
@@ -28,17 +29,15 @@ pub const UNUSED_SUPPRESSION_META: RuleMeta = RuleMeta {
               (or names an unknown rule) is itself a finding, so suppressions cannot rot",
 };
 
-/// The workspace-rule registry, in reporting order. The last two share
-/// ids with per-file rules 4/8 — they are the call-graph halves of the
-/// same contract.
+/// The workspace-rule registry, in reporting order.
 #[must_use]
 pub fn workspace_registry() -> Vec<Box<dyn WorkspaceRule>> {
     vec![
         Box::new(SeedLabelUniqueness),
         Box::new(ParallelMergeDeterminism),
         Box::new(TelemetryKeyRegistry),
-        Box::new(MsrDirectAccess),
-        Box::new(HotPathReachability),
+        Box::new(MsrWriteDiscipline),
+        Box::new(HotPathTranscendentals),
     ]
 }
 
@@ -651,44 +650,75 @@ impl WorkspaceRule for TelemetryKeyRegistry {
     }
 }
 
-/// Rule 4 (workspace half) — `msr-write-discipline`.
+/// Rule 4 — `msr-write-discipline`.
 ///
-/// The per-file half bans raw `0x150`/`0x198` literals; this half uses
-/// the symbol index to catch two *call-shaped* bypasses of the HAL
-/// trait seam from outside the blessed hal/msr/kernel/cpu layers:
+/// The software analogue of the paper's Sec. 5 microcode/hardware clamp:
+/// every undervolt request must pass through `plugvolt-msr`'s
+/// `offset_limit` choke point. V0LTpwn worked because undervolting paths
+/// existed that no single clamp covered. Three bypass shapes are flagged:
 ///
-/// 1. `.wrmsr(…)` / `.rdmsr(…)` invoked directly on the CPU package
+/// 1. a raw `0x150`/`0x198` literal anywhere outside `crates/msr` — a
+///    bypass waiting to happen;
+///
+/// and, from outside the blessed hal/msr/kernel/cpu layers, two
+/// *call-shaped* bypasses of the HAL trait seam:
+///
+/// 2. `.wrmsr(…)` / `.rdmsr(…)` invoked directly on the CPU package
 ///    (receiver ends in `cpu()`, `cpu_mut()` or `.cpu`) — skips kernel
 ///    cost accounting and the `offset_limit` clamp choke point, exactly
 ///    the unsanctioned undervolting path the paper's Sec. 5
 ///    countermeasure exists to close;
-/// 2. direct `MsrFile::`/`CpuPackage::` construction — conjures a sim
+/// 3. direct `MsrFile::`/`CpuPackage::` construction — conjures a sim
 ///    register file behind the backend's back instead of going through
 ///    `plugvolt_hal::sim::SimBackend` / `Machine::with_backend`, so the
 ///    access never crosses the recordable seam.
 ///
-/// Benchmarks and test code may do both (they measure/poke the raw
+/// Benchmarks and test code may do 2 and 3 (they measure/poke the raw
 /// substrate on purpose).
-pub struct MsrDirectAccess;
+pub struct MsrWriteDiscipline;
 
 /// Layers allowed to touch the package MSR interface directly: the HAL
 /// itself, the register-file and package crates it abstracts, and the
 /// kernel that mounts the seam.
 const BLESSED_MSR_CRATES: [&str; 4] = ["msr", "kernel", "cpu", "hal"];
 
-impl WorkspaceRule for MsrDirectAccess {
+impl WorkspaceRule for MsrWriteDiscipline {
     fn meta(&self) -> RuleMeta {
         RuleMeta {
             id: "msr-write-discipline",
             severity: Severity::Error,
-            summary: "direct package .wrmsr()/.rdmsr() calls or MsrFile/CpuPackage \
-                      construction outside the blessed hal/msr/kernel/cpu layers \
-                      bypass the HAL seam, cost accounting and the offset_limit clamp",
+            summary: "raw MSR 0x150/0x198 literals outside crates/msr, and direct package \
+                      .wrmsr()/.rdmsr() calls or MsrFile/CpuPackage construction outside \
+                      the blessed hal/msr/kernel/cpu layers; go through the offset_limit clamp",
         }
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
+            if file.crate_name != "msr" {
+                for literal in ["0x150", "0x198"] {
+                    for (line, column) in find_hex_literal(file, literal) {
+                        emit_ws(
+                            ws,
+                            self.meta(),
+                            &file.path,
+                            line,
+                            column,
+                            format!(
+                                "raw MSR literal `{literal}` outside crates/msr bypasses the \
+                                 offset_limit clamp (the Sec. 5 choke point); use \
+                                 plugvolt_msr::addr::Msr::{} instead",
+                                if literal == "0x150" {
+                                    "OC_MAILBOX"
+                                } else {
+                                    "IA32_PERF_STATUS"
+                                }
+                            ),
+                            out,
+                        );
+                    }
+                }
+            }
             if BLESSED_MSR_CRATES.contains(&file.crate_name.as_str())
                 || file.crate_name.starts_with("shims/")
             {
@@ -770,19 +800,52 @@ impl WorkspaceRule for MsrDirectAccess {
     }
 }
 
-/// Rule 8 (workspace half) — `hot-path-transcendentals`.
+/// Finds a hex literal token (case-insensitive on the payload digits),
+/// rejecting matches embedded in longer literals like `0x1500`.
+fn find_hex_literal(file: &SourceFile, literal: &str) -> Vec<(usize, usize)> {
+    let mut hits = Vec::new();
+    let lower = literal.to_ascii_lowercase();
+    for (i, line) in file.masked.iter().enumerate() {
+        let hay = line.to_ascii_lowercase();
+        let mut start = 0;
+        while let Some(pos) = hay[start..].find(&lower) {
+            let at = start + pos;
+            let before_ok = at == 0
+                || !hay[..at]
+                    .chars()
+                    .next_back()
+                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            let after = at + lower.len();
+            let after_ok = !hay[after..]
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_hexdigit() || c == '_');
+            if before_ok && after_ok {
+                hits.push((i + 1, at + 1));
+            }
+            start = at + lower.len();
+        }
+    }
+    hits
+}
+
+/// Rule 8 — `hot-path-transcendentals`.
 ///
-/// The per-file half scans `run_batch*`/`run_imul*`/`poll*` bodies; this
-/// half walks the call graph: any transcendental (`.powf`/`.exp`/`.ln`)
-/// in sim-crate code *reachable* from the characterization entry points
-/// (`characterize*`, `sweep_column*`, `run_cells*`, `run_batch*`,
-/// `run_imul*`, `poll*`) is a hot-path cost, even when it hides two
-/// calls down. `sweep_column` roots the per-column sweep loop itself,
+/// The simulator's per-batch hot paths are called millions of times per
+/// characterization sweep; the slack-table refactor exists precisely so
+/// they never evaluate the alpha-power delay model (`powf`) or the
+/// fault-band sigmoid (`exp`/`ln`) inline. A transcendental creeping
+/// back silently undoes the optimization — the results stay identical,
+/// only the sweep gets slow again — so the lint, not a perf regression
+/// six PRs later, is what catches it. The rule walks the call graph:
+/// any transcendental (`.powf`/`.exp`/`.ln`) in sim-crate code
+/// *reachable* from the characterization entry points (`characterize*`,
+/// `sweep_column*`, `run_cells*`, `run_batch*`, `run_imul*`, `poll*`)
+/// is a hot-path cost, even when it hides two calls down. `sweep_column` roots the per-column sweep loop itself,
 /// which callers reach only through the bench engine's closures.
-/// Traversal stops at
-/// `crates/cpu/src/slack.rs` — the sanctioned table-build module pays
-/// the analytic cost once per process.
-pub struct HotPathReachability;
+/// Traversal stops at `crates/cpu/src/slack.rs` — the sanctioned
+/// table-build module pays the analytic cost once per process.
+pub struct HotPathTranscendentals;
 
 /// Name prefixes that seed the hot-entry set.
 const ENTRY_PREFIXES: [&str; 6] = [
@@ -800,7 +863,7 @@ const BOUNDARY_PATH: &str = "crates/cpu/src/slack.rs";
 /// Transcendental float methods the slack tables exist to precompute.
 const TRANSCENDENTAL_METHODS: [&str; 3] = ["powf", "exp", "ln"];
 
-impl WorkspaceRule for HotPathReachability {
+impl WorkspaceRule for HotPathTranscendentals {
     fn meta(&self) -> RuleMeta {
         RuleMeta {
             id: "hot-path-transcendentals",

@@ -1,6 +1,5 @@
-//! Proves each workspace rule fires on a seeded-violation fixture, that
-//! the sanctioned patterns stay clean, and that the call-graph halves of
-//! rules 4/8 report a superset of the per-file heuristics.
+//! Proves each workspace rule fires on a seeded-violation fixture and
+//! that the sanctioned patterns stay clean.
 //!
 //! Single-file fixtures go through `scan_str` (which builds a one-file
 //! workspace); the telemetry-registry rule needs two files, so its
@@ -192,8 +191,8 @@ fn unreached(x: f64) -> f64 {
 "#;
     let findings = scan_str("crates/circuit/src/fixture.rs", src);
     assert_eq!(rules_hit(&findings), ["hot-path-transcendentals"]);
-    // `stage_two` is two calls below the entry point — the per-file
-    // body scan cannot see it; `unreached` is not flagged.
+    // `stage_two` is two calls below the entry point; `unreached` is not
+    // flagged.
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(findings[0]
         .message
@@ -236,7 +235,7 @@ pub fn drain(machine: &mut Machine) -> u64 {
 
 #[test]
 fn msr_seam_flags_substrate_conjuring_outside_blessed_layers() {
-    // The HAL-seam half of rule 4: `MsrFile::`/`CpuPackage::` paths in
+    // The HAL-seam shape of rule 4: `MsrFile::`/`CpuPackage::` paths in
     // lib code outside hal/msr/kernel/cpu conjure a raw substrate the
     // backend cannot see.
     let src = r#"
@@ -258,11 +257,9 @@ pub fn sneaky() -> CpuPackage {
 }
 
 #[test]
-fn rules_4_and_8_union_per_file_and_workspace_halves() {
-    // One fixture violating both halves of rule 4: the raw-literal
-    // heuristic and the call-shaped workspace detection. The merged scan
-    // must carry both under the same rule id — the workspace half is a
-    // strict superset of the old heuristic, never a replacement.
+fn msr_write_discipline_reports_literal_and_call_bypasses_together() {
+    // One fixture with two bypass shapes of rule 4: a raw literal and a
+    // call-shaped package access. Both surface under the one rule id.
     let src = r#"
 pub fn poke(machine: &mut Machine) {
     let addr = 0x150;
@@ -279,6 +276,57 @@ pub fn poke(machine: &mut Machine) {
     assert!(msr
         .iter()
         .any(|f| f.message.contains("direct package MSR access")));
+}
+
+#[test]
+fn msr_literals_match_whole_tokens_only() {
+    // `0x1500` is a different literal; only the standalone `0x150` hits.
+    let findings = scan_str(
+        "crates/cpu/src/fixture.rs",
+        "let a = 0x1500; let b = 0x150;\n",
+    );
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!((findings[0].line, findings[0].column), (1, 25));
+    assert!(findings[0].message.contains("raw MSR literal `0x150`"));
+}
+
+fn hot_path_lines(path: &str, src: &str) -> Vec<usize> {
+    scan_str(path, src)
+        .iter()
+        .filter(|f| f.rule == "hot-path-transcendentals")
+        .map(|f| f.line)
+        .collect()
+}
+
+#[test]
+fn hot_path_transcendentals_flags_hot_fn_bodies() {
+    // `run_batch*`/`poll*` are entry points themselves; `build_table` is
+    // neither an entry point nor reached from one.
+    let src = "pub fn run_batch(v: f64) -> f64 {\n    v.powf(2.0)\n}\n\
+               pub fn build_table(v: f64) -> f64 {\n    v.powf(2.0)\n}\n\
+               pub fn poll_core(p: f64) -> f64 {\n    (-p).exp()\n}\n";
+    assert_eq!(hot_path_lines("crates/cpu/src/package.rs", src), [2, 8]);
+}
+
+#[test]
+fn hot_path_transcendentals_exempts_table_build_and_non_sim() {
+    let src = "pub fn run_imul_loop(v: f64) -> f64 {\n    v.exp()\n}\n";
+    assert_eq!(hot_path_lines("crates/cpu/src/package.rs", src), [2]);
+    // The table-build module is the sanctioned analytic site.
+    assert!(hot_path_lines("crates/cpu/src/slack.rs", src).is_empty());
+    // Non-simulation crates are out of scope.
+    assert!(hot_path_lines("crates/bench/src/perf.rs", src).is_empty());
+    // Bare identifiers named `exp`/`ln` are not method calls.
+    let src = "pub fn poll_once(exp: f64, ln: f64) -> f64 {\n    exp + ln\n}\n";
+    assert!(hot_path_lines("crates/core/src/poll.rs", src).is_empty());
+}
+
+#[test]
+fn hot_path_transcendentals_handles_inline_impl_braces() {
+    // The method opens on the impl block's line; only its body is hot.
+    let src = "impl Foo { fn run_batch(&self) {\n    self.v.powf(2.0);\n} }\n\
+               fn outside(v: f64) -> f64 { v.powf(2.0) }\n";
+    assert_eq!(hot_path_lines("crates/cpu/src/x.rs", src), [2]);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! cheap, but the machinery, not the slack math, dominates). This
 //! module turns that argument into a measured table: it re-runs the
 //! characterize-grid workload with the span tracer enabled and prints
-//! per-subsystem attribution — deterministic
-//! sim-clock totals next to the (non-golden) host-clock channel — plus
+//! per-subsystem attribution — the (non-golden) host-clock channel
+//! first, then the deterministic sim-clock totals — plus
 //! a registry footer tying the spans back to the hot counters
 //! (slack-table hits vs analytic fallbacks, MSR retirement counts).
 //!
@@ -142,15 +142,20 @@ fn self_ps_by_labels(rows: &[SpanRow], labels: &[&str]) -> u64 {
 
 /// Renders the attribution table plus registry footer as plain text.
 ///
-/// Rows are sorted by descending sim self-time (the attribution
-/// ordering); the percentage column is each row's share of all
-/// self-time, so the column sums to ~100%. The wall column is the
-/// host-clock channel and is explicitly non-golden.
+/// The wall column leads and orders the rows (descending host self
+/// time): it is what the run cost this host, and it is explicitly
+/// non-golden. The sim columns follow; the percentage column is each
+/// row's share of all sim self-time, so it sums to ~100%, and like the
+/// footer's DVFS share it describes the modelled bench, not a host cost.
 #[must_use]
 pub fn render_attribution(a: &Attribution) -> String {
     use std::fmt::Write as _;
     let mut rows = a.rows.clone();
-    rows.sort_by(|x, y| y.self_ps.cmp(&x.self_ps).then(x.path.cmp(&y.path)));
+    rows.sort_by(|x, y| {
+        y.wall_self_ns
+            .cmp(&x.wall_self_ns)
+            .then(x.path.cmp(&y.path))
+    });
     let total_self: u64 = rows.iter().map(|r| r.self_ps).sum();
 
     let mut out = String::new();
@@ -161,11 +166,11 @@ pub fn render_attribution(a: &Attribution) -> String {
     );
     let mut t = TextTable::new([
         "span",
+        "wall self (ms)",
         "count",
         "sim total (ms)",
         "sim self (ms)",
-        "self %",
-        "wall self (ms)",
+        "sim self %",
     ]);
     for r in &rows {
         let pct = if total_self == 0 {
@@ -175,11 +180,11 @@ pub fn render_attribution(a: &Attribution) -> String {
         };
         t.row([
             r.path.clone(),
+            format!("{:.3}", r.wall_self_ns as f64 / 1e6),
             r.count.to_string(),
             format!("{:.3}", r.total_ps as f64 / 1e9),
             format!("{:.3}", r.self_ps as f64 / 1e9),
             format!("{pct:.1}"),
-            format!("{:.3}", r.wall_self_ns as f64 / 1e6),
         ]);
     }
     out.push_str(&t.render());
@@ -196,7 +201,8 @@ pub fn render_attribution(a: &Attribution) -> String {
     let _ = writeln!(
         out,
         "DVFS machinery (offset writes, settle, MSR, VR/queue churn): {:.1}% of sim self-time; \
-         faulted execution windows: {:.1}%",
+         faulted execution windows: {:.1}% (sim-time shares of the modelled bench, not host \
+         cost; host cost is the wall column)",
         share(machinery),
         share(execute)
     );
@@ -251,8 +257,14 @@ mod tests {
         .expect("coarse attribution pass completes");
         let text = render_attribution(&attr);
         assert!(text.contains("hot-path attribution"));
+        // The wall channel leads: it is the first numeric column.
+        let header = text.lines().nth(1).expect("table header");
+        let at = |column: &str| header.find(column).expect("header column");
+        assert!(at("span") < at("wall self (ms)") && at("wall self (ms)") < at("count"));
+        assert!(at("count") < at("sim total (ms)") && at("sim self (ms)") < at("sim self %"));
         assert!(text.contains("characterize/point"));
         assert!(text.contains("DVFS machinery"));
+        assert!(text.contains("sim-time shares of the modelled bench, not host cost"));
         assert!(text.contains("slack-table:"));
         // The sim channel of the table must be reproducible run-to-run
         // (the wall column is not, so compare the profile, not the

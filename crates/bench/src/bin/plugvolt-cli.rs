@@ -470,7 +470,7 @@ fn replay_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(target_os = "linux")]
 fn host_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let reads = parsed(args, "--reads", str::parse::<u32>)?.unwrap_or(64);
-    let period_us = parsed(args, "--period-us", str::parse::<f64>)?.unwrap_or(100.0);
+    let period_us = parsed(args, "--period-us", parse_period_us)?.unwrap_or(100.0);
     let report = plugvolt_hal::host::probe_poll_overhead(reads);
     print!("{}", report.render_text(period_us));
     Ok(())
@@ -488,6 +488,17 @@ fn parse_margin(s: &str) -> Result<i32, String> {
     match s.parse::<i32>() {
         Ok(mv) if mv >= 0 => Ok(mv),
         Ok(_) => Err("a margin is a non-negative mV distance".into()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// A poll period is a span of time, so a NaN, infinite, zero or
+/// negative one is refused rather than printed as a latency.
+#[cfg(target_os = "linux")]
+fn parse_period_us(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(us) if us.is_finite() && us > 0.0 => Ok(us),
+        Ok(_) => Err("a poll period is a finite, positive number of us".into()),
         Err(e) => Err(e.to_string()),
     }
 }

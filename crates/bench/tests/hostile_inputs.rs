@@ -228,3 +228,31 @@ fn repro_refuses_bad_argv_naming_the_token() {
         assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
     }
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_non_positive_or_non_finite_poll_period_is_refused() {
+    // Both used to exit 0 after printing a "worst-case detection
+    // latency" of -5.00 us or NaN us.
+    for period in ["-5", "nan", "0", "inf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_plugvolt-cli"))
+            .args([
+                "soak",
+                "--backend",
+                "host",
+                "--reads",
+                "1",
+                "--period-us",
+                period,
+            ])
+            .output()
+            .expect("run plugvolt-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{period}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("--period-us: invalid value '{period}'")),
+            "{period}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{period}: the probe ran");
+    }
+}

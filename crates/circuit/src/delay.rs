@@ -113,6 +113,7 @@ impl AlphaPowerModel {
     ) -> Self {
         assert!(v_mv > vth_mv, "calibration point must be above threshold");
         assert!(delay_ps > 0.0, "calibration delay must be positive");
+        // plugvolt-lint: allow(hot-path-transcendentals) runs once per model build, not per call
         let shape = (v_mv / 1000.0) / ((v_mv - vth_mv) / 1000.0).powf(alpha);
         AlphaPowerModel::new(delay_ps / shape, vth_mv, alpha)
     }
@@ -143,6 +144,7 @@ impl DelayModel for AlphaPowerModel {
         }
         let v = v_mv / 1000.0;
         let overdrive = (v_mv - self.vth_mv) / 1000.0;
+        // plugvolt-lint: allow(hot-path-transcendentals) fallback for off-table (V,f) points
         self.k_ps * v / overdrive.powf(self.alpha)
     }
 }

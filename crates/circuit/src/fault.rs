@@ -95,6 +95,7 @@ impl FaultModel {
         if slack_ps.is_nan() {
             return 1.0;
         }
+        // plugvolt-lint: allow(hot-path-transcendentals) model definition; batches use the table
         1.0 / (1.0 + (slack_ps / self.band_ps).exp())
     }
 
@@ -192,6 +193,7 @@ pub fn sample_binomial(n: u64, p: f64, rng: &mut SimRng) -> u64 {
     let mut index = 0u64;
     loop {
         let u = rng.next_f64().max(f64::MIN_POSITIVE);
+        // plugvolt-lint: allow(hot-path-transcendentals) one ln() per fault beats n Bernoulli draws
         let skip = (u.ln() / log1m).floor() as u64;
         index = index.saturating_add(skip).saturating_add(1);
         if index > n {

@@ -171,6 +171,7 @@ impl SimRng {
             let u = self.next_f64();
             let v = self.next_f64();
             if u > f64::EPSILON {
+                // plugvolt-lint: allow(hot-path-transcendentals) Box-Muller needs ln(); jitter only
                 return (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos();
             }
         }

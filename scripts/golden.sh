@@ -89,16 +89,12 @@ regenerate() {
 }
 
 # Emits "sha256  relative-path" lines for every artifact under $1,
-# sorted by path so the manifest is stable. results/lint-baseline.json
-# is excluded: it is the static-analysis ratchet — a hand-justified,
-# reviewed file, not a regenerated artifact — and `regenerate` never
-# produces it.
+# sorted by path so the manifest is stable.
 manifest_of() {
     local dir="$1" f
     (
         cd "$dir"
         find . -type f \( -name '*.txt' -o -name '*.json' -o -name '*.jsonl' \) ! -name '.*' \
-            ! -name 'lint-baseline.json' \
             | sed 's|^\./||' | LC_ALL=C sort
     ) | while read -r f; do
         printf '%s  %s\n' "$(sha "$dir/$f")" "$f"

@@ -1,143 +1,132 @@
-//! Tier-1 gate: every error-severity `plugvolt-lint` finding in the
-//! workspace must be covered by the committed baseline ratchet.
+//! Tier-1 gate: the workspace has zero unsuppressed error-severity
+//! `plugvolt-lint` findings.
 //!
 //! This is the test-suite embedding of the same scan `ci.sh` runs via
-//! `cargo run -p plugvolt-analysis --bin plugvolt-lint -- --workspace
-//! --baseline results/lint-baseline.json`: no wall-clock reads or
-//! ambient RNG in simulation crates, no unordered iteration in result
-//! modules, no raw `0x150`/`0x198` MSR literals or call-graph-reachable
-//! direct MSR accesses outside the `crates/msr` choke point (the
-//! software analogue of the paper's Sec. 5 clamp), deterministic
-//! parallel merges, a pinned telemetry key schema, and transcendentals
-//! off the characterization hot paths.
+//! `cargo run -p plugvolt-analysis --bin plugvolt-lint -- --workspace`:
+//! no wall-clock reads or ambient RNG in simulation crates, no unordered
+//! iteration in result modules, no raw `0x150`/`0x198` MSR literals or
+//! call-graph-reachable direct MSR accesses outside the `crates/msr`
+//! choke point (the software analogue of the paper's Sec. 5 clamp),
+//! deterministic parallel merges, a pinned telemetry key schema, and
+//! transcendentals off the characterization hot paths.
 //!
-//! The baseline only shrinks: a new error finding fails, and so does a
-//! stale baseline entry whose finding has been fixed.
+//! An accepted finding carries an inline `// plugvolt-lint: allow(…)`
+//! with its justification. Accepted findings only shrink: a suppression
+//! whose finding has been fixed is itself an error finding
+//! (`unused-suppression`).
 
-use plugvolt_analysis::{baseline, human_report, scan_workspace, ScanOptions, Severity};
-use std::path::Path;
+use plugvolt_analysis::{
+    human_report, registry, scan_workspace, workspace_registry, ScanOptions, Severity, SourceFile,
+};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
-fn scan() -> plugvolt_analysis::runner::ScanResult {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    scan_workspace(root, &ScanOptions::default()).expect("workspace sources are readable")
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn baseline_entries() -> Vec<plugvolt_analysis::BaselineEntry> {
-    let text = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("results/lint-baseline.json"),
-    )
-    .expect("results/lint-baseline.json is committed");
-    baseline::parse(&text).expect("baseline parses")
+fn scan() -> plugvolt_analysis::runner::ScanResult {
+    scan_workspace(root(), &ScanOptions::default()).expect("workspace sources are readable")
+}
+
+/// Every `.rs` file under the root, walked independently of the
+/// scanner: build output, VCS metadata, dot-dirs, lint fixtures and
+/// `results/` are skipped.
+fn workspace_rs_files() -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let entries = std::fs::read_dir(dir).expect("workspace dirs are readable");
+        for entry in entries.flatten() {
+            let path = entry.path();
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if path.is_dir() {
+                let skip = matches!(name.as_ref(), "target" | "fixtures" | "results")
+                    || name.starts_with('.');
+                if !skip {
+                    walk(&path, out);
+                }
+            } else if name.ends_with(".rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(root(), &mut out);
+    out
 }
 
 #[test]
-fn error_findings_match_the_baseline_ratchet() {
+fn workspace_has_no_unsuppressed_error_findings() {
     let result = scan();
-    let diff = baseline::diff(&result.findings, &baseline_entries());
     assert!(
-        diff.passes(),
-        "lint baseline ratchet failed — {} new error finding(s), {} stale entr(y/ies):\n\
-         new: {:#?}\nstale: {:#?}\nfull report:\n{}",
-        diff.new.len(),
-        diff.stale.len(),
-        diff.new,
-        diff.stale,
+        result.passes_gate(),
+        "{} unsuppressed error finding(s):\n{}",
+        result.count(Severity::Error),
         human_report(&result)
     );
 }
 
 #[test]
-fn baseline_entries_are_justified() {
-    // The ratchet is a paper trail, not a dumping ground: every entry
-    // carries a real justification, and the file stays small enough to
-    // review by hand.
-    let entries = baseline_entries();
-    assert!(
-        entries.len() <= 8,
-        "baseline grew to {} entries",
-        entries.len()
-    );
-    for e in &entries {
-        assert!(
-            !e.justification.trim().is_empty() && !e.justification.contains("TODO"),
-            "baseline entry [{}] {} `{}` lacks a real justification",
-            e.rule,
-            e.path,
-            e.snippet
-        );
+fn suppressions_carry_a_justification() {
+    // A suppression is a paper trail, not a dumping ground: each one
+    // says why, after its `allow(…)` or on the comment line directly
+    // above it, and there are few enough to review by hand.
+    let mut count = 0;
+    for path in workspace_rs_files() {
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let rel = path.strip_prefix(root()).expect("under root");
+        let file = SourceFile::new(&rel.to_string_lossy(), &text);
+        for comment in &file.suppression_comments {
+            count += 1;
+            let line = &file.lines[comment.line - 1];
+            let directive = line.split_once("plugvolt-lint:").map_or("", |(_, d)| d);
+            let after = directive.split_once(')').map_or("", |(_, why)| why).trim();
+            let above = comment
+                .line
+                .checked_sub(2)
+                .map_or("", |i| file.lines[i].trim_start());
+            assert!(
+                !after.is_empty() || (above.starts_with("//") && above.len() > 2),
+                "{}:{} suppresses {:?} without a justification",
+                file.path,
+                comment.line,
+                comment.rules
+            );
+        }
     }
+    assert!(count <= 12, "suppressions grew to {count}");
 }
 
 #[test]
-fn workspace_halves_of_rules_4_and_8_superset_the_per_file_heuristics() {
-    // Rules 4 and 8 each have a per-file heuristic half and a call-graph
-    // workspace half sharing one rule id. The re-grounding contract:
-    // every unsuppressed finding the old heuristics produce on the real
-    // tree must also appear in the merged scan — the workspace halves
-    // only ever add detection, never lose it.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    collect_rs(root, root, &mut files);
-    let rules = plugvolt_analysis::registry();
-    let mut per_file = Vec::new();
-    for path in &files {
-        let text = std::fs::read_to_string(path).expect("readable");
-        let rel = path
-            .strip_prefix(root)
-            .expect("under root")
-            .to_string_lossy()
-            .replace('\\', "/");
-        let sf = plugvolt_analysis::SourceFile::new(&rel, &text);
-        let mut found = Vec::new();
-        for rule in &rules {
-            let id = rule.meta().id;
-            if id == "msr-write-discipline" || id == "hot-path-transcendentals" {
-                rule.check(&sf, &mut found);
-            }
-        }
-        found.retain(|f| !sf.is_suppressed(f.rule, f.line));
-        per_file.extend(found);
-    }
-    let merged = scan();
-    for f in &per_file {
-        assert!(
-            merged
-                .findings
-                .iter()
-                .any(|m| m.rule == f.rule && m.path == f.path && m.line == f.line),
-            "per-file finding lost in the merged scan: {f:?}"
-        );
-    }
-}
-
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if !matches!(name.as_ref(), "target" | ".git" | "fixtures" | "results") {
-                collect_rs(root, &path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
+fn every_rule_id_has_one_implementation() {
+    // Per-file and workspace rules never share an id: a rule has one
+    // implementation, and one place to read what it flags. (Repeats
+    // within one registry are the runner's unit test.)
+    let per_file: BTreeSet<&str> = registry().iter().map(|r| r.meta().id).collect();
+    let workspace: BTreeSet<&str> = workspace_registry().iter().map(|r| r.meta().id).collect();
+    let shared: Vec<&&str> = per_file.intersection(&workspace).collect();
+    assert!(
+        shared.is_empty(),
+        "ids with two implementations: {shared:?}"
+    );
 }
 
 #[test]
 fn scan_covers_the_whole_workspace() {
+    // The scanner and this test walk the tree independently; any gap
+    // between them means the walker skipped code.
+    let files = workspace_rs_files();
     let result = scan();
-    // All crates plus shims, tests and benches; a collapse of this
-    // number means the walker broke, not that code disappeared.
-    assert!(
-        result.files_scanned >= 80,
-        "only {} files scanned",
-        result.files_scanned
-    );
+    assert_eq!(result.files_scanned, files.len());
+    // The telemetry crate instruments every hot path; the workspace
+    // scan is its only lint gate.
+    let telemetry = root().join("crates/telemetry/src");
+    for entry in std::fs::read_dir(&telemetry).expect("telemetry sources") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            assert!(files.contains(&path), "{} not scanned", path.display());
+        }
+    }
 }
 
 #[test]
