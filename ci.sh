@@ -11,7 +11,8 @@
 #   3. lint-wall coverage  every workspace member opts into [workspace.lints]
 #   4. hygiene             no build artifacts tracked by git
 #   5. build               cargo build --release (whole workspace)
-#   6. host probe          cargo build --release -p plugvolt-hal
+#   6. host probe          cargo build --release -p plugvolt-hal, then
+#                          plugvolt-cli soak --backend host once
 #   7. rustdoc             cargo doc --no-deps --workspace, warnings denied
 #   8. tests               cargo test -q (tier-1 suite + all members)
 #   9. perfbench self-test cargo test on perfbench/ (the registered
@@ -76,6 +77,15 @@ step "host backend builds (plugvolt-hal)"
 # so a cfg regression can never hide behind the workspace build, and so
 # the gate is self-describing in the CI log.
 cargo build --release -p plugvolt-hal
+# Then run the probe once. It only reads /dev/cpu/*/msr and sysfs, so it
+# needs no root: unreadable cores are reported, not fatal. It must exit
+# 0 and print a fractional period exactly as given.
+host_probe=$(./target/release/plugvolt-cli soak --backend host --reads 1 --period-us 0.4)
+printf '%s\n' "$host_probe"
+if ! grep -qF 'period 0.4 us' <<<"$host_probe"; then
+    echo "host probe output lacks 'period 0.4 us'" >&2
+    exit 1
+fi
 
 step "cargo doc --no-deps --workspace (warnings denied)"
 # A broken intra-doc link (say, to an item a deletion removed, or from

@@ -13,9 +13,8 @@
 //! access-control fix (OCM disable, CVE-2019-11157) and no defense.
 
 use crate::charmap::CharacterizationMap;
-use crate::poll::{PollConfig, PollingModule, StatsHandle, MODULE_NAME};
+use crate::poll::{PollConfig, PollingModule, StatsHandle};
 use plugvolt_cpu::microcode::MicrocodeUpdate;
-use plugvolt_des::time::SimDuration;
 use plugvolt_kernel::machine::{Machine, MachineError};
 use plugvolt_msr::offset_limit::VoltageOffsetLimit;
 use serde::{Deserialize, Serialize};
@@ -72,17 +71,8 @@ impl Deployment {
 /// A deployed countermeasure, with whatever observability it offers.
 #[derive(Debug)]
 pub struct Deployed {
-    deployment: Deployment,
     /// Polling statistics, present for the kernel-module level.
     pub poll_stats: Option<StatsHandle>,
-}
-
-impl Deployed {
-    /// The deployment that was installed.
-    #[must_use]
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
-    }
 }
 
 /// Installs `deployment` on the machine, using `map` for every level
@@ -97,13 +87,13 @@ pub fn deploy(
     deployment: Deployment,
 ) -> Result<Deployed, MachineError> {
     let mut poll_stats = None;
-    match &deployment {
+    match deployment {
         Deployment::None => {}
         Deployment::OcmDisable => {
             machine.cpu_mut().set_ocm_enabled(false);
         }
         Deployment::PollingModule(cfg) => {
-            let (module, stats) = PollingModule::new(map.clone(), cfg.clone());
+            let (module, stats) = PollingModule::new(map.clone(), cfg);
             machine.load_module(Box::new(module))?;
             poll_stats = Some(stats);
         }
@@ -111,80 +101,26 @@ pub fn deploy(
             revision,
             margin_mv,
         } => {
-            let bound = map.maximal_safe_offset_mv(*margin_mv).unwrap_or(0);
-            // Ship the update the way a vendor would: packaged as a
-            // checksummed container, validated by the loader against the
-            // part's CPUID signature, then handed to the sequencer.
-            let update = MicrocodeUpdate::maximal_safe_state(*revision, bound);
-            let blob = plugvolt_cpu::ucode_blob::UpdateBlob::package(
-                update,
-                machine.cpu().spec().model,
-                0x0607_2026, // release date, BCD mmddyyyy
-            );
+            let bound = map.maximal_safe_offset_mv(margin_mv).unwrap_or(0);
             machine
                 .cpu_mut()
-                .load_microcode_blob(&blob.encode())
-                .expect("self-built blob for this part always validates");
+                .load_microcode(MicrocodeUpdate::maximal_safe_state(revision, bound));
         }
         Deployment::HardwareMsr { margin_mv } => {
-            let bound = map.maximal_safe_offset_mv(*margin_mv).unwrap_or(0);
+            let bound = map.maximal_safe_offset_mv(margin_mv).unwrap_or(0);
             machine
                 .cpu_mut()
                 .provision_offset_limit(VoltageOffsetLimit::new(bound));
         }
     }
-    Ok(Deployed {
-        deployment,
-        poll_stats,
-    })
-}
-
-/// Removes a previously deployed countermeasure (where removal is even
-/// possible — the hardware clamp is fused and stays).
-///
-/// # Errors
-///
-/// Propagates machine errors.
-pub fn undeploy(machine: &mut Machine, deployed: &Deployed) -> Result<(), MachineError> {
-    match &deployed.deployment {
-        Deployment::None => {}
-        Deployment::OcmDisable => machine.cpu_mut().set_ocm_enabled(true),
-        Deployment::PollingModule(_) => machine.unload_module(MODULE_NAME)?,
-        Deployment::Microcode { .. } => {
-            // Reverting microcode means loading the unpatched revision:
-            // model as a no-clamp patch at the original revision.
-            let rev = machine.cpu().spec().microcode;
-            machine
-                .cpu_mut()
-                .load_microcode(MicrocodeUpdate::maximal_safe_state(rev, -1_000));
-        }
-        Deployment::HardwareMsr { .. } => {
-            // Fused in hardware: not removable. Keep it.
-        }
-    }
-    Ok(())
-}
-
-/// Worst-case countermeasure turnaround (write-to-neutralized) for a
-/// deployment: the analytical counterpart of the ablation measurement.
-/// `None` means the attack write is never neutralized.
-#[must_use]
-pub fn worst_case_turnaround(deployment: &Deployment) -> Option<SimDuration> {
-    match deployment {
-        Deployment::None => None,
-        // Blocked synchronously at the write: zero exposure.
-        Deployment::OcmDisable | Deployment::Microcode { .. } | Deployment::HardwareMsr { .. } => {
-            Some(SimDuration::ZERO)
-        }
-        // One full polling period plus the per-core poll work.
-        Deployment::PollingModule(cfg) => Some(cfg.period + SimDuration::from_micros(2)),
-    }
+    Ok(Deployed { poll_stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::charmap::FreqBand;
+    use crate::poll::MODULE_NAME;
     use plugvolt_cpu::core::CoreId;
     use plugvolt_cpu::freq::FreqMhz;
     use plugvolt_cpu::model::CpuModel;
@@ -222,24 +158,21 @@ mod tests {
     fn none_leaves_machine_vulnerable() {
         let mut m = Machine::new(CpuModel::CometLake, 8);
         let d = deploy(&mut m, &map(), Deployment::None).expect("deploying nothing cannot fail");
-        assert_eq!(d.deployment().label(), "none");
+        assert!(d.poll_stats.is_none());
         assert_eq!(attack_write(&mut m, -250), -250);
     }
 
     #[test]
     fn ocm_disable_blocks_everything() {
         let mut m = Machine::new(CpuModel::CometLake, 8);
-        let d = deploy(&mut m, &map(), Deployment::OcmDisable)
+        deploy(&mut m, &map(), Deployment::OcmDisable)
             .expect("OCM disable deploys on a fresh machine");
-        assert!(!d.deployment().preserves_benign_dvfs());
         assert_eq!(attack_write(&mut m, -250), 0, "attack blocked");
         assert_eq!(attack_write(&mut m, -50), 0, "benign blocked too");
-        undeploy(&mut m, &d).expect("matching undeploy succeeds");
-        assert_eq!(attack_write(&mut m, -50), -50);
     }
 
     #[test]
-    fn polling_module_deploys_and_undeploys() {
+    fn polling_module_deploys() {
         let mut m = Machine::new(CpuModel::CometLake, 8);
         let d = deploy(
             &mut m,
@@ -249,8 +182,6 @@ mod tests {
         .expect("polling module deploys on a fresh machine");
         assert!(m.is_module_loaded(MODULE_NAME));
         assert!(d.poll_stats.is_some());
-        undeploy(&mut m, &d).expect("matching undeploy succeeds");
-        assert!(!m.is_module_loaded(MODULE_NAME));
     }
 
     #[test]
@@ -282,23 +213,6 @@ mod tests {
             "clamped to maximal safe, got {applied}"
         );
         assert_eq!(attack_write(&mut m, -60), -60, "safe accepted");
-    }
-
-    #[test]
-    fn turnaround_ordering() {
-        let poll = worst_case_turnaround(&Deployment::PollingModule(PollConfig::default()))
-            .expect("bounded");
-        let ucode = worst_case_turnaround(&Deployment::Microcode {
-            revision: 1,
-            margin_mv: 0,
-        })
-        .expect("bounded");
-        let hw = worst_case_turnaround(&Deployment::HardwareMsr { margin_mv: 0 }).expect("bounded");
-        assert_eq!(ucode, SimDuration::ZERO);
-        assert_eq!(hw, SimDuration::ZERO);
-        assert!(poll > ucode);
-        assert!(poll < SimDuration::from_millis(1));
-        assert_eq!(worst_case_turnaround(&Deployment::None), None);
     }
 
     #[test]

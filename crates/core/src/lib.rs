@@ -83,7 +83,7 @@ pub mod prelude {
         SweepConfig, SweepConfigError, SweepRecord,
     };
     pub use crate::charmap::{CharacterizationMap, FreqBand, MapError};
-    pub use crate::deploy::{deploy, undeploy, worst_case_turnaround, Deployed, Deployment};
+    pub use crate::deploy::{deploy, Deployed, Deployment};
     pub use crate::exposure::{Episode, ExposureAccountant, ExposureBound};
     pub use crate::maximal::MaximalSafeState;
     pub use crate::poll::{PollConfig, PollStats, PollingModule, RestorePolicy, MODULE_NAME};

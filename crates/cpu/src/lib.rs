@@ -13,7 +13,7 @@
 //! - [`vr`] — the voltage regulator (settle delay + slew);
 //! - [`exec`] — instruction classes and fault-aware batch execution;
 //! - [`slack`] — precomputed per-(f, V) slack tables for the hot path;
-//! - [`microcode`] — sequencer patches (Sec. 5.1 deployment);
+//! - [`microcode`] — the maximal-safe-state patch (Sec. 5.1 deployment);
 //! - [`package`] — [`package::CpuPackage`], the assembled part.
 //!
 //! # Examples
@@ -45,7 +45,6 @@ pub mod microcode;
 pub mod model;
 pub mod package;
 pub mod slack;
-pub mod ucode_blob;
 pub mod vr;
 
 /// Convenient glob-import of the commonly used names.
@@ -54,10 +53,9 @@ pub mod prelude {
     pub use crate::energy::{EnergyMeter, EnergyModel};
     pub use crate::exec::{BatchOutcome, ExecutionEngine, InstrClass};
     pub use crate::freq::{FreqMhz, FreqTable};
-    pub use crate::microcode::{MicrocodeUpdate, PatchKind, SequencerHook};
+    pub use crate::microcode::MicrocodeUpdate;
     pub use crate::model::{CpuModel, CpuSpec};
     pub use crate::package::{CpuPackage, PackageError};
     pub use crate::slack::SlackTable;
-    pub use crate::ucode_blob::{cpuid_signature, BlobError, UpdateBlob};
     pub use crate::vr::VoltageRegulator;
 }

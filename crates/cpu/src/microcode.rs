@@ -1,4 +1,4 @@
-//! The microcode sequencer layer (Sec. 5.1 deployment point).
+//! The microcode sequencer patch (Sec. 5.1 deployment point).
 //!
 //! Microcode updates are loaded through BIOS/UEFI at reset and can patch
 //! CPU behaviour in place. The sequencer handles conditional microcode
@@ -6,34 +6,21 @@
 //! countermeasure deployment: when a `wrmsr` targets MSR 0x150 with an
 //! offset that would violate the **maximal safe state**, a conditional
 //! branch simply *ignores* the write — behaviour Intel already implements
-//! on several other MSRs.
+//! on several other MSRs. [`crate::package::CpuPackage::wrmsr`] consults
+//! the loaded patch right after the OCM-disable gate.
 
-use plugvolt_msr::addr::Msr;
-use plugvolt_msr::file::{MsrInterceptor, WriteDisposition};
 use plugvolt_msr::oc_mailbox::OcRequest;
 use serde::{Deserialize, Serialize};
 
-/// The behavioural payload of a microcode update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PatchKind {
-    /// Sec. 5.1: write-ignore any 0x150 request undervolting past the
-    /// maximal safe state.
-    WriteIgnoreUnsafeMailbox {
-        /// The maximal safe state bound (non-positive mV).
-        max_offset_mv: i32,
-    },
-    /// Intel's CVE-2019-11157 response: disable the overclocking mailbox
-    /// outright (all 0x150 writes are ignored).
-    DisableOcMailbox,
-}
-
-/// A microcode update: a revision number plus its behavioural patch.
+/// The Sec. 5.1 microcode update: a revision number plus the maximal
+/// safe state it enforces on MSR 0x150.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MicrocodeUpdate {
     /// Revision reported in `IA32_BIOS_SIGN_ID` once loaded.
     pub revision: u32,
-    /// What the patch does.
-    pub kind: PatchKind,
+    /// The maximal safe state bound (non-positive mV): any 0x150 write
+    /// requesting a deeper undervolt is write-ignored.
+    pub max_offset_mv: i32,
 }
 
 impl MicrocodeUpdate {
@@ -50,77 +37,17 @@ impl MicrocodeUpdate {
         );
         MicrocodeUpdate {
             revision,
-            kind: PatchKind::WriteIgnoreUnsafeMailbox { max_offset_mv },
+            max_offset_mv,
         }
     }
 
-    /// Builds the Intel OCM-disable patch.
+    /// Whether the patch write-ignores `value` written to MSR 0x150: a
+    /// write request undervolting past the bound. Reads, safe writes and
+    /// malformed values (which the mailbox hardware rejects anyway) pass.
     #[must_use]
-    pub fn disable_ocm(revision: u32) -> Self {
-        MicrocodeUpdate {
-            revision,
-            kind: PatchKind::DisableOcMailbox,
-        }
-    }
-
-    /// The interceptor name this update registers under.
-    #[must_use]
-    pub fn interceptor_name(&self) -> &'static str {
-        match self.kind {
-            PatchKind::WriteIgnoreUnsafeMailbox { .. } => "ucode-maximal-safe-state",
-            PatchKind::DisableOcMailbox => "ucode-disable-ocm",
-        }
-    }
-}
-
-/// The sequencer hook: an [`MsrInterceptor`] enforcing a microcode patch.
-#[derive(Debug, Clone)]
-pub struct SequencerHook {
-    update: MicrocodeUpdate,
-    /// Writes the patch ignored so far (diagnostic counter).
-    ignored: u64,
-}
-
-impl SequencerHook {
-    /// Wraps an update as a live sequencer hook.
-    #[must_use]
-    pub fn new(update: MicrocodeUpdate) -> Self {
-        SequencerHook { update, ignored: 0 }
-    }
-
-    /// How many writes this patch has ignored.
-    #[must_use]
-    pub fn ignored_writes(&self) -> u64 {
-        self.ignored
-    }
-}
-
-impl MsrInterceptor for SequencerHook {
-    fn name(&self) -> &str {
-        self.update.interceptor_name()
-    }
-
-    fn on_write(&mut self, msr: Msr, value: u64) -> WriteDisposition {
-        if msr != Msr::OC_MAILBOX {
-            return WriteDisposition::Allow;
-        }
-        match self.update.kind {
-            PatchKind::DisableOcMailbox => {
-                self.ignored += 1;
-                WriteDisposition::Ignore
-            }
-            PatchKind::WriteIgnoreUnsafeMailbox { max_offset_mv } => {
-                match OcRequest::decode(value) {
-                    Ok(req) if req.is_write() && req.offset_mv() < max_offset_mv => {
-                        self.ignored += 1;
-                        WriteDisposition::Ignore
-                    }
-                    // Reads, safe writes and malformed values (which the
-                    // mailbox hardware rejects anyway) pass through.
-                    _ => WriteDisposition::Allow,
-                }
-            }
-        }
+    pub fn ignores_mailbox_write(&self, value: u64) -> bool {
+        OcRequest::decode(value)
+            .is_ok_and(|req| req.is_write() && req.offset_mv() < self.max_offset_mv)
     }
 }
 
@@ -129,71 +56,34 @@ mod tests {
     use super::*;
     use plugvolt_msr::oc_mailbox::Plane;
 
+    fn patch() -> MicrocodeUpdate {
+        MicrocodeUpdate::maximal_safe_state(0xf5, -125)
+    }
+
     #[test]
     fn maximal_safe_state_patch_filters_by_depth() {
-        let mut hook = SequencerHook::new(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
         let safe = OcRequest::write_offset(-100, Plane::Core).encode();
         let unsafe_ = OcRequest::write_offset(-250, Plane::Core).encode();
-        assert_eq!(
-            hook.on_write(Msr::OC_MAILBOX, safe),
-            WriteDisposition::Allow
-        );
-        assert_eq!(
-            hook.on_write(Msr::OC_MAILBOX, unsafe_),
-            WriteDisposition::Ignore
-        );
-        assert_eq!(hook.ignored_writes(), 1);
-    }
-
-    #[test]
-    fn disable_ocm_ignores_everything() {
-        let mut hook = SequencerHook::new(MicrocodeUpdate::disable_ocm(0xf6));
-        let read = OcRequest::read(Plane::Core).encode();
-        assert_eq!(
-            hook.on_write(Msr::OC_MAILBOX, read),
-            WriteDisposition::Ignore
-        );
-    }
-
-    #[test]
-    fn other_msrs_pass_through() {
-        let mut hook = SequencerHook::new(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
-        assert_eq!(
-            hook.on_write(Msr::IA32_PERF_CTL, 0xFFFF),
-            WriteDisposition::Allow
-        );
-        let mut hook = SequencerHook::new(MicrocodeUpdate::disable_ocm(0xf6));
-        assert_eq!(
-            hook.on_write(Msr::IA32_PERF_CTL, 0xFFFF),
-            WriteDisposition::Allow
-        );
+        assert!(!patch().ignores_mailbox_write(safe));
+        assert!(patch().ignores_mailbox_write(unsafe_));
     }
 
     #[test]
     fn reads_pass_the_safe_state_patch() {
-        let mut hook = SequencerHook::new(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
         let read = OcRequest::read(Plane::Core).encode();
-        assert_eq!(
-            hook.on_write(Msr::OC_MAILBOX, read),
-            WriteDisposition::Allow
-        );
+        assert!(!patch().ignores_mailbox_write(read));
     }
 
     #[test]
     fn malformed_values_pass_through() {
-        let mut hook = SequencerHook::new(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
         // Run bit clear: mailbox hardware will reject; microcode lets it by.
-        assert_eq!(hook.on_write(Msr::OC_MAILBOX, 0), WriteDisposition::Allow);
+        assert!(!patch().ignores_mailbox_write(0));
     }
 
     #[test]
     fn boundary_offset_is_allowed() {
-        let mut hook = SequencerHook::new(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
         let at_bound = OcRequest::write_offset(-125, Plane::Core).encode();
-        assert_eq!(
-            hook.on_write(Msr::OC_MAILBOX, at_bound),
-            WriteDisposition::Allow
-        );
+        assert!(!patch().ignores_mailbox_write(at_bound));
     }
 
     #[test]

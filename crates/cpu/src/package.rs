@@ -12,7 +12,7 @@ use crate::core::{Core, CoreId};
 use crate::energy::{EnergyMeter, EnergyModel};
 use crate::exec::{BatchOutcome, ExecutionEngine, InstrClass, Rails};
 use crate::freq::FreqMhz;
-use crate::microcode::{MicrocodeUpdate, SequencerHook};
+use crate::microcode::MicrocodeUpdate;
 use crate::model::{CpuModel, CpuSpec};
 use crate::vr::VoltageRegulator;
 
@@ -109,8 +109,9 @@ pub struct CpuPackage {
     /// (set by the last read/write command, like the real protocol).
     mailbox_read_plane: Plane,
     ocm_enabled: bool,
-    microcode_rev: u32,
-    loaded_updates: Vec<MicrocodeUpdate>,
+    /// The Sec. 5.1 patch, checked in [`Self::wrmsr`] right after the
+    /// OCM-disable gate.
+    microcode_patch: Option<MicrocodeUpdate>,
     offset_limit: VoltageOffsetLimit,
     crashed: bool,
     engine: ExecutionEngine,
@@ -170,7 +171,10 @@ impl fmt::Debug for CpuPackage {
         f.debug_struct("CpuPackage")
             .field("model", &self.spec.model)
             .field("cores", &self.cores.len())
-            .field("microcode", &format_args!("{:#x}", self.microcode_rev))
+            .field(
+                "microcode",
+                &format_args!("{:#x}", self.microcode_revision()),
+            )
             .field("ocm_enabled", &self.ocm_enabled)
             .field("crashed", &self.crashed)
             .finish()
@@ -221,8 +225,7 @@ impl CpuPackage {
             plane_offset_written_at: [None; 5],
             core_pstate_changed_at: vec![None; spec.cores],
             ocm_enabled: true,
-            microcode_rev: spec.microcode,
-            loaded_updates: Vec::new(),
+            microcode_patch: None,
             offset_limit: VoltageOffsetLimit::disabled(),
             crashed: false,
             engine,
@@ -247,8 +250,10 @@ impl CpuPackage {
         self.msrs.implement(Msr::OC_MAILBOX, 0);
         self.msrs.implement(Msr::IA32_PERF_STATUS, 0);
         self.msrs.implement(Msr::IA32_PERF_CTL, 0);
-        self.msrs
-            .implement(Msr::IA32_BIOS_SIGN_ID, u64::from(self.microcode_rev) << 32);
+        self.msrs.implement(
+            Msr::IA32_BIOS_SIGN_ID,
+            u64::from(self.microcode_revision()) << 32,
+        );
         self.msrs
             .implement(Msr::VOLTAGE_OFFSET_LIMIT, self.offset_limit.encode());
         self.msrs.implement(Msr::DRAM_POWER_LIMIT, 0);
@@ -298,10 +303,12 @@ impl CpuPackage {
     /// The loaded microcode revision.
     #[must_use]
     pub fn microcode_revision(&self) -> u32 {
-        self.microcode_rev
+        self.microcode_patch
+            .map_or(self.spec.microcode, |patch| patch.revision)
     }
 
-    /// Mailbox writes dropped by microcode/OCM-disable/clamp so far.
+    /// Mailbox writes dropped by the OCM-disable gate or the microcode
+    /// patch so far.
     #[must_use]
     pub fn mailbox_writes_ignored(&self) -> u64 {
         self.mailbox_writes_ignored
@@ -398,35 +405,12 @@ impl CpuPackage {
         self.core_pstate_changed_at.get(core.0).copied().flatten()
     }
 
-    /// Loads a microcode update from its distributable blob, performing
-    /// the loader-side validation (container integrity + CPUID signature
-    /// match) a BIOS/OS loader does before touching the sequencer.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::ucode_blob::BlobError`] on a malformed container or a
-    /// blob built for a different part.
-    pub fn load_microcode_blob(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<MicrocodeUpdate, crate::ucode_blob::BlobError> {
-        let blob = crate::ucode_blob::UpdateBlob::decode(bytes)?;
-        blob.validate_for(self.spec.model)?;
-        self.load_microcode(blob.update);
-        Ok(blob.update)
-    }
-
-    /// Loads a microcode update (BIOS/UEFI path). Persists across
-    /// [`reset`](Self::reset), like a BIOS-embedded update.
+    /// Loads a microcode update (BIOS/UEFI path), replacing any loaded
+    /// one. Persists across [`reset`](Self::reset), like a BIOS-embedded
+    /// update.
     pub fn load_microcode(&mut self, update: MicrocodeUpdate) {
         self.generation += 1;
-        self.msrs.remove_interceptor(update.interceptor_name());
-        self.msrs
-            .add_interceptor(Box::new(SequencerHook::new(update)));
-        self.loaded_updates
-            .retain(|u| u.interceptor_name() != update.interceptor_name());
-        self.loaded_updates.push(update);
-        self.microcode_rev = update.revision;
+        self.microcode_patch = Some(update);
         self.msrs
             .store_internal(Msr::IA32_BIOS_SIGN_ID, u64::from(update.revision) << 32);
     }
@@ -460,10 +444,6 @@ impl CpuPackage {
             .set_target(now, self.spec.nominal_cache_voltage_mv(self.spec.base_freq));
         self.msrs = MsrFile::new();
         self.implement_msrs();
-        for update in self.loaded_updates.clone() {
-            self.msrs
-                .add_interceptor(Box::new(SequencerHook::new(update)));
-        }
     }
 
     /// The actual core-plane rail voltage at `now`, in mV.
@@ -777,14 +757,17 @@ impl CpuPackage {
     /// (held by [`snapshot`](Self::snapshot)) and its count; `writes ==
     /// 0` only asks. Returns `false`, counting nothing, unless the last
     /// write on `core` was a read command stored as written, on a live
-    /// package whose mailbox is enabled and which has no MSR
-    /// interceptor installed (a microcode patch sees every write).
+    /// package whose mailbox is enabled and which has no microcode patch
+    /// loaded (the patch sees every write).
     #[must_use]
     pub fn repeat_writes(&self, core: CoreId, writes: u64) -> bool {
         let Some(c) = self.hot.get(core.0) else {
             return false;
         };
-        if self.crashed || !self.ocm_enabled || self.msrs.is_intercepted() || !c.read_command.get()
+        if self.crashed
+            || !self.ocm_enabled
+            || self.microcode_patch.is_some()
+            || !c.read_command.get()
         {
             return false;
         }
@@ -803,7 +786,8 @@ impl CpuPackage {
     }
 
     /// `wrmsr` from `core`, with full side effects (mailbox → VR,
-    /// `PERF_CTL` → frequency) and the microcode intercept chain.
+    /// `PERF_CTL` → frequency) and the Sec. 5 mailbox gates: OCM disable,
+    /// then the microcode patch, then the hardware clamp.
     ///
     /// # Errors
     ///
@@ -821,33 +805,32 @@ impl CpuPackage {
         }
         let c = &self.hot[core.0];
         c.wrmsr.set(c.wrmsr.get() + 1);
-        // With the mailbox open and nothing intercepting, a read command
-        // is stored as written and only moves the read plane.
+        // With the mailbox open and no patch loaded, a read command is
+        // stored as written and only moves the read plane.
         let read_command = msr == Msr::OC_MAILBOX
             && self.ocm_enabled
-            && !self.msrs.is_intercepted()
+            && self.microcode_patch.is_none()
             && OcRequest::decode(value).is_ok_and(|req| !req.is_write());
         c.read_command.set(read_command);
         if !read_command {
             self.generation += 1;
         }
-        // OCM disable gates the mailbox before anything else sees it.
-        if msr == Msr::OC_MAILBOX && !self.ocm_enabled {
+        // OCM disable gates the mailbox before anything else sees it;
+        // the microcode patch sees what gets past it.
+        if msr == Msr::OC_MAILBOX
+            && (!self.ocm_enabled
+                || self
+                    .microcode_patch
+                    .is_some_and(|patch| patch.ignores_mailbox_write(value)))
+        {
             self.mailbox_writes_ignored += 1;
             self.note_mailbox_ignored(now, core, value);
             return Ok(WriteOutcome::Ignored);
         }
-        let outcome = self.msrs.wrmsr(msr, value)?;
-        let WriteOutcome::Written { stored } = outcome else {
-            if msr == Msr::OC_MAILBOX {
-                self.mailbox_writes_ignored += 1;
-                self.note_mailbox_ignored(now, core, value);
-            }
-            return Ok(outcome);
-        };
+        self.msrs.wrmsr(msr, value)?;
         match msr {
             Msr::OC_MAILBOX => {
-                if let Ok(req) = OcRequest::decode(stored) {
+                if let Ok(req) = OcRequest::decode(value) {
                     self.mailbox_read_plane = req.plane();
                     if req.is_write() {
                         // The hardware clamp (if provisioned) bounds the
@@ -872,12 +855,12 @@ impl CpuPackage {
                 // like the real mailbox.
             }
             Msr::IA32_PERF_CTL => {
-                let freq = FreqMhz(decode_perf_ctl(stored));
+                let freq = FreqMhz(decode_perf_ctl(value));
                 self.set_core_freq(now, core, freq)?;
             }
             _ => {}
         }
-        Ok(outcome)
+        Ok(WriteOutcome::Written { stored: value })
     }
 
     /// Records a swallowed mailbox write: the requested offset never
@@ -1169,7 +1152,7 @@ mod tests {
         let before = p.snapshot();
         p.reset(t);
         assert_ne!(p.snapshot(), before);
-        // A read command an interceptor could see, or one the closed
+        // A read command the microcode patch sees, or one the closed
         // mailbox drops, is not repeatable.
         p.load_microcode(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
         p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, read(Plane::Core))
@@ -1299,42 +1282,6 @@ mod tests {
         let v = p.core_voltage_mv(p.rail_settles_at() + SimDuration::from_micros(1));
         let nominal = p.spec().nominal_voltage_mv(p.spec().base_freq);
         assert!((v - nominal).abs() < 1.0);
-    }
-
-    #[test]
-    fn microcode_blob_load_validates_and_applies() {
-        use crate::ucode_blob::{cpuid_signature, BlobError, UpdateBlob};
-        let mut p = pkg(); // Sky Lake
-        let good = UpdateBlob::package(
-            MicrocodeUpdate::maximal_safe_state(0xf7, -150),
-            CpuModel::SkyLake,
-            0x0607_2026,
-        );
-        p.load_microcode_blob(&good.encode()).unwrap();
-        assert_eq!(p.microcode_revision(), 0xf7);
-        let deep = OcRequest::write_offset(-250, Plane::Core).encode();
-        assert_eq!(
-            p.wrmsr(now(), CoreId(0), Msr::OC_MAILBOX, deep).unwrap(),
-            WriteOutcome::Ignored
-        );
-        // Wrong part: rejected before any state change.
-        let foreign = UpdateBlob::package(
-            MicrocodeUpdate::maximal_safe_state(0xf8, -10),
-            CpuModel::CometLake,
-            0x0607_2026,
-        );
-        assert_eq!(
-            p.load_microcode_blob(&foreign.encode()),
-            Err(BlobError::WrongProcessor {
-                blob: cpuid_signature(CpuModel::CometLake),
-                part: cpuid_signature(CpuModel::SkyLake),
-            })
-        );
-        assert_eq!(p.microcode_revision(), 0xf7, "revision unchanged");
-        // Corrupted container: rejected.
-        let mut bytes = good.encode();
-        bytes[30] ^= 0xFF;
-        assert!(p.load_microcode_blob(&bytes).is_err());
     }
 
     #[test]

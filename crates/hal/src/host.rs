@@ -102,10 +102,11 @@ pub struct HostProbeReport {
 impl HostProbeReport {
     /// Worst-case detection latency for a polling countermeasure with
     /// the given period: a glitch landing just after a sweep waits one
-    /// full period plus the next sweep.
+    /// full period plus the next sweep. `None` when no core could be
+    /// read, so no sweep cost was measured.
     #[must_use]
-    pub fn worst_case_detection_us(&self, period_us: f64) -> f64 {
-        period_us + self.sweep_ns / 1000.0
+    pub fn worst_case_detection_us(&self, period_us: f64) -> Option<f64> {
+        (self.unreadable < self.cores).then(|| period_us + self.sweep_ns / 1000.0)
     }
 
     /// Human-readable summary table.
@@ -133,9 +134,12 @@ impl HostProbeReport {
             self.cores - self.unreadable,
             self.unreadable
         ));
+        let latency = self.worst_case_detection_us(period_us).map_or_else(
+            || "unknown (no core was readable)".to_string(),
+            |us| format!("{us:.2} us"),
+        );
         out.push_str(&format!(
-            "worst-case detection latency at period {period_us:.0} us: {:.2} us\n",
-            self.worst_case_detection_us(period_us)
+            "worst-case detection latency at period {period_us} us: {latency}\n"
         ));
         out
     }
@@ -221,6 +225,40 @@ mod tests {
         assert_eq!(report.samples.len(), report.cores);
         let text = report.render_text(200.0);
         assert!(text.contains("worst-case detection latency"), "{text}");
+    }
+
+    #[test]
+    fn latency_is_unknown_when_no_core_was_readable() {
+        let unreadable = |core| CoreProbe {
+            core,
+            reads: 0,
+            mean_read_ns: 0.0,
+            mean_freq_ns: None,
+            error: Some("EACCES".to_string()),
+        };
+        let mut report = HostProbeReport {
+            cores: 2,
+            samples: vec![unreadable(0), unreadable(1)],
+            sweep_ns: 0.0,
+            unreadable: 2,
+        };
+        assert_eq!(report.worst_case_detection_us(200.0), None);
+        let text = report.render_text(0.4);
+        assert!(
+            text.contains("latency at period 0.4 us: unknown (no core was readable)"),
+            "{text}"
+        );
+        report.samples[1] = CoreProbe {
+            reads: 1,
+            mean_read_ns: 1_500.0,
+            error: None,
+            ..unreadable(1)
+        };
+        report.sweep_ns = 1_500.0;
+        report.unreadable = 1;
+        assert_eq!(report.worst_case_detection_us(0.4), Some(1.9));
+        let text = report.render_text(0.4);
+        assert!(text.contains("latency at period 0.4 us: 1.90 us"), "{text}");
     }
 
     #[test]

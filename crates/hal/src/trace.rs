@@ -49,8 +49,8 @@ pub enum TraceOp {
 /// What the package did with the access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceOutcome {
-    /// Read: the value returned. Write: the value actually stored
-    /// (after interceptors masked/clamped it).
+    /// Read: the value returned. Write: the value stored (the raw
+    /// value; the clamp bounds the applied offset, not the register).
     Value(u64),
     /// The write was accepted but had no effect (disabled mailbox…).
     Ignored,

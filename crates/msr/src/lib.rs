@@ -13,8 +13,8 @@
 //! - [`offset_limit`] — the hypothetical `MSR_VOLTAGE_OFFSET_LIMIT`
 //!   hardware clamp, with the `MSR_DRAM_POWER_INFO` floor semantics
 //!   Sec. 5.2 borrows;
-//! - [`mod@file`] — the register file with `#GP` semantics and microcode
-//!   write-intercept hooks (the Sec. 5.1 deployment point).
+//! - [`mod@file`] — the register file with `#GP` semantics; the Sec. 5
+//!   write gates on 0x150 sit in the CPU package's `wrmsr`.
 //!
 //! # Examples
 //!
@@ -39,7 +39,7 @@ pub mod perf_status;
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
     pub use crate::addr::Msr;
-    pub use crate::file::{MsrError, MsrFile, MsrInterceptor, WriteDisposition, WriteOutcome};
+    pub use crate::file::{MsrError, MsrFile, WriteOutcome};
     pub use crate::oc_mailbox::{OcRequest, Plane};
     pub use crate::offset_limit::VoltageOffsetLimit;
     pub use crate::perf_status::PerfStatus;

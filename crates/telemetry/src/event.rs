@@ -29,10 +29,11 @@ pub enum TelemetryEvent {
         plane: u8,
         /// Offset the writer asked for, in millivolts.
         requested_mv: i32,
-        /// Offset actually applied after clamping/intercepts, in mV.
+        /// Offset actually applied after the hardware clamp, in mV (the
+        /// plane's unchanged offset when the write was swallowed).
         applied_mv: i32,
         /// Whether the write reached the regulator at all (`false` when
-        /// a microcode intercept or the OCM-disable gate swallowed it).
+        /// the OCM-disable gate or the microcode patch swallowed it).
         accepted: bool,
     },
     /// A voltage regulator began slewing toward a new target.

@@ -1,6 +1,7 @@
 //! Randomized property tests over the core invariants of the
-//! reproduction: MSR codecs and the register file, characterization-map
-//! classification, timing physics, the fault sampler and the VR.
+//! reproduction: MSR codecs, the register file and the mailbox gates,
+//! characterization-map classification, timing physics, the fault
+//! sampler and the VR.
 //!
 //! Cases are driven by the workspace's own seeded [`SimRng`] instead of
 //! an external property-testing crate, so the suite stays hermetic and
@@ -13,20 +14,22 @@ use plugvolt_circuit::delay::{AlphaPowerModel, DelayModel};
 use plugvolt_circuit::fault::{sample_binomial, sample_flip_mask, FaultModel};
 use plugvolt_circuit::multiplier::MultiplierUnit;
 use plugvolt_circuit::timing::TimingBudget;
+use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::energy::EnergyModel;
 use plugvolt_cpu::exec::{InstrClass, Rails};
 use plugvolt_cpu::freq::{FreqMhz, FreqTable};
 use plugvolt_cpu::microcode::MicrocodeUpdate;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_cpu::ucode_blob::UpdateBlob;
+use plugvolt_cpu::package::CpuPackage;
 use plugvolt_cpu::vr::VoltageRegulator;
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_msr::addr::Msr;
-use plugvolt_msr::file::{MsrError, MsrFile, MsrInterceptor, WriteDisposition, WriteOutcome};
+use plugvolt_msr::file::{MsrError, MsrFile, WriteOutcome};
 use plugvolt_msr::oc_mailbox::{encode_offset_request, OcRequest, Plane};
 use plugvolt_msr::offset_limit::VoltageOffsetLimit;
 use plugvolt_msr::perf_status::PerfStatus;
+use plugvolt_telemetry::TelemetryEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cases per property; every draw below is deterministic, so the suite
@@ -143,37 +146,131 @@ fn offset_limit_clamp_is_idempotent_and_bounded() {
     });
 }
 
-/// Clamps every written value to at most `limit`.
-struct ClampTo {
-    limit: u64,
+/// A random 0x150 value on the core or cache plane: a write of any
+/// field offset, a read command, or a value the mailbox cannot decode
+/// (run bit clear, or an unknown plane select).
+fn mailbox_value(g: &mut Gen) -> u64 {
+    let plane = [Plane::Core, Plane::Cache][g.usize_in(0, 1)];
+    match g.u32_in(0, 3) {
+        0 | 1 => OcRequest::write_offset(
+            g.i32_in(OcRequest::MIN_OFFSET_MV, OcRequest::MAX_OFFSET_MV),
+            plane,
+        )
+        .encode(),
+        2 => OcRequest::read(plane).encode(),
+        _ if g.u32_in(0, 1) == 0 => g.u64_in(0, u64::MAX >> 1),
+        _ => (1 << 63) | (g.u64_in(5, 7) << 40) | g.u64_in(0, 0xFF_FFFF_FFFF),
+    }
 }
 
-impl MsrInterceptor for ClampTo {
-    fn name(&self) -> &str {
-        "clamp-to"
-    }
+/// `OcMailbox` events a package emitted for writes it swallowed.
+fn refused_mailbox_events(p: &CpuPackage) -> usize {
+    p.telemetry().with(|reg| {
+        reg.events()
+            .filter(|e| {
+                matches!(
+                    e.event,
+                    TelemetryEvent::OcMailbox {
+                        accepted: false,
+                        ..
+                    }
+                )
+            })
+            .count()
+    })
+}
 
-    fn on_write(&mut self, _msr: Msr, value: u64) -> WriteDisposition {
-        if value > self.limit {
-            WriteDisposition::Clamp(self.limit)
-        } else {
-            WriteDisposition::Allow
+#[test]
+fn microcode_patch_ignores_exactly_the_writes_past_its_bound() {
+    // The Sec. 5.1 rule: a decoded write whose offset is below the
+    // bound is ignored; reads, safe writes and malformed values pass.
+    cases("microcode_patch_gate", |g| {
+        let bound = g.i32_in(-900, 0);
+        let mut p = CpuPackage::new(CpuModel::CometLake, g.u64_in(0, 1_000));
+        p.load_microcode(MicrocodeUpdate::maximal_safe_state(0xf5, bound));
+        for step in 0..g.u64_in(1, 8) {
+            let value = mailbox_value(g);
+            let decoded = OcRequest::decode(value).ok();
+            let ignore = decoded.is_some_and(|req| req.is_write() && req.offset_mv() < bound);
+            let ignored_before = p.mailbox_writes_ignored();
+            let events_before = refused_mailbox_events(&p);
+            let offsets_before = Plane::ALL.map(|plane| p.plane_offset_mv(plane));
+            let now = SimTime::ZERO + SimDuration::from_micros(step);
+            let out = p
+                .wrmsr(now, CoreId(0), Msr::OC_MAILBOX, value)
+                .expect("0x150 is implemented on a live package");
+            assert_eq!(
+                out == WriteOutcome::Ignored,
+                ignore,
+                "{value:#x} vs {bound}"
+            );
+            let counted = u64::from(ignore);
+            assert_eq!(p.mailbox_writes_ignored(), ignored_before + counted);
+            assert_eq!(refused_mailbox_events(&p), events_before + counted as usize);
+            if ignore {
+                assert_eq!(
+                    Plane::ALL.map(|plane| p.plane_offset_mv(plane)),
+                    offsets_before
+                );
+            } else if let Some(req) = decoded.filter(|req| req.is_write()) {
+                assert_eq!(p.plane_offset_mv(req.plane()), req.offset_mv());
+            }
         }
-    }
+    });
+}
+
+#[test]
+fn mailbox_gates_compose_like_a_three_line_reference() {
+    // OCM disable, the microcode patch and the hardware clamp together,
+    // against: OCM first, then the patch (on the requested offset), then
+    // the clamp. All three persist across `reset`.
+    cases("mailbox_gate_order", |g| {
+        let ocm = g.u32_in(0, 3) != 0;
+        let patch = (g.u32_in(0, 2) != 0).then(|| g.i32_in(-600, 0));
+        let clamp = (g.u32_in(0, 2) != 0).then(|| VoltageOffsetLimit::new(g.i32_in(-600, 0)));
+        let mut p = CpuPackage::new(CpuModel::CometLake, g.u64_in(0, 1_000));
+        p.set_ocm_enabled(ocm);
+        if let Some(bound) = patch {
+            p.load_microcode(MicrocodeUpdate::maximal_safe_state(0xf5, bound));
+        }
+        if let Some(limit) = clamp {
+            p.provision_offset_limit(limit);
+        }
+        let mut model = [0_i32; 5];
+        let mut ignored = 0;
+        for step in 0..g.u64_in(1, 24) {
+            let now = SimTime::ZERO + SimDuration::from_micros(step);
+            if g.u32_in(0, 5) == 0 {
+                p.reset(now);
+                model = [0; 5];
+                continue;
+            }
+            let plane = [Plane::Core, Plane::Cache][g.usize_in(0, 1)];
+            let req = OcRequest::write_offset(g.i32_in(-900, 200), plane);
+            let applied = (ocm && patch.is_none_or(|bound| req.offset_mv() >= bound))
+                .then(|| clamp.map_or(req, |limit| limit.clamp(req)).offset_mv());
+            let out = p
+                .wrmsr(now, CoreId(0), Msr::OC_MAILBOX, req.encode())
+                .expect("0x150 is implemented on a live package");
+            assert_eq!(out.was_written(), applied.is_some(), "{req:?}");
+            match applied {
+                Some(mv) => model[plane.index() as usize] = mv,
+                None => ignored += 1,
+            }
+            assert_eq!(Plane::ALL.map(|plane| p.plane_offset_mv(plane)), model);
+            assert_eq!(p.mailbox_writes_ignored(), ignored);
+        }
+    });
 }
 
 #[test]
 fn msr_file_matches_a_tree_model() {
     // Differential check of the register file against a `BTreeMap`
     // model: `#GP` on unimplemented addresses, re-implementing resets,
-    // stores bypass the chain, and a clamping interceptor rewrites.
+    // and writes and internal stores both store the value.
     let pool: Vec<Msr> = (0..12).map(|i| Msr(0x100 + 7 * i)).collect();
     cases("msr_file_differential", |g| {
-        let clamp = (g.u32_in(0, 1) == 1).then(|| g.u64_in(0, 1_000));
         let mut file = MsrFile::new();
-        if let Some(limit) = clamp {
-            file.add_interceptor(Box::new(ClampTo { limit }));
-        }
         let mut model: BTreeMap<Msr, u64> = BTreeMap::new();
         for _ in 0..g.usize_in(1, 60) {
             let msr = pool[g.usize_in(0, pool.len() - 1)];
@@ -187,8 +284,8 @@ fn msr_file_matches_a_tree_model() {
                     let expected = match model.get_mut(&msr) {
                         None => Err(MsrError::GeneralProtection { msr }),
                         Some(slot) => {
-                            *slot = clamp.map_or(value, |limit| value.min(limit));
-                            Ok(WriteOutcome::Written { stored: *slot })
+                            *slot = value;
+                            Ok(())
                         }
                     };
                     assert_eq!(file.wrmsr(msr, value), expected, "wrmsr {msr}");
@@ -507,50 +604,6 @@ fn quantize_lands_in_table() {
         // Quantization moves by at most half a step (or clamps).
         if (400..=4_900).contains(&f) {
             assert!((i64::from(q.mhz()) - i64::from(f)).abs() <= 50);
-        }
-    });
-}
-
-// ---------- microcode blobs ----------
-
-#[test]
-fn ucode_blob_round_trips() {
-    cases("ucode_roundtrip", |g| {
-        let revision = g.u32_in(1, 0xFFFF);
-        let bound = g.i32_in(-900, 0);
-        let model_idx = g.usize_in(0, 2);
-        let date = g.u32_in(0, 0x1231_9999);
-        let model = CpuModel::ALL[model_idx];
-        let blob = UpdateBlob::package(
-            MicrocodeUpdate::maximal_safe_state(revision, bound),
-            model,
-            date,
-        );
-        let back = UpdateBlob::decode(&blob.encode()).unwrap();
-        assert_eq!(back, blob);
-        assert!(back.validate_for(model).is_ok());
-    });
-}
-
-#[test]
-fn ucode_blob_single_bitflips_never_parse_as_different_update() {
-    cases("ucode_bitflips", |g| {
-        let revision = g.u32_in(1, 0xFFFF);
-        let bound = g.i32_in(-900, 0);
-        let bit = g.usize_in(0, 64 * 8 - 1);
-        let blob = UpdateBlob::package(
-            MicrocodeUpdate::maximal_safe_state(revision, bound),
-            CpuModel::CometLake,
-            0x0101_2026,
-        );
-        let mut bytes = blob.encode();
-        let idx = (bit / 8) % bytes.len();
-        bytes[idx] ^= 1 << (bit % 8);
-        // Either rejected, or (checksum-colliding flips are impossible
-        // for single bits) parses back identically — it must never yield
-        // a *different* accepted update.
-        if let Ok(parsed) = UpdateBlob::decode(&bytes) {
-            assert_eq!(parsed, blob);
         }
     });
 }
