@@ -11,18 +11,21 @@
 #   3. lint-wall coverage  every workspace member opts into [workspace.lints]
 #   4. hygiene             no build artifacts tracked by git
 #   5. build               cargo build --release (whole workspace)
-#   6. host probe          cargo build --release -p plugvolt-hal, then
+#   6. host probe          cargo build --release -p plugvolt-hal (MSR
+#                          transcripts + the read-only host probe), then
 #                          plugvolt-cli soak --backend host once
 #   7. rustdoc             cargo doc --no-deps --workspace, warnings denied
 #   8. tests               cargo test -q (tier-1 suite + all members)
-#   9. perfbench self-test cargo test on perfbench/ (the registered
-#                          benchmark's rebuilt entry points == library)
+#   9. perfbench self-test cargo test --locked on perfbench/ (the
+#                          registered benchmark's rebuilt entry points ==
+#                          library; its tracked Cargo.lock must not move)
 #  10. attribution smoke   plugvolt-cli bench --smoke + Chrome trace
 #  11. soak gate           plugvolt-cli soak --smoke + corpus replay
 #  12. trace replay gate   committed MSR transcript's campaign recorded
 #                          again and compared event for event (tape-clean
 #                          + oracles + sim-differential byte identity:
-#                          every poll tick fired vs quiet ticks folded)
+#                          a taped machine fires every poll tick, a
+#                          plain one folds the quiet ones)
 #  13. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -71,11 +74,12 @@ fi
 step "cargo build --release"
 cargo build --release --workspace
 
-step "host backend builds (plugvolt-hal)"
+step "host probe builds (plugvolt-hal)"
 # The read-only Linux host probe (/dev/cpu/*/msr + sysfs cpufreq) is
-# compile-gated on target_os = "linux"; build the HAL crate explicitly
-# so a cfg regression can never hide behind the workspace build, and so
-# the gate is self-describing in the CI log.
+# compile-gated on target_os = "linux"; build its crate (which also
+# holds the MSR transcript codec) explicitly so a cfg regression can
+# never hide behind the workspace build, and so the gate is
+# self-describing in the CI log.
 cargo build --release -p plugvolt-hal
 # Then run the probe once. It only reads /dev/cpu/*/msr and sysfs, so it
 # needs no root: unreadable cores are reported, not fatal. It must exit
@@ -101,8 +105,10 @@ step "perfbench self-tests"
 # builds it. Its self-tests rebuild each measured entry point from the
 # public API and assert it equals the library, so an API change that
 # would break the benchmark fails here. Timing regressions are gated
-# by BENCHMARK.json's bounds, not by this stage.
-cargo test --offline --release --manifest-path perfbench/Cargo.toml
+# by BENCHMARK.json's bounds, not by this stage. --locked: perfbench's
+# Cargo.lock is tracked, so a workspace manifest change that would make
+# cargo rewrite it fails here instead of dirtying the tree.
+cargo test --offline --release --locked --manifest-path perfbench/Cargo.toml
 
 step "plugvolt-cli bench --smoke"
 # Span-tracer attribution pass over a coarse characterize-grid run:
@@ -129,10 +135,10 @@ step "plugvolt-cli soak --backend replay (trace fixture)"
 # Fails on any tape divergence, overrun or leftover, on any soak-oracle
 # violation, and unless the re-recorded run's telemetry profiles and
 # poll stats are byte-identical to a plain sim run — the differential
-# proof that the sim and recording backends sit behind one seam with no
-# behavioral drift. The recording backend refuses every fold, so the
-# differential also compares a run that fires every poll tick with a
-# plain sim run that folds its quiet ones.
+# proof that attaching a tape to a machine only observes it. A machine
+# with a tape never folds quiet ticks, so the differential also compares
+# a run that fires every poll tick with a plain run that folds its quiet
+# ones.
 ./target/release/plugvolt-cli soak --backend replay \
     --trace results/traces/fixture.trace.jsonl
 

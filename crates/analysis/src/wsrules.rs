@@ -660,8 +660,9 @@ impl WorkspaceRule for TelemetryKeyRegistry {
 /// 1. a raw `0x150`/`0x198` literal anywhere outside `crates/msr` — a
 ///    bypass waiting to happen;
 ///
-/// and, from outside the blessed hal/msr/kernel/cpu layers, two
-/// *call-shaped* bypasses of the HAL trait seam:
+/// and, from outside the blessed msr/kernel/cpu layers (the register
+/// file, the package, and the `Machine` that owns it), two
+/// *call-shaped* bypasses of the machine:
 ///
 /// 2. `.wrmsr(…)` / `.rdmsr(…)` invoked directly on the CPU package
 ///    (receiver ends in `cpu()`, `cpu_mut()` or `.cpu`) — skips kernel
@@ -669,18 +670,18 @@ impl WorkspaceRule for TelemetryKeyRegistry {
 ///    the unsanctioned undervolting path the paper's Sec. 5
 ///    countermeasure exists to close;
 /// 3. direct `MsrFile::`/`CpuPackage::` construction — conjures a sim
-///    register file behind the backend's back instead of going through
-///    `plugvolt_hal::sim::SimBackend` / `Machine::with_backend`, so the
-///    access never crosses the recordable seam.
+///    register file outside any `Machine` instead of booting one with
+///    `Machine::new` / `Machine::from_package`, so its accesses never
+///    reach the machine's tape.
 ///
 /// Benchmarks and test code may do 2 and 3 (they measure/poke the raw
 /// substrate on purpose).
 pub struct MsrWriteDiscipline;
 
-/// Layers allowed to touch the package MSR interface directly: the HAL
-/// itself, the register-file and package crates it abstracts, and the
-/// kernel that mounts the seam.
-const BLESSED_MSR_CRATES: [&str; 4] = ["msr", "kernel", "cpu", "hal"];
+/// Layers allowed to touch the package MSR interface directly: the
+/// register-file and package crates, and the kernel whose `Machine`
+/// owns the package.
+const BLESSED_MSR_CRATES: [&str; 3] = ["msr", "kernel", "cpu"];
 
 impl WorkspaceRule for MsrWriteDiscipline {
     fn meta(&self) -> RuleMeta {
@@ -689,7 +690,7 @@ impl WorkspaceRule for MsrWriteDiscipline {
             severity: Severity::Error,
             summary: "raw MSR 0x150/0x198 literals outside crates/msr, and direct package \
                       .wrmsr()/.rdmsr() calls or MsrFile/CpuPackage construction outside \
-                      the blessed hal/msr/kernel/cpu layers; go through the offset_limit clamp",
+                      the blessed msr/kernel/cpu layers; go through the offset_limit clamp",
         }
     }
 
@@ -758,7 +759,7 @@ impl WorkspaceRule for MsrWriteDiscipline {
                         column,
                         format!(
                             "direct package MSR access `.{ident}(…)`{in_fn} outside the \
-                             blessed hal/msr/kernel/cpu layers bypasses kernel cost \
+                             blessed msr/kernel/cpu layers bypasses kernel cost \
                              accounting and the offset_limit clamp (the Sec. 5 choke \
                              point); route the access through `Machine::{ident}`"
                         ),
@@ -787,10 +788,10 @@ impl WorkspaceRule for MsrWriteDiscipline {
                         column,
                         format!(
                             "direct `{ty}::` access outside the blessed \
-                             hal/msr/kernel/cpu layers conjures a sim register file \
-                             behind the HAL seam; construct the substrate through \
-                             `plugvolt_hal::sim::SimBackend` and mount it with \
-                             `Machine::with_backend` instead"
+                             msr/kernel/cpu layers conjures a sim register file \
+                             outside any machine, where no tape sees it; boot the \
+                             substrate with `Machine::new` or `Machine::from_package` \
+                             instead"
                         ),
                         out,
                     );

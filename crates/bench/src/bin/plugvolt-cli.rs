@@ -29,15 +29,18 @@
 //! clock advances one simulated millisecond per campaign) and forces
 //! the sequential campaign path.
 //!
-//! The `--backend` flag selects what `soak` runs on (`plugvolt_hal`):
-//! `sim` (default) runs the in-memory register file; `--record` records
-//! the deterministic fixture campaign to a pinned-schema JSONL MSR
-//! transcript; `--backend replay --trace FILE`
-//! records the transcript's campaign again, compares it with the tape
-//! and gates on tape-clean + oracle-pass + sim-differential byte
-//! identity; `--backend host` runs the *read-only* Linux host probe
-//! (`/dev/cpu/*/msr` + sysfs cpufreq) and reports polling overhead and
-//! worst-case detection latency — it has no write path.
+//! `soak` has four modes, each accepting only the flags listed for it
+//! above (any other flag is refused, naming it). `sim` (the default, or
+//! `--backend sim`) runs the campaigns on simulated machines; `--record`
+//! records the deterministic fixture campaign on a machine with a tape
+//! attached and writes the pinned-schema JSONL MSR transcript
+//! (`plugvolt_hal::trace`); `--backend replay --trace FILE` records the
+//! transcript's campaign again, compares it with the tape and gates on
+//! tape-clean + oracle-pass + sim-differential byte identity;
+//! `--backend host` runs the *read-only* Linux host probe
+//! (`plugvolt_hal::host`: `/dev/cpu/*/msr` + sysfs cpufreq) and reports
+//! polling overhead and worst-case detection latency — it has no write
+//! path.
 //!
 //! The characterization artifact is plain JSON — the same bytes the
 //! kernel module consumes — so the stages can run on different machines,
@@ -207,118 +210,36 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         "bench" => attr_command(&args, flag("--smoke")),
         "soak" => {
-            match value_of(&args, "--backend")?.as_deref() {
-                None | Some("sim") => {}
-                Some("replay") => return replay_command(&args),
-                Some("host") => return host_command(&args),
-                Some(other) => {
-                    return Err(format!("unknown backend '{other}' (sim | replay | host)").into())
-                }
-            }
-            if let Some(path) = value_of(&args, "--record")? {
-                return record_command(&args, &path);
-            }
-            if args.iter().any(|a| a == "--trace") {
-                return Err(CliError::RequiresFlag {
-                    flag: "--trace",
-                    requires: "--backend replay",
-                }
-                .into());
-            }
-            let mut cfg = if flag("--smoke") {
-                plugvolt_bench::soak::SoakConfig::smoke()
-            } else {
-                plugvolt_bench::soak::SoakConfig::default()
-            };
-            if let Some(n) = parsed(&args, "--campaigns", str::parse::<u32>)? {
-                cfg.campaigns = n;
-            }
-            if let Some(n) = parsed(&args, "--workers", str::parse::<usize>)? {
-                cfg.workers = n;
-            }
-            if let Some(m) = value_of(&args, "--model")? {
-                cfg.model = parse_model(&m)?;
-            }
-            if flag("--no-self-test") {
-                cfg.self_test = false;
-            }
-            let seed =
-                parsed(&args, "--seed", parse_seed)?.unwrap_or(plugvolt_bench::scenario::SEED);
-            let corpus = value_of(&args, "--corpus")?;
-            let mut scn = Scenario::with_seed(seed);
-            let stream_path = value_of(&args, "--stream")?;
-            let stream_io = |path: &String, source| CliError::StreamIo {
-                path: path.clone(),
-                source,
-            };
-            if let Some(path) = &stream_path {
-                scn = scn.with_stream(path).map_err(|e| stream_io(path, e))?;
-            }
-            eprintln!(
-                "soaking {} with {} campaigns × 4 deployment levels (seed {seed:#x})…",
-                cfg.model, cfg.campaigns
-            );
-            let corpus_dir = corpus.as_deref().map(std::path::Path::new);
-            let report = plugvolt_bench::soak::run_soak(&scn, &cfg, corpus_dir)?;
-            if let Some(path) = &stream_path {
-                let frames = scn.finish_stream().map_err(|e| stream_io(path, e))?;
-                eprintln!("{frames} telemetry frames streamed to {path}");
-            }
-            let json = report.to_json();
-            match value_of(&args, "--out")? {
-                Some(path) => {
-                    std::fs::write(&path, &json)?;
-                    eprintln!("report written to {path}");
-                }
-                None => print!("{json}"),
-            }
-            eprintln!(
-                "{} corpus case{} replayed, {} violation{}",
-                report.corpus_replayed,
-                if report.corpus_replayed == 1 { "" } else { "s" },
-                report.violations.len(),
-                if report.violations.len() == 1 {
-                    ""
-                } else {
-                    "s"
-                },
-            );
-            for v in &report.violations {
-                eprintln!(
-                    "  campaign {} ({}): {} — shrunk {} -> {} events{}",
-                    v.campaign,
-                    v.family,
-                    v.violation,
-                    v.original_events,
-                    v.reproducer.len(),
-                    v.corpus_file
-                        .as_deref()
-                        .map_or(String::new(), |f| format!(" ({f})")),
-                );
-            }
-            for cf in &report.corpus_failures {
-                eprintln!("  corpus {}: {}", cf.file, cf.detail);
-            }
-            if let Some(st) = &report.self_test {
-                if st.caught {
-                    eprintln!(
-                        "self-test: weakened poller (skips 1 poll in {}) caught, \
-                         reproducer shrunk to {} events in {} evals",
-                        st.skip_every, st.shrunk_events, st.shrink_evals
-                    );
-                } else {
-                    eprintln!(
-                        "self-test: oracle MISSED the weakened poller after {} campaigns",
-                        st.attempts
-                    );
-                }
-            }
-            if report.passed() {
-                eprintln!("RESULT: all oracles held");
-                Ok(())
-            } else {
-                Err("soak oracle violation (see report)".into())
-            }
+            type Mode = fn(&[String]) -> Result<(), Box<dyn std::error::Error>>;
+            // Each mode accepts only the flags it reads: any other is
+            // refused, naming it, instead of being silently dropped.
+            let (mode, accepted, command): (&'static str, &str, Mode) =
+                match (value_of(&args, "--backend")?.as_deref(), flag("--record")) {
+                    (None | Some("sim"), false) => (
+                        "soak",
+                        "--seed --campaigns --workers --model --corpus --out --stream \
+                         --backend --smoke --no-self-test",
+                        soak_command,
+                    ),
+                    (None | Some("sim"), true) => {
+                        ("soak --record", "--record --seed --model", record_command)
+                    }
+                    (Some("replay"), _) => {
+                        ("soak --backend replay", "--backend --trace", replay_command)
+                    }
+                    (Some("host"), _) => (
+                        "soak --backend host",
+                        "--backend --reads --period-us",
+                        host_command,
+                    ),
+                    (Some(other), _) => {
+                        return Err(
+                            format!("unknown backend '{other}' (sim | replay | host)").into()
+                        )
+                    }
+                };
+            check_flags(mode, accepted, &args)?;
+            command(&args)
         }
         "telemetry" => {
             let path = value_of(&args, "--profile")?.ok_or("--profile required")?;
@@ -419,11 +340,112 @@ fn parse_seed(s: &str) -> Result<u64, std::num::ParseIntError> {
     }
 }
 
+/// `soak` on the simulator: randomized attack campaigns against all
+/// four deployment levels, judged by the soak oracles, after replaying
+/// any `--corpus` reproducers.
+fn soak_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let mut cfg = if flag("--smoke") {
+        plugvolt_bench::soak::SoakConfig::smoke()
+    } else {
+        plugvolt_bench::soak::SoakConfig::default()
+    };
+    if let Some(n) = parsed(args, "--campaigns", str::parse::<u32>)? {
+        cfg.campaigns = n;
+    }
+    if let Some(n) = parsed(args, "--workers", str::parse::<usize>)? {
+        cfg.workers = n;
+    }
+    if let Some(m) = value_of(args, "--model")? {
+        cfg.model = parse_model(&m)?;
+    }
+    if flag("--no-self-test") {
+        cfg.self_test = false;
+    }
+    let seed = parsed(args, "--seed", parse_seed)?.unwrap_or(plugvolt_bench::scenario::SEED);
+    let corpus = value_of(args, "--corpus")?;
+    let mut scn = Scenario::with_seed(seed);
+    let stream_path = value_of(args, "--stream")?;
+    let stream_io = |path: &String, source| CliError::StreamIo {
+        path: path.clone(),
+        source,
+    };
+    if let Some(path) = &stream_path {
+        scn = scn.with_stream(path).map_err(|e| stream_io(path, e))?;
+    }
+    eprintln!(
+        "soaking {} with {} campaigns × 4 deployment levels (seed {seed:#x})…",
+        cfg.model, cfg.campaigns
+    );
+    let corpus_dir = corpus.as_deref().map(std::path::Path::new);
+    let report = plugvolt_bench::soak::run_soak(&scn, &cfg, corpus_dir)?;
+    if let Some(path) = &stream_path {
+        let frames = scn.finish_stream().map_err(|e| stream_io(path, e))?;
+        eprintln!("{frames} telemetry frames streamed to {path}");
+    }
+    let json = report.to_json();
+    match value_of(args, "--out")? {
+        Some(path) => {
+            std::fs::write(&path, &json)?;
+            eprintln!("report written to {path}");
+        }
+        None => print!("{json}"),
+    }
+    eprintln!(
+        "{} corpus case{} replayed, {} violation{}",
+        report.corpus_replayed,
+        if report.corpus_replayed == 1 { "" } else { "s" },
+        report.violations.len(),
+        if report.violations.len() == 1 {
+            ""
+        } else {
+            "s"
+        },
+    );
+    for v in &report.violations {
+        eprintln!(
+            "  campaign {} ({}): {} — shrunk {} -> {} events{}",
+            v.campaign,
+            v.family,
+            v.violation,
+            v.original_events,
+            v.reproducer.len(),
+            v.corpus_file
+                .as_deref()
+                .map_or(String::new(), |f| format!(" ({f})")),
+        );
+    }
+    for cf in &report.corpus_failures {
+        eprintln!("  corpus {}: {}", cf.file, cf.detail);
+    }
+    if let Some(st) = &report.self_test {
+        if st.caught {
+            eprintln!(
+                "self-test: weakened poller (skips 1 poll in {}) caught, \
+                 reproducer shrunk to {} events in {} evals",
+                st.skip_every, st.shrunk_events, st.shrink_evals
+            );
+        } else {
+            eprintln!(
+                "self-test: oracle MISSED the weakened poller after {} campaigns",
+                st.attempts
+            );
+        }
+    }
+    if report.passed() {
+        eprintln!("RESULT: all oracles held");
+        Ok(())
+    } else {
+        Err("soak oracle violation (see report)".into())
+    }
+}
+
 /// `soak --record FILE`: records the deterministic fixture campaign
 /// (all four deployment levels) onto one MSR transcript and writes the
 /// pinned-schema JSONL to `FILE`. Refuses to write a fixture whose
 /// campaign violates an oracle.
-fn record_command(args: &[String], path: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn record_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let path = value_of(args, "--record")?.ok_or(CliError::MissingValue { flag: "--record" })?;
     let seed = parsed(args, "--seed", parse_seed)?.unwrap_or(plugvolt_bench::scenario::SEED);
     let model = match value_of(args, "--model")? {
         Some(m) => parse_model(&m)?,
@@ -435,7 +457,7 @@ fn record_command(args: &[String], path: &str) -> Result<(), Box<dyn std::error:
         plugvolt_bench::trace::FIXTURE_LABEL
     );
     let fixture = plugvolt_bench::trace::record_fixture(&scn, model)?;
-    std::fs::write(path, &fixture.jsonl)?;
+    std::fs::write(&path, &fixture.jsonl)?;
     eprintln!(
         "{} transcript lines ({} levels) written to {path}",
         fixture.jsonl.lines().count(),

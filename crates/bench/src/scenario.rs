@@ -44,8 +44,7 @@ use plugvolt_cpu::freq::FreqMhz;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::rng::{derive_seed, SimRng};
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_hal::sim::SimBackend;
-use plugvolt_hal::trace::{RecordingBackend, TraceRecorder};
+use plugvolt_hal::trace::TraceRecorder;
 use plugvolt_kernel::machine::Machine;
 use plugvolt_telemetry::{Sink, StreamCursor, StreamFrame};
 use std::cell::RefCell;
@@ -165,15 +164,15 @@ impl Scenario {
         self.install(Machine::new_unit(model, self.seed_for(label), unit))
     }
 
-    /// Boots a labelled auxiliary machine whose backend appends every
-    /// MSR access to `rec`'s transcript. Seeded identically to
-    /// [`Scenario::machine_for`] with the same label, so a recorded run
-    /// is bit-identical to an unrecorded one.
+    /// Boots [`Scenario::machine_for`]'s machine with `rec` attached as
+    /// its tape, so every software-visible MSR access is appended to
+    /// `rec`'s transcript and a recorded run is bit-identical to an
+    /// unrecorded one.
     #[must_use]
     pub fn machine_recording(&self, model: CpuModel, label: &str, rec: &TraceRecorder) -> Machine {
-        let seed = self.seed_for(label);
-        let backend = RecordingBackend::new(SimBackend::new(model, seed), rec.clone());
-        self.install(Machine::with_backend(Box::new(backend), seed))
+        let mut machine = self.machine_for(model, label);
+        machine.attach_tape(rec.clone());
+        machine
     }
 
     fn install(&self, mut machine: Machine) -> Machine {

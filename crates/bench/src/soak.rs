@@ -475,10 +475,10 @@ fn run_level(
 }
 
 /// [`run_level`] with optional recording and profile/poll-stats
-/// capture. With `rec`, the machine's backend appends every MSR access
-/// to that transcript. The machine seed is the same either way (both
-/// constructors derive it from [`MACHINE_LABEL`]), so recorded and
-/// plain runs execute bit-identically — which is what the differential
+/// capture. With `rec` attached as the machine's tape, every MSR access
+/// is appended to that transcript. The machine seed is the same either
+/// way (both constructors derive it from [`MACHINE_LABEL`]), so recorded
+/// and plain runs execute bit-identically — which is what the differential
 /// record-vs-sim gate asserts. Returns the record together with the
 /// module timer firings the machine actually ran
 /// ([`Machine::timer_firings`]): a recorded run fires every tick, a

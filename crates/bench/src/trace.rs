@@ -4,8 +4,8 @@
 //!
 //! [`record_fixture`] runs one deterministic campaign (drawn from the
 //! scenario's `trace/fixture/schedule` stream) across all four
-//! deployment levels on a *recording* backend, one transcript section
-//! per level, and returns the JSONL plus the captured telemetry
+//! deployment levels on a machine with a tape attached, one transcript
+//! section per level, and returns the JSONL plus the captured telemetry
 //! profile and poll stats of each level.
 //!
 //! [`replay_trace`] is self-contained: it reads the model and root
@@ -324,9 +324,9 @@ mod tests {
         assert_eq!(fixture.captures, report.replay_captures);
     }
 
-    /// The sim differential compares a run that fires every tick (the
-    /// recording backend refuses every fold) with one that folds quiet
-    /// ticks, so the fixture's polling level must fold something.
+    /// The sim differential compares a run that fires every tick (a
+    /// machine with a tape never folds) with one that folds quiet ticks,
+    /// so the fixture's polling level must fold something.
     #[test]
     fn the_sim_differential_compares_a_folded_run() {
         let scn = Scenario::new();
@@ -374,6 +374,64 @@ mod tests {
             "tampered tape replayed clean: {}",
             report.render_text()
         );
+    }
+
+    #[test]
+    fn hostile_transcripts_get_a_typed_error_or_fail_the_gate() {
+        let fixture = record_fixture(&Scenario::new(), CpuModel::CometLake).expect("records");
+        let lines: Vec<&str> = fixture.jsonl.lines().collect();
+        let jsonl = |lines: &[&str]| lines.join("\n") + "\n";
+        let marker = |name: &str| format!("{{\"Section\":{{\"name\":\"{name}\"}}}}");
+        let last = marker(LEVELS[3].label());
+        let last_at = lines
+            .iter()
+            .position(|l| *l == last)
+            .expect("the last level has a section");
+
+        assert!(matches!(
+            replay_trace(""),
+            Err(TraceGateError::Hal(HalError::TraceSchema { .. }))
+        ));
+        match replay_trace(&jsonl(&lines[..last_at])) {
+            Err(TraceGateError::SectionMismatch { expected, got }) => {
+                assert_eq!(
+                    (expected.as_str(), got.as_str()),
+                    ("4 sections", "3 sections")
+                );
+            }
+            other => panic!("missing section: {other:?}"),
+        }
+        let renamed = fixture.jsonl.replacen(&last, &marker("hardware-clamp"), 1);
+        match replay_trace(&renamed) {
+            Err(TraceGateError::SectionMismatch { expected, got }) => {
+                assert_eq!(
+                    (expected.as_str(), got.as_str()),
+                    ("hardware-msr", "hardware-clamp")
+                );
+            }
+            other => panic!("renamed section: {other:?}"),
+        }
+
+        // A tape one event short or one event long parses, and fails
+        // the gate on its last section alone: the live run overruns the
+        // short tape, and leaves the long tape's extra event over.
+        let end = lines.len() - 1;
+        let doubled = [&lines[..], &lines[end..]].concat();
+        for (case, tape, overrun, leftover) in [
+            ("last line dropped", jsonl(&lines[..end]), 1, 0),
+            ("last line doubled", jsonl(&doubled), 0, 1),
+        ] {
+            let report = replay_trace(&tape).expect("parses");
+            assert!(!report.passed(), "{case}: {}", report.render_text());
+            let (clean, tail) = report.sections.split_at(3);
+            assert!(clean.iter().all(|(_, d)| d.clean()), "{case}");
+            let diff = tail[0].1;
+            assert_eq!(
+                (diff.divergences, diff.overrun, diff.leftover),
+                (0, overrun, leftover),
+                "{case}"
+            );
+        }
     }
 
     #[test]

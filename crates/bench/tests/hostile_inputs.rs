@@ -159,6 +159,73 @@ fn stray_positionals_are_refused_naming_the_token() {
 }
 
 #[test]
+fn each_soak_mode_refuses_the_flags_it_does_not_read() {
+    // Each used to exit 0, silently dropping the flags its mode never
+    // reads (a replay with `--out` wrote no report).
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("soak-modes");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create work dir");
+    for (args, named) in [
+        (
+            &["soak", "--smoke", "--out", "s.json", "--reads", "1"][..],
+            "soak does not accept --reads",
+        ),
+        (
+            &[
+                "soak",
+                "--record",
+                "f.jsonl",
+                "--smoke",
+                "--campaigns",
+                "1",
+                "--out",
+                "y.json",
+            ][..],
+            "soak --record does not accept --smoke",
+        ),
+        (
+            &[
+                "soak",
+                "--backend",
+                "replay",
+                "--trace",
+                "t.jsonl",
+                "--out",
+                "r.json",
+                "--campaigns",
+                "2",
+            ][..],
+            "soak --backend replay does not accept --out",
+        ),
+        (
+            &[
+                "soak",
+                "--backend",
+                "host",
+                "--campaigns",
+                "3",
+                "--smoke",
+                "--reads",
+                "1",
+            ][..],
+            "soak --backend host does not accept --campaigns",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_plugvolt-cli"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run plugvolt-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(named), "{args:?} stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+    let written = std::fs::read_dir(&dir).expect("list work dir").count();
+    assert_eq!(written, 0, "no mode may write a file");
+}
+
+#[test]
 fn a_numeric_value_that_does_not_parse_names_its_flag() {
     let (code, stderr) = run_with_map("margin.map.json", GOOD_MAP, &["maximal", "--margin", "x"]);
     assert_eq!(code, Some(1), "stderr: {stderr}");

@@ -17,6 +17,7 @@ use crate::charmap::CharacterizationMap;
 use crate::state::{StateClass, SystemState};
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::freq::FreqMhz;
+use plugvolt_cpu::package::PackageError;
 use plugvolt_des::stats::Summary;
 use plugvolt_des::time::{SimDuration, SimTime};
 use plugvolt_kernel::machine::{KernelModule, ModuleCtx};
@@ -24,7 +25,7 @@ use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::WriteOutcome;
 use plugvolt_msr::oc_mailbox::{OcRequest, Plane};
 use plugvolt_msr::perf_status::PerfStatus;
-use plugvolt_telemetry::{HistogramSpec, MetricKey, TelemetryEvent};
+use plugvolt_telemetry::{HistogramSpec, MetricKey, Sink, TelemetryEvent};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -223,6 +224,35 @@ impl PollingModule {
         }
     }
 
+    /// Accounts the frequency fallback's `IA32_PERF_CTL` write of
+    /// `fallback` on `core`: an accepted write as a fallback, a failed
+    /// one as a failure (a `poll/fallback_failed` count and a
+    /// `FallbackFailed` event), never as both.
+    fn account_fallback(
+        &self,
+        sink: &Sink,
+        now: SimTime,
+        core: CoreId,
+        fallback: FreqMhz,
+        written: Result<WriteOutcome, PackageError>,
+    ) {
+        if written.is_ok() {
+            self.stats.borrow_mut().freq_fallbacks += 1;
+            return;
+        }
+        sink.add(
+            MetricKey::per_core("poll", "fallback_failed", core.0 as u32),
+            1,
+        );
+        sink.emit(
+            now,
+            TelemetryEvent::FallbackFailed {
+                core: core.0 as u32,
+                freq_mhz: fallback.mhz(),
+            },
+        );
+    }
+
     /// Polls one core, replacing `out` with the per-plane observations
     /// it made.
     fn poll_core(
@@ -402,21 +432,8 @@ impl KernelModule for PollingModule {
                     if let Some(fallback) = self.safe_frequency_for(table, state.offset_mv) {
                         if fallback < state.freq {
                             let raw = plugvolt_msr::perf_status::encode_perf_ctl(fallback.mhz());
-                            if ctx.wrmsr_local(core, Msr::IA32_PERF_CTL, raw).is_ok() {
-                                self.stats.borrow_mut().freq_fallbacks += 1;
-                            } else {
-                                sink.add(
-                                    MetricKey::per_core("poll", "fallback_failed", core.0 as u32),
-                                    1,
-                                );
-                                sink.emit(
-                                    ctx.now(),
-                                    TelemetryEvent::FallbackFailed {
-                                        core: core.0 as u32,
-                                        freq_mhz: fallback.mhz(),
-                                    },
-                                );
-                            }
+                            let written = ctx.wrmsr_local(core, Msr::IA32_PERF_CTL, raw);
+                            self.account_fallback(&sink, ctx.now(), core, fallback, written);
                         }
                     }
                 }
@@ -446,9 +463,6 @@ mod tests {
     use super::*;
     use crate::charmap::FreqBand;
     use plugvolt_cpu::model::CpuModel;
-    use plugvolt_cpu::package::{CpuPackage, PackageError};
-    use plugvolt_hal::backend::MachineBackend;
-    use plugvolt_hal::sim::SimBackend;
     use plugvolt_kernel::machine::Machine;
     use plugvolt_kernel::msr_dev::MsrDev;
     use plugvolt_msr::file::MsrError;
@@ -631,8 +645,8 @@ mod tests {
     }
 
     /// Restore failures per core: the event kinds and the counter.
-    fn failures(m: &Machine, kind: &str, counter: &str) -> (u64, u64) {
-        m.telemetry().with(|reg| {
+    fn failures(sink: &Sink, kind: &str, counter: &str) -> (u64, u64) {
+        sink.with(|reg| {
             let events = reg.events().filter(|e| e.event.kind() == kind).count() as u64;
             let count = reg
                 .counters()
@@ -677,7 +691,7 @@ mod tests {
         assert_eq!(s.detections, 20, "5 ticks x 4 cores");
         assert_eq!(s.restores, 0);
         assert_eq!(
-            failures(&m, "restore-failed", "restore_failed"),
+            failures(m.telemetry(), "restore-failed", "restore_failed"),
             (s.detections, s.detections),
             "one ignored-restore event and one count per detection"
         );
@@ -689,57 +703,29 @@ mod tests {
         });
     }
 
-    /// A sim backend whose `IA32_PERF_CTL` writes fail, as a locked
-    /// register would.
-    struct PerfCtlLocked(SimBackend);
-
-    impl MachineBackend for PerfCtlLocked {
-        fn name(&self) -> &'static str {
-            "perf-ctl-locked"
-        }
-        fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
-            self.0.rdmsr(now, core, msr)
-        }
-        fn wrmsr(
-            &mut self,
-            now: SimTime,
-            core: CoreId,
-            msr: Msr,
-            value: u64,
-        ) -> Result<WriteOutcome, PackageError> {
-            if msr == Msr::IA32_PERF_CTL {
-                return Err(PackageError::Msr(MsrError::WriteFault { msr }));
-            }
-            self.0.wrmsr(now, core, msr, value)
-        }
-        fn cpu(&self) -> &CpuPackage {
-            self.0.cpu()
-        }
-        fn cpu_mut(&mut self) -> &mut CpuPackage {
-            self.0.cpu_mut()
-        }
-    }
-
     #[test]
     fn failed_frequency_fallbacks_are_failures() {
-        let backend = PerfCtlLocked(SimBackend::new(CpuModel::CometLake, 33));
-        let mut m = Machine::with_backend(Box::new(backend), 33);
-        let (module, stats) = PollingModule::new(demo_map(), PollConfig::default());
-        m.load_module(Box::new(module)).expect("fresh machine");
-        let dev = MsrDev::open(&m, CoreId(0)).expect("core 0 always exists");
-        let req = OcRequest::write_offset(-250, Plane::Core).encode();
-        dev.write(&mut m, Msr::OC_MAILBOX, req)
-            .expect("mailbox write on a live machine succeeds");
-        m.advance(SimDuration::from_micros(250));
-        let s = stats.borrow();
-        assert!(s.detections >= 1);
-        assert_eq!(s.freq_fallbacks, 0);
-        assert_eq!(
-            failures(&m, "fallback-failed", "fallback_failed"),
-            (s.detections, s.detections),
-            "one failed-fallback event and one count per detection"
-        );
-        assert_eq!(failures(&m, "restore-failed", "restore_failed"), (0, 0));
+        // The package never rejects a `PERF_CTL` write on a live core,
+        // so the fallback's accounting is driven with both outcomes.
+        let msr = Msr::IA32_PERF_CTL;
+        for (written, fallbacks, failed) in [
+            (
+                Err(PackageError::Msr(MsrError::WriteFault { msr })),
+                0,
+                (1, 1),
+            ),
+            (Ok(WriteOutcome::Written { stored: 0x0c00 }), 1, (0, 0)),
+        ] {
+            let (module, stats) = PollingModule::new(demo_map(), PollConfig::default());
+            let sink = Sink::new();
+            module.account_fallback(&sink, SimTime::ZERO, CoreId(2), FreqMhz(1_200), written);
+            assert_eq!(stats.borrow().freq_fallbacks, fallbacks, "{written:?}");
+            assert_eq!(
+                failures(&sink, "fallback-failed", "fallback_failed"),
+                failed,
+                "{written:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! detection latency — without ever taking the risks the paper is
 //! about. The safety guarantee is structural: the module has no write
 //! path at all. It opens MSR devices and sysfs nodes only through
-//! `std::fs` reads (the crate forbids `unsafe`), and it is not a
-//! machine backend, so it can never be mounted in a simulated
-//! `Machine` and driven by an attack schedule.
+//! `std::fs` reads (the crate forbids `unsafe`), and nothing connects
+//! it to a simulated `Machine`, so an attack schedule can never drive
+//! it.
 //!
 //! Reading MSRs still requires root (or `CAP_SYS_RAWIO`) and the `msr`
 //! kernel module; [`probe_poll_overhead`] degrades gracefully per core

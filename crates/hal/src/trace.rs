@@ -1,5 +1,5 @@
-//! The recording backend, the pinned JSONL transcript schema, and the
-//! tape comparison.
+//! The MSR transcript: the recorder a `Machine` appends its accesses
+//! to, the pinned JSONL schema, and the tape comparison.
 //!
 //! A transcript is a JSONL stream: one JSON value per line, each an
 //! externally-tagged [`TraceLine`]. The first line is always a
@@ -9,19 +9,19 @@
 //! stream. Schema version bumps are breaking: [`parse_trace`] rejects
 //! any transcript whose `schema`/`version` pair it does not speak.
 //!
-//! [`RecordingBackend`] is a pure observer around [`SimBackend`]: it
-//! forwards every access verbatim and appends what happened to the
-//! tape, so a recorded run is bit-identical to an unrecorded one. A
-//! committed tape is checked by recording the same campaign again and
-//! handing both event streams to [`compare_events`], which reports
-//! every mismatch, overrun and leftover position by position.
+//! A [`TraceRecorder`] attached to a `Machine` is its tape: the machine
+//! issues each software-visible access to its package as usual, then
+//! hands the access and its `Result` to [`TraceRecorder::record_read`]
+//! or [`TraceRecorder::record_write`]. Recording only observes, so a
+//! recorded run is bit-identical to an unrecorded one. A committed tape
+//! is checked by recording the same campaign again and handing both
+//! event streams to [`compare_events`], which reports every mismatch,
+//! overrun and leftover position by position.
 
-use crate::backend::MachineBackend;
 use crate::error::HalError;
-use crate::sim::SimBackend;
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::model::CpuModel;
-use plugvolt_cpu::package::{CpuPackage, PackageError};
+use plugvolt_cpu::package::PackageError;
 use plugvolt_des::time::SimTime;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::{MsrError, WriteOutcome};
@@ -62,6 +62,17 @@ pub enum TraceOutcome {
     Crashed,
     /// The core does not exist.
     NoSuchCore,
+}
+
+impl From<PackageError> for TraceOutcome {
+    fn from(e: PackageError) -> Self {
+        match e {
+            PackageError::Msr(MsrError::GeneralProtection { .. }) => Self::GeneralProtection,
+            PackageError::Msr(MsrError::WriteFault { .. }) => Self::WriteFault,
+            PackageError::NoSuchCore(_) => Self::NoSuchCore,
+            PackageError::Crashed => Self::Crashed,
+        }
+    }
 }
 
 /// One MSR access, fully decoded.
@@ -120,7 +131,8 @@ struct RecorderState {
 }
 
 /// Cloneable handle onto a growing transcript. All clones append to
-/// the same tape; keep one and hand another to a [`RecordingBackend`].
+/// the same tape: keep one and attach another to a `Machine`, which
+/// records every software-visible MSR access through it.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     state: Rc<RefCell<RecorderState>>,
@@ -145,12 +157,62 @@ impl TraceRecorder {
         });
     }
 
+    /// Appends a `rdmsr` of `msr` on `core` at `now` and what it
+    /// returned.
+    pub fn record_read(
+        &self,
+        now: SimTime,
+        core: CoreId,
+        msr: Msr,
+        result: &Result<u64, PackageError>,
+    ) {
+        let outcome = match result {
+            Ok(v) => TraceOutcome::Value(*v),
+            Err(e) => TraceOutcome::from(*e),
+        };
+        self.push(now, core, msr, TraceOp::Read, 0, outcome);
+    }
+
+    /// Appends a `wrmsr` of `value` to `msr` on `core` at `now` and
+    /// what the package did with it.
+    pub fn record_write(
+        &self,
+        now: SimTime,
+        core: CoreId,
+        msr: Msr,
+        value: u64,
+        result: &Result<WriteOutcome, PackageError>,
+    ) {
+        let outcome = match result {
+            Ok(WriteOutcome::Written { stored }) => TraceOutcome::Value(*stored),
+            Ok(WriteOutcome::Ignored) => TraceOutcome::Ignored,
+            Err(e) => TraceOutcome::from(*e),
+        };
+        self.push(now, core, msr, TraceOp::Write, value, outcome);
+    }
+
     /// Appends an access; the recorder assigns the sequence number.
-    fn push_event(&self, mut ev: TraceEvent) {
+    fn push(
+        &self,
+        now: SimTime,
+        core: CoreId,
+        msr: Msr,
+        op: TraceOp,
+        value: u64,
+        outcome: TraceOutcome,
+    ) {
         let mut st = self.state.borrow_mut();
-        ev.seq = st.seq;
+        let seq = st.seq;
         st.seq += 1;
-        st.lines.push(TraceLine::Event(ev));
+        st.lines.push(TraceLine::Event(TraceEvent {
+            seq,
+            t_ps: now.as_picos(),
+            core: core.0,
+            msr: msr.0,
+            op,
+            value,
+            outcome,
+        }));
     }
 
     /// Number of events recorded so far.
@@ -176,94 +238,6 @@ impl TraceRecorder {
             out.push('\n');
         }
         Ok(out)
-    }
-}
-
-fn outcome_of_read(r: &Result<u64, PackageError>) -> TraceOutcome {
-    match r {
-        Ok(v) => TraceOutcome::Value(*v),
-        Err(e) => outcome_of_err(*e),
-    }
-}
-
-fn outcome_of_write(r: &Result<WriteOutcome, PackageError>) -> TraceOutcome {
-    match r {
-        Ok(WriteOutcome::Written { stored }) => TraceOutcome::Value(*stored),
-        Ok(WriteOutcome::Ignored) => TraceOutcome::Ignored,
-        Err(e) => outcome_of_err(*e),
-    }
-}
-
-fn outcome_of_err(e: PackageError) -> TraceOutcome {
-    match e {
-        PackageError::Msr(MsrError::GeneralProtection { .. }) => TraceOutcome::GeneralProtection,
-        PackageError::Msr(MsrError::WriteFault { .. }) => TraceOutcome::WriteFault,
-        PackageError::NoSuchCore(_) => TraceOutcome::NoSuchCore,
-        PackageError::Crashed => TraceOutcome::Crashed,
-    }
-}
-
-/// A pure observer around [`SimBackend`]: forwards every access and
-/// appends it to the shared [`TraceRecorder`] tape.
-#[derive(Debug)]
-pub struct RecordingBackend {
-    inner: SimBackend,
-    rec: TraceRecorder,
-}
-
-impl RecordingBackend {
-    /// Wraps `inner`, appending to `rec`.
-    #[must_use]
-    pub fn new(inner: SimBackend, rec: TraceRecorder) -> Self {
-        Self { inner, rec }
-    }
-}
-
-impl MachineBackend for RecordingBackend {
-    fn name(&self) -> &'static str {
-        "record"
-    }
-
-    fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
-        let r = self.inner.rdmsr(now, core, msr);
-        self.rec.push_event(TraceEvent {
-            seq: 0,
-            t_ps: now.as_picos(),
-            core: core.0,
-            msr: msr.0,
-            op: TraceOp::Read,
-            value: 0,
-            outcome: outcome_of_read(&r),
-        });
-        r
-    }
-
-    fn wrmsr(
-        &mut self,
-        now: SimTime,
-        core: CoreId,
-        msr: Msr,
-        value: u64,
-    ) -> Result<WriteOutcome, PackageError> {
-        let r = self.inner.wrmsr(now, core, msr, value);
-        self.rec.push_event(TraceEvent {
-            seq: 0,
-            t_ps: now.as_picos(),
-            core: core.0,
-            msr: msr.0,
-            op: TraceOp::Write,
-            value,
-            outcome: outcome_of_write(&r),
-        });
-        r
-    }
-
-    fn cpu(&self) -> &CpuPackage {
-        self.inner.cpu()
-    }
-
-    fn cpu_mut(&mut self) -> &mut CpuPackage {
-        self.inner.cpu_mut()
     }
 }
 
@@ -371,8 +345,6 @@ fn parse_line(line: &str) -> Result<TraceLine, HalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::drive_freq_via_msr;
-    use plugvolt_cpu::freq::FreqMhz;
 
     fn header() -> TraceHeader {
         TraceHeader {
@@ -384,14 +356,20 @@ mod tests {
         }
     }
 
+    fn header_line(h: TraceHeader) -> String {
+        serde_json::to_string(&TraceLine::Header(h)).expect("serialize")
+    }
+
+    const PERF_STATUS: u64 = 0x1b00_0000_1b00;
+
     #[test]
     fn record_then_parse_round_trips() {
         let rec = TraceRecorder::new(header());
         rec.begin_section("warmup");
-        let mut b = RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 1), rec.clone());
-        let t = SimTime::ZERO;
-        let _ = b.rdmsr(t, CoreId(0), Msr::IA32_PERF_STATUS);
-        let _ = drive_freq_via_msr(&mut b, t, CoreId(0), FreqMhz(2700));
+        let t = SimTime::from_picos(1_500);
+        rec.record_read(t, CoreId(0), Msr::IA32_PERF_STATUS, &Ok(PERF_STATUS));
+        let stored = WriteOutcome::Written { stored: 0x1b00 };
+        rec.record_write(t, CoreId(0), Msr::IA32_PERF_CTL, 0x1b00, &Ok(stored));
         assert_eq!(rec.event_count(), 2);
 
         let jsonl = rec.to_jsonl().expect("serialize");
@@ -399,21 +377,70 @@ mod tests {
         assert_eq!(h, header());
         assert_eq!(sections.len(), 1);
         assert_eq!(sections[0].0, "warmup");
-        assert_eq!(sections[0].1.len(), 2);
-        assert_eq!(sections[0].1[0].op, TraceOp::Read);
-        assert_eq!(sections[0].1[1].op, TraceOp::Write);
-        assert_eq!(sections[0].1[1].msr, Msr::IA32_PERF_CTL.0);
+        let [read, write] = sections[0].1[..] else {
+            panic!("two events: {:?}", sections[0].1);
+        };
+        assert_eq!(
+            (read.seq, read.t_ps, read.op, read.value, read.outcome),
+            (0, 1_500, TraceOp::Read, 0, TraceOutcome::Value(PERF_STATUS))
+        );
+        assert_eq!(
+            (write.seq, write.msr, write.op, write.value, write.outcome),
+            (
+                1,
+                Msr::IA32_PERF_CTL.0,
+                TraceOp::Write,
+                0x1b00,
+                TraceOutcome::Value(0x1b00)
+            )
+        );
     }
 
-    /// Records a read and a `PERF_CTL` write of `perf_ctl` on a fresh
-    /// seed-42 package into a one-section transcript.
+    #[test]
+    fn every_outcome_is_recorded_and_parsed_back() {
+        let rec = TraceRecorder::new(header());
+        let t = SimTime::ZERO;
+        let msr = Msr::OC_MAILBOX;
+        let errors = [
+            (
+                PackageError::Msr(MsrError::GeneralProtection { msr }),
+                TraceOutcome::GeneralProtection,
+            ),
+            (
+                PackageError::Msr(MsrError::WriteFault { msr }),
+                TraceOutcome::WriteFault,
+            ),
+            (
+                PackageError::NoSuchCore(CoreId(9)),
+                TraceOutcome::NoSuchCore,
+            ),
+            (PackageError::Crashed, TraceOutcome::Crashed),
+        ];
+        let mut expect = Vec::new();
+        for (err, outcome) in errors {
+            rec.record_read(t, CoreId(0), msr, &Err(err));
+            rec.record_write(t, CoreId(0), msr, 7, &Err(err));
+            expect.extend([outcome, outcome]);
+        }
+        rec.record_write(t, CoreId(0), msr, 7, &Ok(WriteOutcome::Ignored));
+        expect.push(TraceOutcome::Ignored);
+
+        let (_, sections) = parse_trace(&rec.to_jsonl().expect("serialize")).expect("parse");
+        assert_eq!(sections.len(), 1);
+        assert_eq!(sections[0].0, "", "events before any section marker");
+        let got: Vec<TraceOutcome> = sections[0].1.iter().map(|e| e.outcome).collect();
+        assert_eq!(got, expect);
+    }
+
+    /// A one-section transcript of a `PERF_STATUS` read on core 1 and a
+    /// `PERF_CTL` write of `perf_ctl` on core 0.
     fn recorded_run(perf_ctl: u64) -> Vec<TraceEvent> {
         let rec = TraceRecorder::new(header());
         rec.begin_section("run");
-        let mut b = RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 42), rec.clone());
         let t = SimTime::ZERO;
-        let _ = b.rdmsr(t, CoreId(1), Msr::IA32_PERF_STATUS);
-        let _ = b.wrmsr(t, CoreId(0), Msr::IA32_PERF_CTL, perf_ctl);
+        rec.record_read(t, CoreId(1), Msr::IA32_PERF_STATUS, &Ok(PERF_STATUS));
+        let stored = WriteOutcome::Written { stored: perf_ctl };
+        rec.record_write(t, CoreId(0), Msr::IA32_PERF_CTL, perf_ctl, &Ok(stored));
         let jsonl = rec.to_jsonl().expect("serialize");
         let (_, mut sections) = parse_trace(&jsonl).expect("parse");
         sections.remove(0).1
@@ -468,23 +495,63 @@ mod tests {
     fn parse_rejects_wrong_version() {
         let mut h = header();
         h.version = TRACE_SCHEMA_VERSION + 1;
-        let line = serde_json::to_string(&TraceLine::Header(h)).expect("serialize");
-        let err = parse_trace(&line).expect_err("must reject");
+        let err = parse_trace(&header_line(h)).expect_err("must reject");
         assert!(matches!(err, HalError::TraceSchema { .. }), "{err:?}");
     }
 
     #[test]
-    fn recorded_run_matches_unrecorded_sim() {
-        let t = SimTime::ZERO;
-        let mut plain = SimBackend::new(CpuModel::SkyLake, 9);
+    fn hostile_transcripts_get_a_typed_error() {
         let rec = TraceRecorder::new(header());
-        let mut taped = RecordingBackend::new(SimBackend::new(CpuModel::SkyLake, 9), rec);
-        let a = drive_freq_via_msr(&mut plain, t, CoreId(0), FreqMhz(2600));
-        let b = drive_freq_via_msr(&mut taped, t, CoreId(0), FreqMhz(2600));
-        assert_eq!(a.ok(), b.ok());
-        assert_eq!(
-            plain.cpu().core_freq(CoreId(0)).expect("freq").mhz(),
-            taped.cpu().core_freq(CoreId(0)).expect("freq").mhz()
+        rec.begin_section("run");
+        rec.record_write(
+            SimTime::ZERO,
+            CoreId(0),
+            Msr::OC_MAILBOX,
+            7,
+            &Ok(WriteOutcome::Ignored),
         );
+        let good = rec.to_jsonl().expect("serialize");
+        parse_trace(&good).expect("the untampered transcript parses");
+        let head = header_line(header());
+        let mut renamed = header();
+        renamed.schema = "plugvolt-msr-tape".to_string();
+        let section = r#"{"Section":{"name":"run"}}"#;
+        for (case, jsonl, says) in [
+            ("empty", String::new(), "empty transcript"),
+            ("blank lines only", "\n  \n".to_string(), "empty transcript"),
+            (
+                "section first",
+                format!("{section}\n{head}\n"),
+                "first line must be a header",
+            ),
+            (
+                "second header",
+                format!("{head}\n{section}\n{head}\n"),
+                "duplicate header",
+            ),
+            (
+                "malformed line",
+                format!("{head}\n{{\"Event\":{{\"seq\":0,\n"),
+                "malformed trace line",
+            ),
+            (
+                "unknown outcome tag",
+                good.replace("\"Ignored\"", "\"Vanished\""),
+                "malformed trace line",
+            ),
+            (
+                "wrong schema name",
+                header_line(renamed),
+                "unsupported schema plugvolt-msr-tape@1",
+            ),
+        ] {
+            assert_ne!(jsonl, good, "{case}: the tamper site must exist");
+            match parse_trace(&jsonl) {
+                Err(HalError::TraceSchema { detail }) => {
+                    assert!(detail.contains(says), "{case}: {detail}");
+                }
+                other => panic!("{case}: {other:?}"),
+            }
+        }
     }
 }

@@ -119,8 +119,8 @@ impl CpuFreq {
     }
 
     /// The scaling driver: quantizes to the hardware table and writes
-    /// the ratio request to `IA32_PERF_CTL` through the machine's
-    /// backend (see `plugvolt_hal::backend::drive_freq_via_msr`).
+    /// the ratio request to `IA32_PERF_CTL` as an ordinary machine
+    /// `wrmsr`, which a tape records (see [`Machine::set_freq`]).
     fn drive(machine: &mut Machine, core: CoreId, f: FreqMhz) -> Result<FreqMhz, MachineError> {
         machine.set_freq(core, f)
     }

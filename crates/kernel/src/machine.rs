@@ -1,19 +1,20 @@
 //! The machine: a CPU package under a minimal kernel.
 //!
-//! [`Machine`] owns the simulated clock, a [`MachineBackend`] carrying
-//! the [`CpuPackage`], and a set of loadable [`KernelModule`]s with
-//! kernel-timer semantics — the substrate the paper's countermeasure is
-//! deployed on. Modules steal core time when their timers run (the
-//! source of the Table 2 overhead), and all MSR traffic they issue is
-//! cost-accounted (IPI to the target core plus the `rdmsr`/`wrmsr`
-//! microcode flow; the paper's Sec. 5 names this ioctl/MSR path as one
-//! contributor to countermeasure turnaround time).
+//! [`Machine`] owns the simulated clock, the [`CpuPackage`], an optional
+//! MSR transcript (its tape), and a set of loadable [`KernelModule`]s
+//! with kernel-timer semantics — the substrate the paper's
+//! countermeasure is deployed on. Modules steal core time when their
+//! timers run (the source of the Table 2 overhead), and all MSR traffic
+//! they issue is cost-accounted (IPI to the target core plus the
+//! `rdmsr`/`wrmsr` microcode flow; the paper's Sec. 5 names this
+//! ioctl/MSR path as one contributor to countermeasure turnaround
+//! time).
 //!
 //! All software MSR/DVFS traffic — module context, `msr-dev`, cpufreq —
-//! flows through the backend seam ([`Machine::rdmsr`],
-//! [`Machine::wrmsr`], [`Machine::set_freq`] and the [`ModuleCtx`]
-//! accessors), so a recording backend observes exactly the accesses the
-//! software stack makes. Direct `cpu_mut()` access remains the
+//! flows through [`Machine::rdmsr`], [`Machine::wrmsr`],
+//! [`Machine::set_freq`] and the [`ModuleCtx`] accessors, so a tape
+//! attached with [`Machine::attach_tape`] records exactly the accesses
+//! the software stack makes. Direct `cpu_mut()` access remains the
 //! "privileged attacker / physical package" escape hatch and is not
 //! part of the recorded surface.
 
@@ -25,10 +26,10 @@ use plugvolt_cpu::package::{CpuPackage, PackageError, PackageSnapshot};
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::stats::Histogram;
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_hal::backend::{drive_freq_via_msr, MachineBackend};
-use plugvolt_hal::sim::SimBackend;
+use plugvolt_hal::trace::TraceRecorder;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::WriteOutcome;
+use plugvolt_msr::perf_status::encode_perf_ctl;
 use plugvolt_telemetry::{HistogramSpec, MetricKey, Sink, SpanMark, Tracer};
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -96,7 +97,8 @@ struct CoreAccount {
 /// access itself fails with [`PackageError::NoSuchCore`].
 pub struct ModuleCtx<'a> {
     now: SimTime,
-    backend: &'a mut dyn MachineBackend,
+    cpu: &'a mut CpuPackage,
+    tape: Option<&'a TraceRecorder>,
     cores: &'a mut [CoreAccount],
     tracer: &'a Tracer,
     module_name: &'a str,
@@ -121,7 +123,7 @@ impl ModuleCtx<'_> {
     /// Immutable access to the package (frequency tables, specs…).
     #[must_use]
     pub fn cpu(&self) -> &CpuPackage {
-        self.backend.cpu()
+        self.cpu
     }
 
     /// Cost-accounted `rdmsr` on `core`.
@@ -131,7 +133,7 @@ impl ModuleCtx<'_> {
     /// Propagates [`PackageError`].
     pub fn rdmsr(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
         self.account_access(core, IPI_COST, false);
-        self.backend.rdmsr(self.now, core, msr)
+        taped_rdmsr(self.cpu, self.tape, self.now, core, msr)
     }
 
     /// Cost-accounted `wrmsr` on `core`.
@@ -146,7 +148,7 @@ impl ModuleCtx<'_> {
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
         self.account_access(core, IPI_COST, true);
-        self.backend.wrmsr(self.now, core, msr, value)
+        taped_wrmsr(self.cpu, self.tape, self.now, core, msr, value)
     }
 
     /// Cost-accounted `rdmsr` from a **per-CPU timer context** on `core`
@@ -158,7 +160,7 @@ impl ModuleCtx<'_> {
     /// Propagates [`PackageError`].
     pub fn rdmsr_local(&mut self, core: CoreId, msr: Msr) -> Result<u64, PackageError> {
         self.account_access(core, SimDuration::ZERO, false);
-        self.backend.rdmsr(self.now, core, msr)
+        taped_rdmsr(self.cpu, self.tape, self.now, core, msr)
     }
 
     /// Cost-accounted `wrmsr` from a per-CPU timer context on `core`.
@@ -173,7 +175,7 @@ impl ModuleCtx<'_> {
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
         self.account_access(core, SimDuration::ZERO, true);
-        self.backend.wrmsr(self.now, core, msr, value)
+        taped_wrmsr(self.cpu, self.tape, self.now, core, msr, value)
     }
 
     /// Charges one kernel-context MSR access on `core` — `ipi` plus the
@@ -185,7 +187,7 @@ impl ModuleCtx<'_> {
         let Some(acct) = self.cores.get_mut(core.0) else {
             return;
         };
-        let cpu = self.backend.cpu();
+        let cpu = &*self.cpu;
         let freq = cpu.core_freq(core).unwrap_or(cpu.spec().base_freq);
         let flow = match acct.flow_cost {
             Some((at, cost)) if at == freq => cost,
@@ -219,6 +221,37 @@ impl ModuleCtx<'_> {
     pub fn tracer(&self) -> &Tracer {
         self.tracer
     }
+}
+
+/// `rdmsr` on the package, appended to `tape` when one is attached.
+fn taped_rdmsr(
+    cpu: &CpuPackage,
+    tape: Option<&TraceRecorder>,
+    now: SimTime,
+    core: CoreId,
+    msr: Msr,
+) -> Result<u64, PackageError> {
+    let result = cpu.rdmsr(now, core, msr);
+    if let Some(tape) = tape {
+        tape.record_read(now, core, msr, &result);
+    }
+    result
+}
+
+/// `wrmsr` on the package, appended to `tape` when one is attached.
+fn taped_wrmsr(
+    cpu: &mut CpuPackage,
+    tape: Option<&TraceRecorder>,
+    now: SimTime,
+    core: CoreId,
+    msr: Msr,
+    value: u64,
+) -> Result<WriteOutcome, PackageError> {
+    let result = cpu.wrmsr(now, core, msr, value);
+    if let Some(tape) = tape {
+        tape.record_write(now, core, msr, value, &result);
+    }
+    result
 }
 
 /// A loadable kernel module with timer-driven work.
@@ -326,7 +359,8 @@ impl TickCost {
 struct LastTick {
     /// Whether the next firings of its timer repeat it for as long as
     /// the package still matches `package`, the rails hold and no other
-    /// timer comes first.
+    /// timer comes first. Never on a machine with a tape, which must
+    /// record every access.
     repeatable: bool,
     module_idx: usize,
     /// The `seq` of the timer it re-armed, and its delay.
@@ -428,7 +462,10 @@ struct Fold {
 /// ```
 pub struct Machine {
     now: SimTime,
-    backend: Box<dyn MachineBackend>,
+    cpu: CpuPackage,
+    /// The MSR transcript every software-visible access is appended to,
+    /// when one is attached.
+    tape: Option<TraceRecorder>,
     modules: Vec<ModuleSlot>,
     timers: BinaryHeap<PendingTimer>,
     timer_seq: u64,
@@ -446,8 +483,8 @@ impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("now", &self.now)
-            .field("backend", &self.backend_name())
-            .field("cpu", self.backend.cpu())
+            .field("cpu", &self.cpu)
+            .field("taped", &self.tape.is_some())
             .field("modules", &self.loaded_modules().collect::<Vec<_>>())
             .finish()
     }
@@ -469,28 +506,22 @@ impl Machine {
     /// Boots a machine around an explicit package.
     #[must_use]
     pub fn from_package(cpu: CpuPackage, seed: u64) -> Self {
-        Self::with_backend(Box::new(SimBackend::from_package(cpu)), seed)
-    }
-
-    /// Boots a machine around an arbitrary machine backend (sim,
-    /// recording — anything implementing [`MachineBackend`]).
-    #[must_use]
-    pub fn with_backend(backend: Box<dyn MachineBackend>, seed: u64) -> Self {
-        let cores = backend.cpu().core_count();
+        let cores = cpu.core_count();
         let spec = HistogramSpec::POLL_ITERATION_US;
         let last = LastTick {
             repeatable: false,
             module_idx: 0,
             seq: 0,
             period: SimDuration::ZERO,
-            package: backend.cpu().snapshot(),
+            package: cpu.snapshot(),
             hold: None,
             costs: Vec::with_capacity(cores),
             spans: SpanMark::default(),
         };
         Machine {
             now: SimTime::ZERO,
-            backend,
+            cpu,
+            tape: None,
             modules: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -508,29 +539,35 @@ impl Machine {
         self.now
     }
 
-    /// Stable name of the mounted backend (`"sim"`, `"record"`).
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+    /// Attaches `tape`: from now on every software-visible MSR access
+    /// ([`rdmsr`](Self::rdmsr), [`wrmsr`](Self::wrmsr),
+    /// [`set_freq`](Self::set_freq) and the [`ModuleCtx`] accessors) is
+    /// appended to it with its outcome. Recording only observes, so a
+    /// taped run is bit-identical to an untaped one, except that quiet
+    /// timer firings are no longer folded: each runs, and each access
+    /// it makes is recorded.
+    pub fn attach_tape(&mut self, tape: TraceRecorder) {
+        self.tape = Some(tape);
+        self.last.repeatable = false;
     }
 
     /// The CPU package.
     #[must_use]
     pub fn cpu(&self) -> &CpuPackage {
-        self.backend.cpu()
+        &self.cpu
     }
 
     /// Mutable access to the CPU package — the "privileged software"
     /// escape hatch attacks use (direct `wrmsr` etc. are methods on the
     /// package and need the current time; pair with [`now`](Self::now)).
-    /// Package mutations through here bypass the backend seam and are
-    /// invisible to a recording backend — exactly like physical
-    /// tampering would be.
+    /// Package mutations through here are not software-visible MSR
+    /// accesses and never reach the tape — exactly like physical
+    /// tampering would not.
     pub fn cpu_mut(&mut self) -> &mut CpuPackage {
-        self.backend.cpu_mut()
+        &mut self.cpu
     }
 
-    /// Privileged zero-cost `rdmsr` through the backend seam (root
+    /// Privileged zero-cost `rdmsr`, recorded on the tape (root
     /// userspace reading without the kernel's IPI/syscall accounting —
     /// what experiment harness code should use instead of `cpu_mut()`).
     ///
@@ -538,10 +575,11 @@ impl Machine {
     ///
     /// Propagates the package error.
     pub fn rdmsr(&mut self, core: CoreId, msr: Msr) -> Result<u64, MachineError> {
-        Ok(self.backend.rdmsr(self.now, core, msr)?)
+        let tape = self.tape.as_ref();
+        Ok(taped_rdmsr(&self.cpu, tape, self.now, core, msr)?)
     }
 
-    /// Privileged zero-cost `wrmsr` through the backend seam.
+    /// Privileged zero-cost `wrmsr`, recorded on the tape.
     ///
     /// # Errors
     ///
@@ -552,29 +590,35 @@ impl Machine {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, MachineError> {
-        Ok(self.backend.wrmsr(self.now, core, msr, value)?)
+        let tape = self.tape.as_ref();
+        Ok(taped_wrmsr(
+            &mut self.cpu,
+            tape,
+            self.now,
+            core,
+            msr,
+            value,
+        )?)
     }
 
-    /// Requests a core frequency (quantized to the hardware table) as
-    /// an `IA32_PERF_CTL` write through the backend, returning what was
-    /// applied.
+    /// Requests a core frequency, quantized to the hardware table, as
+    /// an `IA32_PERF_CTL` [`wrmsr`](Self::wrmsr) (so a tape records the
+    /// DVFS request as an ordinary MSR write, exactly like the Linux
+    /// acpi-cpufreq driver issues it), returning what was applied.
     ///
     /// # Errors
     ///
     /// Propagates the package error.
     pub fn set_freq(&mut self, core: CoreId, freq: FreqMhz) -> Result<FreqMhz, MachineError> {
-        Ok(drive_freq_via_msr(
-            self.backend.as_mut(),
-            self.now,
-            core,
-            freq,
-        )?)
+        let f = self.cpu.spec().freq_table.quantize(freq);
+        self.wrmsr(core, Msr::IA32_PERF_CTL, encode_perf_ctl(f.mhz()))?;
+        Ok(self.cpu.core_freq(core)?)
     }
 
     /// The machine's telemetry sink (shared with the CPU package).
     #[must_use]
     pub fn telemetry(&self) -> &Sink {
-        self.backend.cpu().telemetry()
+        self.cpu.telemetry()
     }
 
     /// Installs a shared telemetry sink so several machines (e.g. the
@@ -586,7 +630,7 @@ impl Machine {
         // new one.
         self.drain_timer_iterations();
         self.last.repeatable = false;
-        self.backend.cpu_mut().set_telemetry(sink);
+        self.cpu.set_telemetry(sink);
     }
 
     /// Folds the slack-table hit/fallback counters, the package's
@@ -597,7 +641,7 @@ impl Machine {
     /// deltas). Timer iterations are also drained when the machine is
     /// dropped, so a machine that never publishes still records them.
     pub fn publish_telemetry(&mut self) {
-        let cpu = self.backend.cpu();
+        let cpu = &self.cpu;
         let sink = cpu.telemetry();
         sink.tracer().record_span("telemetry/flush", 0);
         cpu.publish_slack_table_stats();
@@ -620,7 +664,7 @@ impl Machine {
     }
 
     fn drain_timer_iterations(&mut self) {
-        self.backend.cpu().telemetry().drain_histogram(
+        self.cpu.telemetry().drain_histogram(
             MetricKey::global("kernel", "timer_iteration_us"),
             HistogramSpec::POLL_ITERATION_US,
             &mut self.timer_iterations,
@@ -633,7 +677,7 @@ impl Machine {
         &mut self,
         table: Option<std::sync::Arc<plugvolt_cpu::slack::SlackTable>>,
     ) {
-        self.backend.cpu_mut().set_slack_table(table);
+        self.cpu.set_slack_table(table);
     }
 
     /// Deterministic per-machine random stream (for workload jitter).
@@ -729,7 +773,8 @@ impl Machine {
         let mut module = self.modules[idx].module.take().expect("module re-entered");
         let mut ctx = ModuleCtx {
             now: self.now,
-            backend: self.backend.as_mut(),
+            cpu: &mut self.cpu,
+            tape: self.tape.as_ref(),
             cores: &mut self.cores,
             tracer,
             module_name: &self.modules[idx].name,
@@ -773,8 +818,9 @@ impl Machine {
     /// is repeatable when its module reports it quiet
     /// ([`KernelModule::fold_quiet_ticks`]), it left the package as it
     /// found it (a [`PackageSnapshot`]: mailbox read commands are the
-    /// one write allowed) and the backend can account its accesses
-    /// without issuing them. The next firings of its timer then repeat
+    /// one write allowed), the package can account its accesses without
+    /// issuing them, and no tape is attached (a tape records every
+    /// access, so every firing runs). The next firings of its timer then repeat
     /// it exactly for as long as nothing it reads can change: until
     /// another timer, or the rails leaving their hold, or a change to
     /// the package — between calls too, through [`cpu_mut`](Self::cpu_mut),
@@ -814,7 +860,7 @@ impl Machine {
         let last = &mut self.last;
         last.costs.clear();
         last.costs.extend(self.cores.iter().map(TickCost::of));
-        last.package = self.backend.cpu().snapshot();
+        last.package = self.cpu.snapshot();
         tracer.mark(&mut last.spans);
         let span = tracer.span("kernel/timer");
         let next = self.with_module(timer.module_idx, &tracer, |m, ctx| m.on_timer(ctx));
@@ -840,18 +886,19 @@ impl Machine {
         last.module_idx = timer.module_idx;
         last.seq = self.timer_seq.wrapping_sub(1);
         last.period = next.unwrap_or(SimDuration::ZERO);
-        last.hold = self.backend.cpu().rails_hold_until(self.now);
+        last.hold = self.cpu.rails_hold_until(self.now);
         let module = self.modules[timer.module_idx]
             .module
             .as_mut()
             .expect("module re-entered");
-        let backend = &mut self.backend;
-        last.repeatable = last.period > SimDuration::ZERO
-            && backend.cpu().snapshot() == last.package
+        let cpu = &self.cpu;
+        last.repeatable = self.tape.is_none()
+            && last.period > SimDuration::ZERO
+            && cpu.snapshot() == last.package
             && module.fold_quiet_ticks(0)
             && last.costs.iter().enumerate().all(|(c, cost)| {
-                (cost.reads == 0 || backend.repeat_reads(CoreId(c), 0))
-                    && (cost.writes == 0 || backend.repeat_writes(CoreId(c), 0))
+                (cost.reads == 0 || cpu.repeat_reads(CoreId(c), 0))
+                    && (cost.writes == 0 || cpu.repeat_writes(CoreId(c), 0))
             });
     }
 
@@ -865,7 +912,7 @@ impl Machine {
             return None;
         }
         let next = self.timers.peek()?;
-        let cpu = self.backend.cpu();
+        let cpu = &self.cpu;
         if next.seq != last.seq
             || cpu.snapshot() != last.package
             || !cpu.telemetry().tracer().can_repeat(&last.spans)
@@ -926,17 +973,13 @@ impl Machine {
         let mut remaining = iters;
         let mut faults = 0u64;
         loop {
-            let freq = self.backend.cpu().core_freq(core)?;
+            let freq = self.cpu.core_freq(core)?;
             // Loop invariant we maintain: now == started + work_time(done)
             // + steal accrued on this core. Catch up first if module work
             // just pushed us behind that line.
             let accrued = self.stolen_time(core).saturating_sub(stolen_before);
             let done = iters - remaining;
-            let work_time = self
-                .backend
-                .cpu()
-                .engine()
-                .batch_duration(class, done, freq);
+            let work_time = self.cpu.engine().batch_duration(class, done, freq);
             let target = started + work_time + accrued;
             if target > self.now {
                 let fires = self.next_timer_at().is_some_and(|t| t <= target);
@@ -951,18 +994,14 @@ impl Machine {
             if remaining == 0 {
                 break;
             }
-            let full = self
-                .backend
-                .cpu()
-                .engine()
-                .batch_duration(class, remaining, freq);
+            let full = self.cpu.engine().batch_duration(class, remaining, freq);
             match self.next_timer_at() {
                 Some(t) if t < self.now + full => {
                     // Run the part of the batch that fits before the timer.
                     let n = slice_before(self.now, t, freq, class, remaining);
                     if n > 0 {
                         let now = self.now;
-                        faults += self.backend.cpu_mut().run_batch(now, core, class, n)?;
+                        faults += self.cpu.run_batch(now, core, class, n)?;
                         remaining -= n;
                     }
                     self.advance_to(t); // fires the timer, accrues steal
@@ -970,10 +1009,7 @@ impl Machine {
                 }
                 _ => {
                     let now = self.now;
-                    faults += self
-                        .backend
-                        .cpu_mut()
-                        .run_batch(now, core, class, remaining)?;
+                    faults += self.cpu.run_batch(now, core, class, remaining)?;
                     remaining = 0;
                     self.advance_to(self.now + full);
                 }
@@ -1004,7 +1040,7 @@ impl Machine {
         let Some(stretch) = self.stretch() else {
             return remaining;
         };
-        let cpu = self.backend.cpu();
+        let cpu = &self.cpu;
         if !cpu.repeat_quiet_batches(self.now, core, class, 0) {
             return remaining;
         }
@@ -1067,11 +1103,11 @@ impl Machine {
             acct.msr_cost += cost.msr_cost * k;
             acct.reads += cost.reads * k;
             acct.writes += cost.writes * k;
-            let counted = (cost.reads == 0 || self.backend.repeat_reads(CoreId(c), cost.reads * k))
-                && (cost.writes == 0 || self.backend.repeat_writes(CoreId(c), cost.writes * k));
-            assert!(counted, "backend refused accesses it accepted");
+            let counted = (cost.reads == 0 || self.cpu.repeat_reads(CoreId(c), cost.reads * k))
+                && (cost.writes == 0 || self.cpu.repeat_writes(CoreId(c), cost.writes * k));
+            assert!(counted, "package refused accesses it accepted");
         }
-        let tracer = self.backend.cpu().telemetry().tracer();
+        let tracer = self.cpu.telemetry().tracer();
         tracer.repeat(&last.spans, k);
         tracer.set_sim_now(last_at);
         self.timer_iterations
@@ -1469,6 +1505,69 @@ mod tests {
             assert_eq!(reg.counter(&MetricKey::per_core("msr", "rdmsr", 0)), 25);
             assert_eq!(reg.counter(&MetricKey::per_core("msr", "wrmsr", 0)), 25);
         });
+    }
+
+    #[test]
+    fn a_taped_machine_runs_like_an_untaped_one() {
+        use plugvolt_hal::trace::{
+            parse_trace, TraceHeader, TraceOp, TraceOutcome, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
+        };
+        let ms = SimDuration::from_millis;
+        let run = |tape: Option<&TraceRecorder>| {
+            let mut m = machine();
+            if let Some(tape) = tape {
+                m.attach_tape(tape.clone());
+            }
+            let folded = std::rc::Rc::default();
+            m.load_module(Box::new(QuietModule {
+                folded: std::rc::Rc::clone(&folded),
+            }))
+            .unwrap();
+            let applied = m.set_freq(CoreId(1), FreqMhz(2_650)).unwrap();
+            m.advance(ms(5));
+            let work = m
+                .run_workload(CoreId(0), InstrClass::Imul, 20_000_000)
+                .unwrap();
+            let perf = m.rdmsr(CoreId(1), Msr::IA32_PERF_STATUS).unwrap();
+            m.publish_telemetry();
+            let profile = m.telemetry().profile("tape").to_json();
+            let ticks = m.timer_firings() + folded.get();
+            let observed = (applied, work, perf, m.cpu().snapshot(), profile, ticks);
+            (observed, m.timer_firings())
+        };
+        let tape = TraceRecorder::new(TraceHeader {
+            schema: TRACE_SCHEMA.to_string(),
+            version: TRACE_SCHEMA_VERSION,
+            model: CpuModel::CometLake,
+            root_seed: 5,
+            label: "machine".to_string(),
+        });
+        let (taped, taped_firings) = run(Some(&tape));
+        let (plain, plain_firings) = run(None);
+        assert_eq!(taped, plain);
+        let ticks = plain.5;
+        assert_eq!(taped_firings, ticks, "a taped machine fires every tick");
+        assert!(plain_firings < ticks, "the untaped machine folds");
+
+        // One read and one write per tick, plus the `set_freq` write and
+        // the closing read, in order.
+        let (_, sections) = parse_trace(&tape.to_jsonl().unwrap()).unwrap();
+        let events = &sections[0].1;
+        assert_eq!(events.len() as u64, 2 * ticks + 2);
+        let first = events[0];
+        assert_eq!(
+            (first.core, first.msr, first.op),
+            (1, Msr::IA32_PERF_CTL.0, TraceOp::Write)
+        );
+        let last = events[events.len() - 1];
+        assert_eq!(
+            (last.msr, last.op, last.outcome),
+            (
+                Msr::IA32_PERF_STATUS.0,
+                TraceOp::Read,
+                TraceOutcome::Value(plain.2)
+            )
+        );
     }
 
     #[test]

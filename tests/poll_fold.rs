@@ -20,10 +20,7 @@ use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::exec::InstrClass;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_des::time::{SimDuration, SimTime};
-use plugvolt_hal::sim::SimBackend;
-use plugvolt_hal::trace::{
-    RecordingBackend, TraceHeader, TraceRecorder, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
-};
+use plugvolt_hal::trace::{TraceHeader, TraceRecorder, TRACE_SCHEMA, TRACE_SCHEMA_VERSION};
 use plugvolt_kernel::machine::{KernelModule, Machine, ModuleCtx, WorkloadRun};
 use plugvolt_kernel::msr_dev::MsrDev;
 use plugvolt_msr::addr::Msr;
@@ -411,9 +408,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A recording backend must see every access, so nothing is folded
-/// through it: a polled rate run records one event per poll read, and
-/// the transcript is the one the per-tick kernel wrote (pinned).
+/// A tape must see every access, so a machine with one folds nothing:
+/// a polled rate run records one event per poll read, and the
+/// transcript is the one the per-tick kernel wrote (pinned).
 #[test]
 fn a_recorded_polled_run_logs_every_read() {
     let model = CpuModel::CometLake;
@@ -425,8 +422,8 @@ fn a_recorded_polled_run_logs_every_read() {
         root_seed: seed,
         label: "poll-fold".to_string(),
     });
-    let backend = RecordingBackend::new(SimBackend::new(model, seed), rec.clone());
-    let mut machine = Machine::with_backend(Box::new(backend), seed);
+    let mut machine = Machine::new(model, seed);
+    machine.attach_tape(rec.clone());
     let (module, stats) = PollingModule::new(analytic_map(&model.spec()), PollConfig::default());
     machine
         .load_module(Box::new(module))
